@@ -15,18 +15,14 @@ from __future__ import annotations
 
 import argparse
 
-from routecat.centroid import train
-from routecat.corpus import build_vocabulary, load_corpus, split_corpus
+from routecat.corpus import load_corpus
 from routecat.evaluation import (
-    ComparisonRow,
-    SummaryRow,
     SyntheticSpec,
-    evaluate,
-    flat_baseline,
     generate_synthetic,
     render_report,
+    report_rows,
+    train_and_calibrate,
 )
-from routecat.router import build_calibration
 from routecat.taxonomy import parse_taxonomy
 
 
@@ -34,13 +30,9 @@ def run_one(spec: SyntheticSpec, val_fraction: float, test_fraction: float):
     taxonomy_text, corpus_text = generate_synthetic(spec)
     taxonomy = parse_taxonomy(taxonomy_text)
     docs = load_corpus(corpus_text, taxonomy)
-    split = split_corpus(docs, val_fraction, test_fraction, spec.seed)
-    vocab = build_vocabulary(split.train)
-    model = train(split.train, taxonomy, vocab)
-    calibration = build_calibration(model, split.validation)
-    summary = evaluate(model, calibration, split.test)
-    flat = flat_baseline(split.train, split.test, taxonomy, vocab)
-    return summary, flat, calibration
+    run = train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed)
+    summary_rows, comparison_rows = report_rows(f"seed{spec.seed}", run.model, run.calibration, run.split)
+    return summary_rows[0], comparison_rows[0], run.calibration
 
 
 def main() -> int:
@@ -58,8 +50,7 @@ def main() -> int:
     args = parser.parse_args()
 
     print(f"{'seed':>4} {'overall':>9} {'boosted':>9} {'boost(pp)':>10} {'rejected':>9} {'EER gap':>9}")
-    boosts, rejections, summaries = [], [], []
-    flats, lcns, proposeds = [], [], []
+    summary_rows, comparison_rows = [], []
     for seed in range(args.seeds):
         spec = SyntheticSpec(
             depth=args.depth,
@@ -71,35 +62,28 @@ def main() -> int:
             tokens_per_doc=args.tokens_per_doc,
             seed=seed,
         )
-        summary, flat, calibration = run_one(spec, args.val_fraction, args.test_fraction)
-        rejection = summary.rejected / summary.total
-        boosts.append(summary.accuracy_boost)
-        rejections.append(rejection)
-        summaries.append(summary)
-        flats.append(100 * flat)
-        lcns.append(100 * summary.overall_accuracy)
-        proposeds.append(100 * summary.boosted_accuracy)
+        summary_row, comparison_row, calibration = run_one(spec, args.val_fraction, args.test_fraction)
+        summary_rows.append(summary_row)
+        comparison_rows.append(comparison_row)
+        summary = summary_row.summary
         print(
             f"{seed:>4} {summary.overall_accuracy:>9.4f} {summary.boosted_accuracy:>9.4f} "
-            f"{summary.accuracy_boost:>10.2f} {rejection:>9.3f} {calibration.eer_gap:>9.4f}"
+            f"{summary.accuracy_boost:>10.2f} {summary.rejected / summary.total:>9.3f} {calibration.eer_gap:>9.4f}"
         )
 
     n = args.seeds
+    boost = sum(row.summary.accuracy_boost for row in summary_rows) / n
+    rejection = sum(row.summary.rejected / row.summary.total for row in summary_rows) / n
+    flat = sum(row.flat for row in comparison_rows) / n
+    lcn = sum(row.lcn for row in comparison_rows) / n
+    proposed = sum(row.proposed for row in comparison_rows) / n
     print(
-        f"\nmean over {n} seeds: boost={sum(boosts) / n:.2f}pp "
-        f"rejection={sum(rejections) / n:.3f} "
-        f"flat={sum(flats) / n:.1f}% lcn={sum(lcns) / n:.1f}% proposed={sum(proposeds) / n:.1f}%"
+        f"\nmean over {n} seeds: boost={boost:.2f}pp rejection={rejection:.3f} "
+        f"flat={flat:.1f}% lcn={lcn:.1f}% proposed={proposed:.1f}%"
     )
 
     print()
-    last = f"seed{n - 1}"
-    print(
-        render_report(
-            [SummaryRow(last, summaries[-1])],
-            [ComparisonRow(last, flat=flats[-1], lcn=lcns[-1], proposed=proposeds[-1])],
-        ),
-        end="",
-    )
+    print(render_report(summary_rows[-1:], comparison_rows[-1:]), end="")
     return 0
 
 

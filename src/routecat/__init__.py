@@ -50,10 +50,13 @@ from routecat.evaluation import (
     EvalSummary,
     SummaryRow,
     SyntheticSpec,
+    TrainedRun,
     evaluate,
     flat_baseline,
     generate_synthetic,
     render_report,
+    report_rows,
+    train_and_calibrate,
 )
 
 __version__ = "0.1.0"

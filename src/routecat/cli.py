@@ -10,50 +10,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from routecat import evaluation
-from routecat.centroid import (
-    CentroidModel,
-    Mode,
-    ModelFormatError,
-    dumps_model,
-    loads_model,
-    train,
-    vocabulary_digest,
-)
-from routecat.corpus import CorpusError, Document, build_vocabulary, load_corpus, split_corpus, vectorize
+from routecat.centroid import CentroidModel, Mode, ModelFormatError, dumps_model, loads_model, vocabulary_digest
+from routecat.corpus import CorpusError, Document, load_corpus, split_corpus, vectorize
 from routecat.policies import PolicyKind
 from routecat.router import (
     ACCEPT_ALL,
     Calibration,
     CalibrationError,
-    build_calibration,
     check_matching_vocabulary,
     classify_with_reject,
     dumps_calibration,
     loads_calibration,
     with_threshold,
 )
-from routecat.taxonomy import TaxonomyError, parse_taxonomy
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for a train or evaluate run."""
-
-    taxonomy_path: Path | None
-    corpus_path: Path
-    val_fraction: float
-    test_fraction: float
-    seed: int
-    policy: PolicyKind | None
-    mode: Mode
-    threshold_override: float | None
-    accept_all: bool
-    out_dir: Path
-    jobs: int = 1
+from routecat.taxonomy import Taxonomy, TaxonomyError, parse_taxonomy
 
 
 class CliError(Exception):
@@ -108,28 +81,19 @@ def _load_calibration_file(path: Path, model: CentroidModel) -> Calibration:
     return calibration
 
 
+def _load_corpus_file(path: Path, taxonomy: Taxonomy) -> list[Document]:
+    try:
+        return load_corpus(_read_text(path, "corpus"), taxonomy)
+    except CorpusError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def _apply_threshold_flags(calibration: Calibration, args: argparse.Namespace) -> Calibration:
     if args.accept_all:
         return with_threshold(calibration, ACCEPT_ALL, "accept-all")
     if args.threshold is not None:
         return with_threshold(calibration, args.threshold, "manual")
     return calibration
-
-
-def _run_config(args: argparse.Namespace, with_taxonomy: bool) -> RunConfig:
-    return RunConfig(
-        taxonomy_path=Path(args.taxonomy) if with_taxonomy else None,
-        corpus_path=Path(args.corpus),
-        val_fraction=args.val_fraction,
-        test_fraction=args.test_fraction,
-        seed=args.seed,
-        policy=PolicyKind(args.policy) if getattr(args, "policy", None) else None,
-        mode=Mode(args.mode) if hasattr(args, "mode") else Mode.POSITIVE_ONLY,
-        threshold_override=args.threshold,
-        accept_all=args.accept_all,
-        out_dir=Path(args.out_dir),
-        jobs=getattr(args, "jobs", 1),
-    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -153,38 +117,35 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _run_config(args, with_taxonomy=True)
+    taxonomy_path, corpus_path, out = Path(args.taxonomy), Path(args.corpus), Path(args.out_dir)
     try:
-        taxonomy = parse_taxonomy(_read_text(config.taxonomy_path, "taxonomy"))
+        taxonomy = parse_taxonomy(_read_text(taxonomy_path, "taxonomy"))
     except TaxonomyError as exc:
-        raise CliError(f"{config.taxonomy_path}: {exc}") from exc
-    try:
-        docs = load_corpus(_read_text(config.corpus_path, "corpus"), taxonomy)
-    except CorpusError as exc:
-        raise CliError(f"{config.corpus_path}: {exc}") from exc
-    split = split_corpus(docs, config.val_fraction, config.test_fraction, config.seed)
-    if not split.train:
-        raise CliError("split produced an empty training set")
-    if not split.validation:
-        raise CliError("split produced an empty validation set; use a positive --val-fraction")
-    vocabulary = build_vocabulary(split.train)
-    if config.mode is Mode.BINARY and config.policy is None:
+        raise CliError(f"{taxonomy_path}: {exc}") from exc
+    docs = _load_corpus_file(corpus_path, taxonomy)
+    mode = Mode(args.mode)
+    if mode is Mode.BINARY and args.policy is None:
         raise CliError("--mode binary requires --policy")
-    model = train(split.train, taxonomy, vocabulary, mode=config.mode, policy=config.policy)
-    calibration = build_calibration(
-        model,
-        split.validation,
-        threshold_override=config.threshold_override,
-        accept_all=config.accept_all,
+    run = evaluation.train_and_calibrate(
+        taxonomy,
+        docs,
+        args.val_fraction,
+        args.test_fraction,
+        args.seed,
+        mode=mode,
+        policy=PolicyKind(args.policy) if args.policy else None,
+        threshold_override=args.threshold,
+        accept_all=args.accept_all,
     )
-    _write_text(config.out_dir / "model.json", dumps_model(model))
+    calibration = run.calibration
+    _write_text(out / "model.json", dumps_model(run.model))
     _write_text(
-        config.out_dir / "calibration.json",
-        dumps_calibration(calibration, vocabulary_digest(vocabulary)),
+        out / "calibration.json",
+        dumps_calibration(calibration, vocabulary_digest(run.model.vocabulary)),
     )
     weights = " ".join(f"L{d}={w:.4f}" for d, w in sorted(calibration.level_weights.items()))
     print(
-        f"trained on {len(split.train)} docs, calibrated on {len(split.validation)}: "
+        f"trained on {len(run.split.train)} docs, calibrated on {len(run.split.validation)}: "
         f"{weights} threshold={calibration.threshold:.6f} gap={calibration.eer_gap:.6f} "
         f"source={calibration.source}",
         file=sys.stderr,
@@ -216,30 +177,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _run_config(args, with_taxonomy=False)
     model = _load_model_file(Path(args.model))
     calibration = _load_calibration_file(Path(args.calibration), model)
     calibration = _apply_threshold_flags(calibration, args)
-    try:
-        docs = load_corpus(_read_text(config.corpus_path, "corpus"), model.taxonomy)
-    except CorpusError as exc:
-        raise CliError(f"{config.corpus_path}: {exc}") from exc
-    split = split_corpus(docs, config.val_fraction, config.test_fraction, config.seed)
-    if not split.test:
-        raise CliError("split produced an empty test set; use a positive --test-fraction")
-    summary = evaluation.evaluate(model, calibration, split.test)
-    flat = evaluation.flat_baseline(split.train, split.test, model.taxonomy, model.vocabulary)
-    summary_rows = [evaluation.SummaryRow(problem=args.problem, summary=summary)]
-    comparison_rows = [
-        evaluation.ComparisonRow(
-            problem=args.problem,
-            flat=100.0 * flat,
-            lcn=100.0 * summary.overall_accuracy,
-            proposed=100.0 * summary.boosted_accuracy,
-        )
-    ]
-    _write_text(config.out_dir / "summary.csv", evaluation.summary_csv(summary_rows))
-    _write_text(config.out_dir / "comparison.csv", evaluation.comparison_csv(comparison_rows))
+    docs = _load_corpus_file(Path(args.corpus), model.taxonomy)
+    split = split_corpus(docs, args.val_fraction, args.test_fraction, args.seed)
+    summary_rows, comparison_rows = evaluation.report_rows(args.problem, model, calibration, split)
+    out = Path(args.out_dir)
+    _write_text(out / "summary.csv", evaluation.summary_csv(summary_rows))
+    _write_text(out / "comparison.csv", evaluation.comparison_csv(comparison_rows))
     print(evaluation.render_report(summary_rows, comparison_rows), end="")
     return 0
 
@@ -273,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
     p.add_argument("--threshold", type=float, default=None, help="skip EER and use this threshold")
     p.add_argument("--accept-all", action="store_true", help="threshold -inf: accept everything")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="upper bound on worker processes")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -295,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--accept-all", action="store_true")
     p.add_argument("--problem", default="synthetic", help="problem name for report rows")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="upper bound on worker processes")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -1,4 +1,4 @@
-"""Accuracy and rejection metrics, the flat baseline, and synthetic corpora.
+"""The train/calibrate/report pipeline, metrics, the flat baseline, and synthetic corpora.
 
 A document counts as correctly routed when its true label lies on the
 decoded route, which reduces to exact leaf match for leaf-labeled
@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from routecat.centroid import CentroidModel, mean_vector, similarity
-from routecat.corpus import Document, Vocabulary, vectorize
-from routecat.policies import most_specific_examples
+from routecat.centroid import CentroidModel, Mode, mean_vector, similarity, train
+from routecat.corpus import CorpusSplit, Document, Vocabulary, build_vocabulary, split_corpus, vectorize
+from routecat.policies import PolicyKind, most_specific_examples
 from routecat.prng import SplitMix64
-from routecat.router import Calibration, classify_with_reject
+from routecat.router import Calibration, build_calibration, classify_with_reject
 from routecat.taxonomy import NodeId, Taxonomy, parse_taxonomy
 
 
@@ -218,6 +218,64 @@ class ComparisonRow:
     flat: float
     lcn: float
     proposed: float
+
+
+@dataclass(frozen=True)
+class TrainedRun:
+    """The corpus split, the model trained on its training part, and its calibration."""
+
+    split: CorpusSplit
+    model: CentroidModel
+    calibration: Calibration
+
+
+def train_and_calibrate(
+    taxonomy: Taxonomy,
+    docs: Sequence[Document],
+    val_fraction: float,
+    test_fraction: float,
+    seed: int,
+    mode: Mode = Mode.POSITIVE_ONLY,
+    policy: PolicyKind | None = None,
+    threshold_override: float | None = None,
+    accept_all: bool = False,
+) -> TrainedRun:
+    """Split the corpus, train on the training part, and calibrate on the validation part.
+
+    The vocabulary comes from the training part only.  The threshold comes
+    from the EER sweep unless ``threshold_override`` or ``accept_all`` says
+    otherwise.
+    """
+    split = split_corpus(docs, val_fraction, test_fraction, seed)
+    if not split.train:
+        raise ValueError("split produced an empty training set")
+    if not split.validation:
+        raise ValueError("split produced an empty validation set; use a positive --val-fraction")
+    model = train(split.train, taxonomy, build_vocabulary(split.train), mode=mode, policy=policy)
+    calibration = build_calibration(
+        model, split.validation, threshold_override=threshold_override, accept_all=accept_all
+    )
+    return TrainedRun(split=split, model=model, calibration=calibration)
+
+
+def report_rows(
+    problem: str, model: CentroidModel, calibration: Calibration, split: CorpusSplit
+) -> tuple[list[SummaryRow], list[ComparisonRow]]:
+    """Score the test split with the reject option and next to the flat baseline.
+
+    The comparison row holds recognition rates in percent.
+    """
+    if not split.test:
+        raise ValueError("split produced an empty test set; use a positive --test-fraction")
+    summary = evaluate(model, calibration, split.test)
+    flat = flat_baseline(split.train, split.test, model.taxonomy, model.vocabulary)
+    comparison = ComparisonRow(
+        problem=problem,
+        flat=100.0 * flat,
+        lcn=100.0 * summary.overall_accuracy,
+        proposed=100.0 * summary.boosted_accuracy,
+    )
+    return [SummaryRow(problem=problem, summary=summary)], [comparison]
 
 
 def summary_csv(rows: Sequence[SummaryRow]) -> str:

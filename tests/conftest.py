@@ -1,17 +1,14 @@
-"""Shared fixtures: the toy taxonomy, random instances, and a naive policy oracle."""
+"""Shared fixtures: the toy taxonomy, random instances, a naive policy oracle, and synthetic runs."""
 
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
-from routecat.centroid import train
-from routecat.corpus import Document, build_vocabulary, load_corpus, split_corpus
-from routecat.evaluation import SyntheticSpec, generate_synthetic
+from routecat.corpus import Document, load_corpus
+from routecat.evaluation import SyntheticSpec, TrainedRun, generate_synthetic, train_and_calibrate
 from routecat.policies import PolicyKind
-from routecat.router import build_calibration
 from routecat.taxonomy import Taxonomy, parse_taxonomy
 
 T0_TEXT = "ROOT\tA\nROOT\tB\nA\tA1\nA\tA2\nB\tB1\n"
@@ -107,15 +104,9 @@ def naive_training_set(train_docs, t: Taxonomy, node, policy: PolicyKind):
     return frozenset(positives), frozenset(negatives)
 
 
-def run_pipeline(spec: SyntheticSpec, val_fraction: float, test_fraction: float, split_seed=None):
-    """Generate, split, train, and calibrate in one go for test scenarios."""
+def synthetic_run(spec: SyntheticSpec, val_fraction: float, test_fraction: float) -> TrainedRun:
+    """Generate the spec's corpus and run the shared pipeline on it, split by the spec's seed."""
     taxonomy_text, corpus_text = generate_synthetic(spec)
     taxonomy = parse_taxonomy(taxonomy_text)
     docs = load_corpus(corpus_text, taxonomy)
-    split = split_corpus(docs, val_fraction, test_fraction, spec.seed if split_seed is None else split_seed)
-    vocab = build_vocabulary(split.train)
-    model = train(split.train, taxonomy, vocab)
-    calibration = build_calibration(model, split.validation)
-    return SimpleNamespace(
-        taxonomy=taxonomy, docs=docs, split=split, vocab=vocab, model=model, calibration=calibration
-    )
+    return train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed)

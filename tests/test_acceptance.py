@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from conftest import naive_training_set, random_labeled_docs, random_taxonomy, run_pipeline
+from conftest import naive_training_set, random_labeled_docs, random_taxonomy, synthetic_run
 from routecat.cli import main as cli_main
 from routecat.corpus import vectorize
 from routecat.evaluation import SyntheticSpec, evaluate, flat_predictions
@@ -109,7 +109,7 @@ def test_criterion_3_eer_matches_exhaustive_sweep():
 def test_criterion_4_boosted_accuracy_identity():
     worst = 0.0
     for seed in range(5):
-        run = run_pipeline(
+        run = synthetic_run(
             SyntheticSpec(depth=3, branching=3, docs_per_leaf=30, vocab_per_topic=35,
                           noise_fraction=0.45, tokens_per_doc=13, seed=seed),
             0.25,
@@ -129,14 +129,14 @@ def test_criterion_5_depth_one_equivalence():
     disagreements = 0
     checked = 0
     for seed in range(5):
-        run = run_pipeline(
+        run = synthetic_run(
             SyntheticSpec(depth=1, branching=5, docs_per_leaf=20, noise_fraction=0.2, seed=seed),
             0.2,
             0.3,
         )
-        flats = flat_predictions(run.split.train, run.split.test, run.taxonomy, run.vocab)
+        flats = flat_predictions(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
         for doc, flat_leaf in zip(run.split.test, flats):
-            trace = decode(run.model, vectorize(doc, run.vocab))
+            trace = decode(run.model, vectorize(doc, run.model.vocabulary))
             disagreements += trace.route[-1] != flat_leaf
             checked += 1
     verdict(
@@ -148,7 +148,7 @@ def test_criterion_5_depth_one_equivalence():
 
 
 def test_criterion_6_noise_free_separability():
-    run = run_pipeline(
+    run = synthetic_run(
         SyntheticSpec(depth=3, branching=3, docs_per_leaf=30, noise_fraction=0.0, seed=0),
         0.2,
         0.2,
@@ -166,7 +166,7 @@ def test_criterion_7_accuracy_boost_on_noisy_synthetic():
     started = time.perf_counter()
     boosts, rejection_rates = [], []
     for seed in range(10):
-        run = run_pipeline(
+        run = synthetic_run(
             SyntheticSpec(depth=3, branching=3, docs_per_leaf=50, vocab_per_topic=35,
                           noise_vocab_size=150, noise_fraction=0.45, tokens_per_doc=13, seed=seed),
             0.30,
@@ -220,10 +220,8 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
 
 def test_criterion_9_scale_sanity():
     spec = SyntheticSpec(depth=2, branching=10, docs_per_leaf=100, noise_fraction=0.3, seed=3)
-    from routecat.corpus import build_vocabulary, load_corpus, split_corpus
-    from routecat.centroid import train
-    from routecat.evaluation import generate_synthetic
-    from routecat.router import build_calibration
+    from routecat.corpus import load_corpus
+    from routecat.evaluation import generate_synthetic, train_and_calibrate
     from routecat.taxonomy import parse_taxonomy
 
     tax_text, corpus_text = generate_synthetic(spec)
@@ -231,10 +229,7 @@ def test_criterion_9_scale_sanity():
     docs = load_corpus(corpus_text, taxonomy)
     assert len(docs) == 10_000 and len(taxonomy.leaves) == 100
     started = time.perf_counter()
-    split = split_corpus(docs, 0.15, 0.15, seed=3)
-    vocab = build_vocabulary(split.train)
-    model = train(split.train, taxonomy, vocab)
-    build_calibration(model, split.validation)
+    train_and_calibrate(taxonomy, docs, 0.15, 0.15, seed=3)
     elapsed = time.perf_counter() - started
     verdict(
         9,

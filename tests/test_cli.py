@@ -264,3 +264,50 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "d" / "corpus.tsv").exists()
+
+
+def test_cli_uses_the_shared_pipeline(tmp_path):
+    from routecat.centroid import dumps_model, vocabulary_digest
+    from routecat.corpus import load_corpus
+    from routecat.evaluation import comparison_csv, report_rows, summary_csv, train_and_calibrate
+    from routecat.router import dumps_calibration
+    from routecat.taxonomy import parse_taxonomy
+
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    report = tmp_path / "report"
+    assert run_cli(
+        "evaluate",
+        "--model", str(run / "model.json"),
+        "--calibration", str(run / "calibration.json"),
+        "--corpus", str(data / "corpus.tsv"),
+        "--val-fraction", "0.2",
+        "--test-fraction", "0.3",
+        "--seed", "5",
+        "--problem", "demo",
+        "--out-dir", str(report),
+    ) == 0
+
+    taxonomy = parse_taxonomy((data / "taxonomy.tsv").read_text())
+    docs = load_corpus((data / "corpus.tsv").read_text(), taxonomy)
+    lib = train_and_calibrate(taxonomy, docs, 0.2, 0.3, 5)
+    summary_rows, comparison_rows = report_rows("demo", lib.model, lib.calibration, lib.split)
+    assert (run / "model.json").read_bytes() == dumps_model(lib.model).encode()
+    assert (run / "calibration.json").read_bytes() == dumps_calibration(
+        lib.calibration, vocabulary_digest(lib.model.vocabulary)
+    ).encode()
+    assert (report / "summary.csv").read_bytes() == summary_csv(summary_rows).encode()
+    assert (report / "comparison.csv").read_bytes() == comparison_csv(comparison_rows).encode()
+
+
+def test_jobs_flag_is_a_usage_error(tmp_path):
+    data = generate(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "train",
+            "--taxonomy", str(data / "taxonomy.tsv"),
+            "--corpus", str(data / "corpus.tsv"),
+            "--jobs", "2",
+            "--out-dir", str(tmp_path / "run"),
+        )
+    assert exc.value.code == 2

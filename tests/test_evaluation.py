@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import run_pipeline
+from conftest import synthetic_run
 from routecat.corpus import load_corpus, split_corpus, build_vocabulary
 from routecat.centroid import train
 from routecat.evaluation import (
@@ -117,7 +117,7 @@ def test_render_report_sections():
 
 
 def test_evaluate_accept_all_matches_overall():
-    run = run_pipeline(SyntheticSpec(depth=2, branching=3, docs_per_leaf=20, noise_fraction=0.4, seed=2), 0.2, 0.3)
+    run = synthetic_run(SyntheticSpec(depth=2, branching=3, docs_per_leaf=20, noise_fraction=0.4, seed=2), 0.2, 0.3)
     cal = with_threshold(run.calibration, ACCEPT_ALL, "accept-all")
     s = evaluate(run.model, cal, run.split.test)
     assert s.rejected == 0
@@ -126,7 +126,7 @@ def test_evaluate_accept_all_matches_overall():
 
 
 def test_evaluate_counting_identities_on_pipeline():
-    run = run_pipeline(SyntheticSpec(depth=3, branching=3, docs_per_leaf=20, noise_fraction=0.45, tokens_per_doc=13, seed=4), 0.25, 0.25)
+    run = synthetic_run(SyntheticSpec(depth=3, branching=3, docs_per_leaf=20, noise_fraction=0.45, tokens_per_doc=13, seed=4), 0.25, 0.25)
     s = evaluate(run.model, run.calibration, run.split.test)
     assert s.accepted + s.rejected == s.total == len(run.split.test)
     assert s.true_rejections + s.false_rejections == s.rejected
@@ -147,7 +147,7 @@ def test_evaluate_internal_label_counts_route_coverage(t0, t0_docs):
 
 
 def test_evaluate_empty():
-    run = run_pipeline(SyntheticSpec(depth=1, branching=2, docs_per_leaf=5, seed=0), 0.2, 0.2)
+    run = synthetic_run(SyntheticSpec(depth=1, branching=2, docs_per_leaf=5, seed=0), 0.2, 0.2)
     with pytest.raises(ValueError, match="empty test set"):
         evaluate(run.model, run.calibration, [])
 
@@ -160,8 +160,8 @@ def test_flat_baseline_single_leaf():
 
 
 def test_flat_baseline_matches_lcn_on_flat_taxonomy():
-    run = run_pipeline(SyntheticSpec(depth=1, branching=4, docs_per_leaf=15, noise_fraction=0.2, seed=9), 0.2, 0.3)
-    flat = flat_baseline(run.split.train, run.split.test, run.taxonomy, run.vocab)
+    run = synthetic_run(SyntheticSpec(depth=1, branching=4, docs_per_leaf=15, noise_fraction=0.2, seed=9), 0.2, 0.3)
+    flat = flat_baseline(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
     s = evaluate(run.model, with_threshold(run.calibration, ACCEPT_ALL, "accept-all"), run.split.test)
     assert flat == pytest.approx(s.overall_accuracy)
 

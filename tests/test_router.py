@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_pipeline
+from conftest import synthetic_run
 from routecat.centroid import CentroidModel, Mode, vocabulary_digest
 from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
 from routecat.evaluation import SyntheticSpec, flat_predictions
@@ -72,10 +72,10 @@ def test_decode_zero_scores_fall_back_to_first_child():
 
 
 def test_decode_depth_one_equals_flat_argmax():
-    run = run_pipeline(SyntheticSpec(depth=1, branching=5, docs_per_leaf=20, noise_fraction=0.2, seed=3), 0.2, 0.3)
-    flats = flat_predictions(run.split.train, run.split.test, run.taxonomy, run.vocab)
+    run = synthetic_run(SyntheticSpec(depth=1, branching=5, docs_per_leaf=20, noise_fraction=0.2, seed=3), 0.2, 0.3)
+    flats = flat_predictions(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
     for doc, flat_leaf in zip(run.split.test, flats):
-        trace = decode(run.model, vectorize(doc, run.vocab))
+        trace = decode(run.model, vectorize(doc, run.model.vocabulary))
         assert len(trace.route) == 1
         assert trace.route[-1] == flat_leaf
 
@@ -286,11 +286,11 @@ def test_raising_threshold_never_accepts_more(rels):
 
 
 def test_reliability_bounded_by_weight_sum():
-    run = run_pipeline(SyntheticSpec(depth=3, branching=3, docs_per_leaf=10, noise_fraction=0.3, seed=5), 0.2, 0.2)
+    run = synthetic_run(SyntheticSpec(depth=3, branching=3, docs_per_leaf=10, noise_fraction=0.3, seed=5), 0.2, 0.2)
     weight_sum = math.fsum(run.calibration.level_weights.values())
-    assert weight_sum <= run.taxonomy.max_depth
+    assert weight_sum <= run.model.taxonomy.max_depth
     for doc in run.split.test:
-        decision = classify_with_reject(run.model, run.calibration, vectorize(doc, run.vocab))
+        decision = classify_with_reject(run.model, run.calibration, vectorize(doc, run.model.vocabulary))
         assert 0.0 <= decision.reliability <= weight_sum + 1e-9
 
 
