@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -169,45 +169,49 @@ def reliability(steps: Sequence[LevelStep], level_weights: Mapping[int, float]) 
     return total
 
 
+def _by_outcome(samples: Iterable[tuple[float, bool]]) -> tuple[list[float], list[float]]:
+    """Sorted reliabilities of the correct and of the incorrect samples."""
+    correct, incorrect = [], []
+    for r, ok in samples:
+        (correct if ok else incorrect).append(r)
+    return sorted(correct), sorted(incorrect)
+
+
+def _fa_fr_gap(correct: Sequence[float], incorrect: Sequence[float], tau: float) -> float:
+    """|FA - FR| at ``tau`` under the accept rule of :func:`classify_with_reject`.
+
+    FA is the fraction of incorrect samples with reliability > tau (accepted),
+    FR the fraction of correct samples with reliability <= tau (rejected).
+    Both lists are sorted; an empty one counts its rate as 0.
+    """
+    fa = (len(incorrect) - bisect_right(incorrect, tau)) / len(incorrect) if incorrect else 0.0
+    fr = bisect_right(correct, tau) / len(correct) if correct else 0.0
+    return abs(fa - fr)
+
+
 def eer_threshold(scores: Iterable[tuple[float, bool]]) -> tuple[float, float]:
     """Threshold equalizing false acceptances and false rejections.
 
-    FA(t) is the fraction of incorrect samples with reliability >= t, FR(t)
-    the fraction of correct samples with reliability < t.  Candidates are
-    the midpoints between consecutive distinct reliabilities plus -inf/+inf
-    sentinels; every achievable (FA, FR) operating point occurs at one of
-    them.  Returns the candidate minimizing |FA - FR| (ties go to the larger
-    threshold) together with the achieved gap.
+    A sample is accepted iff its reliability is strictly above the
+    threshold, as in :func:`classify_with_reject`.  The candidates are -inf
+    (accept everything) and each distinct reliability (accept what lies
+    above it); every achievable (FA, FR) operating point occurs at one of
+    them, and each is an exact sample value.  Returns the candidate
+    minimizing |FA - FR| (ties go to the larger threshold) together with
+    the achieved gap.
     """
-    correct = sorted(r for r, ok in scores if ok)
-    incorrect = sorted(r for r, ok in scores if not ok)
+    correct, incorrect = _by_outcome(scores)
     if not correct or not incorrect:
         raise EerUndefinedError(
             "EER needs both correct and incorrect validation samples"
         )
-    distinct = sorted(set(correct) | set(incorrect))
-    candidates = [float("-inf")]
-    candidates.extend((a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
-    candidates.append(float("inf"))
-
-    best_tau = candidates[0]
-    best_gap = math.inf
-    for tau in candidates:
-        fa = (len(incorrect) - bisect_left(incorrect, tau)) / len(incorrect)
-        fr = bisect_left(correct, tau) / len(correct)
-        gap = abs(fa - fr)
+    best_tau = float("-inf")
+    best_gap = _fa_fr_gap(correct, incorrect, best_tau)
+    for tau in sorted(set(correct) | set(incorrect)):
+        gap = _fa_fr_gap(correct, incorrect, tau)
         if gap <= best_gap:
             best_tau, best_gap = tau, gap
     return best_tau, best_gap
-
-
-def _fa_fr_gap(samples: Sequence[tuple[float, bool]], tau: float) -> float:
-    """|FA - FR| at a fixed threshold; one-sided sample sets count the missing rate as 0."""
-    correct = sorted(r for r, ok in samples if ok)
-    incorrect = sorted(r for r, ok in samples if not ok)
-    fa = (len(incorrect) - bisect_left(incorrect, tau)) / len(incorrect) if incorrect else 0.0
-    fr = bisect_left(correct, tau) / len(correct) if correct else 0.0
-    return abs(fa - fr)
 
 
 def classify_with_reject(model: CentroidModel, calibration: Calibration, d: SparseVector) -> Decision:
@@ -241,10 +245,10 @@ def build_calibration(
 
     if accept_all:
         threshold, source = ACCEPT_ALL, "accept-all"
-        gap = _fa_fr_gap(samples, threshold)
+        gap = _fa_fr_gap(*_by_outcome(samples), threshold)
     elif threshold_override is not None:
         threshold, source = threshold_override, "manual"
-        gap = _fa_fr_gap(samples, threshold)
+        gap = _fa_fr_gap(*_by_outcome(samples), threshold)
     else:
         try:
             threshold, gap = eer_threshold(samples)

@@ -91,8 +91,8 @@ def test_criterion_3_eer_matches_exhaustive_sweep():
         )
 
         def gap_at(threshold):
-            fa = sum(r >= threshold for r in incorrect) / len(incorrect)
-            fr = sum(r < threshold for r in correct) / len(correct)
+            fa = sum(r > threshold for r in incorrect) / len(incorrect)
+            fr = sum(r <= threshold for r in correct) / len(correct)
             return abs(fa - fr)
 
         sweep = [gap_at(c) for c in candidates]
