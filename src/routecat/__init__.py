@@ -28,7 +28,7 @@ from routecat.policies import (
     most_specific_examples,
     positives_for_centroid,
 )
-from routecat.centroid import CentroidModel, Mode, ModelFormatError, node_score, similarity, train
+from routecat.centroid import CentroidModel, Mode, ModelFormatError, node_score, train
 from routecat.router import (
     ACCEPT_ALL,
     Calibration,

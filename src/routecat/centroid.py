@@ -106,11 +106,6 @@ def train(
     )
 
 
-def similarity(a: SparseVector, b: SparseVector) -> float:
-    """Inner product of two sparse vectors; 0.0 when either is empty."""
-    return a.dot(b)
-
-
 def node_score(model: CentroidModel, d: SparseVector, node: NodeId) -> float:
     """Unnormalized posterior of ``node`` for document vector ``d``.
 
@@ -119,9 +114,9 @@ def node_score(model: CentroidModel, d: SparseVector, node: NodeId) -> float:
     """
     if node not in model.centroid_of:
         raise UnknownNodeError(f"no classifier for node {node!r}")
-    score = similarity(d, model.centroid_of[node])
+    score = d.dot(model.centroid_of[node])
     if model.mode is Mode.BINARY:
-        score = max(0.0, score - similarity(d, model.negative_centroid_of[node]))
+        score = max(0.0, score - d.dot(model.negative_centroid_of[node]))
     return score
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from routecat.centroid import CentroidModel, Mode, mean_vector, similarity, train
+from routecat.centroid import CentroidModel, Mode, mean_vector, train
 from routecat.corpus import CorpusSplit, Document, Vocabulary, build_vocabulary, split_corpus, vectorize
 from routecat.policies import PolicyKind, most_specific_examples
 from routecat.prng import SplitMix64
@@ -101,9 +101,9 @@ def flat_predictions(
     predictions = []
     for doc in test:
         vec = vectorize(doc, vocabulary)
-        best_leaf, best_score = leaf_centroids[0][0], similarity(vec, leaf_centroids[0][1])
+        best_leaf, best_score = leaf_centroids[0][0], vec.dot(leaf_centroids[0][1])
         for leaf, centroid in leaf_centroids[1:]:
-            score = similarity(vec, centroid)
+            score = vec.dot(centroid)
             if score > best_score:
                 best_leaf, best_score = leaf, score
         predictions.append(best_leaf)

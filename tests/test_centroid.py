@@ -8,7 +8,6 @@ from routecat.centroid import (
     loads_model,
     mean_vector,
     node_score,
-    similarity,
     train,
 )
 from routecat.corpus import SparseVector, Vocabulary, build_vocabulary
@@ -52,24 +51,24 @@ def test_mean_of_identical_copies_near_exact_otherwise(k):
 
 
 def test_similarity_examples():
-    assert similarity(vec((0, 1.0)), vec((0, 0.5), (1, 0.5))) == 0.5
+    assert vec((0, 1.0)).dot(vec((0, 0.5), (1, 0.5))) == 0.5
     d = vec((0, 0.6), (1, 0.8))
-    assert similarity(d, d) == pytest.approx(1.0, abs=1e-12)
-    assert similarity(vec((0, 1.0)), vec((1, 1.0))) == 0.0
-    assert similarity(vec((0, 1.0)), SparseVector()) == 0.0
+    assert d.dot(d) == pytest.approx(1.0, abs=1e-12)
+    assert vec((0, 1.0)).dot(vec((1, 1.0))) == 0.0
+    assert vec((0, 1.0)).dot(SparseVector()) == 0.0
 
 
 def test_similarity_symmetric_exactly():
     a = vec((0, 0.1), (3, 0.2), (7, 0.7))
     b = vec((0, 0.4), (7, 0.3), (9, 0.5))
-    assert similarity(a, b) == similarity(b, a)
+    assert a.dot(b) == b.dot(a)
 
 
 @given(st.floats(min_value=0.0, max_value=100.0))
 def test_similarity_scales_linearly(factor):
     a = vec((0, 0.5), (1, 0.5))
     b = vec((0, 0.25), (1, 0.75))
-    assert similarity(a, b.scaled(factor)) == pytest.approx(factor * similarity(a, b), rel=1e-12)
+    assert a.dot(b.scaled(factor)) == pytest.approx(factor * a.dot(b), rel=1e-12)
 
 
 def _toy_model(t0, t0_docs, **kwargs):
@@ -185,4 +184,4 @@ def test_unit_vectors_give_unit_bounded_similarity(t0, t0_docs):
     for doc in t0_docs:
         d = vectorize(doc, vocab)
         for node, centroid in model.centroid_of.items():
-            assert -1e-12 <= similarity(d, centroid) <= 1.0 + 1e-12
+            assert -1e-12 <= d.dot(centroid) <= 1.0 + 1e-12
