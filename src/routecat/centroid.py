@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
-from routecat.taxonomy import NodeId, Taxonomy, UnknownNodeError, format_taxonomy, parse_taxonomy
+from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
 MODEL_FORMAT = "routecat-model"
 MODEL_FORMAT_VERSION = 1
@@ -159,7 +159,11 @@ def dumps_model(model: CentroidModel) -> str:
 
 
 def loads_model(text: str) -> CentroidModel:
-    """Inverse of :func:`dumps_model`; rejects unknown formats and versions."""
+    """Inverse of :func:`dumps_model`.
+
+    Unknown formats and versions, missing or wrongly typed fields, and models
+    that lack a centroid a node needs raise :class:`ModelFormatError`.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,11 +175,35 @@ def loads_model(text: str) -> CentroidModel:
             f"unsupported model format version {payload.get('format_version')!r}, "
             f"expected {MODEL_FORMAT_VERSION}"
         )
-    taxonomy = parse_taxonomy(payload["taxonomy"])
+    try:
+        model = _model_from_payload(payload)
+    except KeyError as exc:
+        raise ModelFormatError(f"model file has no field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, TaxonomyError) as exc:
+        raise ModelFormatError(f"malformed model file: {exc}") from exc
+    t = model.taxonomy
+    missing = [node for node in t.nodes if node != t.root and node not in model.centroid_of]
+    if missing:
+        raise ModelFormatError(f"model file has no centroid for node {missing[0]!r}")
+    negatives = model.negative_centroid_of
+    if model.mode is Mode.BINARY and (
+        model.policy is None or negatives is None or negatives.keys() != model.centroid_of.keys()
+    ):
+        raise ModelFormatError("binary model file needs a policy and a negative centroid per node")
+    return model
+
+
+def _model_from_payload(payload: dict) -> CentroidModel:
     vocab_payload = payload["vocabulary"]
-    index = {term: idx for term, idx, _ in vocab_payload["terms"]}
-    df = {term: n for term, _, n in vocab_payload["terms"]}
-    vocabulary = Vocabulary(index=index, doc_frequency=df, n_docs=vocab_payload["n_docs"])
+    terms = [(term, int(idx), int(n)) for term, idx, n in vocab_payload["terms"]]
+    n_docs = vocab_payload["n_docs"]
+    if not isinstance(n_docs, int):
+        raise TypeError(f"vocabulary n_docs is not an integer: {n_docs!r}")
+    vocabulary = Vocabulary(
+        index={term: idx for term, idx, _ in terms},
+        doc_frequency={term: n for term, _, n in terms},
+        n_docs=n_docs,
+    )
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
         return {
@@ -185,7 +213,7 @@ def loads_model(text: str) -> CentroidModel:
 
     negative = payload.get("negative_centroids")
     return CentroidModel(
-        taxonomy=taxonomy,
+        taxonomy=parse_taxonomy(payload["taxonomy"]),
         vocabulary=vocabulary,
         mode=Mode(payload["mode"]),
         policy=PolicyKind(payload["policy"]) if payload.get("policy") else None,

@@ -284,7 +284,11 @@ def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
 
 
 def loads_calibration(text: str) -> tuple[Calibration, str]:
-    """Inverse of :func:`dumps_calibration`; returns the calibration and its digest."""
+    """Inverse of :func:`dumps_calibration`; returns the calibration and its digest.
+
+    Unknown formats and versions and missing or wrongly typed fields raise
+    :class:`CalibrationError`.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -296,14 +300,22 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
             f"unsupported calibration format version {payload.get('format_version')!r}, "
             f"expected {CALIBRATION_FORMAT_VERSION}"
         )
-    calibration = Calibration(
-        level_weights={int(k): float(v) for k, v in payload["level_weights"].items()},
-        threshold=float(payload["threshold"]),
-        eer_gap=float(payload["eer_gap"]),
-        validation_size=int(payload["validation_size"]),
-        source=payload["source"],
-    )
-    return calibration, payload["vocabulary_digest"]
+    try:
+        calibration = Calibration(
+            level_weights={int(k): float(v) for k, v in payload["level_weights"].items()},
+            threshold=float(payload["threshold"]),
+            eer_gap=float(payload["eer_gap"]),
+            validation_size=int(payload["validation_size"]),
+            source=payload["source"],
+        )
+        digest = payload["vocabulary_digest"]
+    except KeyError as exc:
+        raise CalibrationError(f"calibration file has no field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CalibrationError(f"malformed calibration file: {exc}") from exc
+    if not isinstance(calibration.source, str) or not isinstance(digest, str):
+        raise CalibrationError("malformed calibration file: source and vocabulary_digest must be strings")
+    return calibration, digest
 
 
 def check_matching_vocabulary(model: CentroidModel, calibration_digest: str) -> None:

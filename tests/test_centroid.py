@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,6 +174,29 @@ def test_model_version_check(t0, t0_docs):
         loads_model('{"format":"something-else"}')
     with pytest.raises(ModelFormatError):
         loads_model("not json at all")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("taxonomy", None, "no field 'taxonomy'"),
+        ("taxonomy", 5, "malformed"),
+        ("mode", "ternary", "malformed"),
+        ("vocabulary", {"n_docs": "1", "terms": []}, "n_docs"),
+        ("vocabulary", {"n_docs": 1, "terms": [["x"]]}, "malformed"),
+        ("centroids", [], "malformed"),
+        ("centroids", {"A": []}, "no centroid for node"),
+        ("negative_centroids", None, "negative centroid"),
+    ],
+)
+def test_model_fields_are_validated(t0, t0_docs, field, value, message):
+    payload = json.loads(dumps_model(_toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)))
+    if value is None and field != "negative_centroids":
+        del payload[field]
+    else:
+        payload[field] = value
+    with pytest.raises(ModelFormatError, match=message):
+        loads_model(json.dumps(payload))
 
 
 def test_unit_vectors_give_unit_bounded_similarity(t0, t0_docs):

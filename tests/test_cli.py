@@ -311,3 +311,22 @@ def test_jobs_flag_is_a_usage_error(tmp_path):
             "--out-dir", str(tmp_path / "run"),
         )
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", ["model", "calibration"])
+def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    artifact = tmp_path / f"bad-{bad}.json"
+    artifact.write_text(f'{{"format":"routecat-{bad}","format_version":1}}')
+    paths = {"model": run / "model.json", "calibration": run / "calibration.json", bad: artifact}
+    result = subprocess.run(
+        [sys.executable, "-m", "routecat.cli", "classify", "--model", str(paths["model"]),
+         "--calibration", str(paths["calibration"]), "--input", str(data / "corpus.tsv")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.stdout == ""

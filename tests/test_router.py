@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -346,6 +347,28 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
     with pytest.raises(CalibrationError, match="vocabulary mismatch"):
         check_matching_vocabulary(model, digest)
     check_matching_vocabulary(model, vocabulary_digest(model.vocabulary))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("level_weights", None, "no field 'level_weights'"),
+        ("level_weights", [], "malformed"),
+        ("threshold", "high", "malformed"),
+        ("validation_size", None, "no field 'validation_size'"),
+        ("source", 1, "must be strings"),
+        ("vocabulary_digest", None, "no field 'vocabulary_digest'"),
+        ("vocabulary_digest", 7, "must be strings"),
+    ],
+)
+def test_calibration_fields_are_validated(field, value, message):
+    payload = json.loads(dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "abc123"))
+    if value is None:
+        del payload[field]
+    else:
+        payload[field] = value
+    with pytest.raises(CalibrationError, match=message):
+        loads_calibration(json.dumps(payload))
 
 
 def test_with_threshold_replaces_only_threshold():
