@@ -196,13 +196,10 @@ def loads_model(text: str) -> CentroidModel:
 def _model_from_payload(payload: dict) -> CentroidModel:
     vocab_payload = payload["vocabulary"]
     terms = [(term, int(idx), int(n)) for term, idx, n in vocab_payload["terms"]]
-    n_docs = vocab_payload["n_docs"]
-    if not isinstance(n_docs, int):
-        raise TypeError(f"vocabulary n_docs is not an integer: {n_docs!r}")
     vocabulary = Vocabulary(
         index={term: idx for term, idx, _ in terms},
         doc_frequency={term: n for term, _, n in terms},
-        n_docs=n_docs,
+        n_docs=int(vocab_payload["n_docs"]),
     )
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from routecat import evaluation
 from routecat.centroid import CentroidModel, Mode, ModelFormatError, dumps_model, loads_model, vocabulary_digest
@@ -26,7 +27,10 @@ from routecat.router import (
     loads_calibration,
     with_threshold,
 )
-from routecat.taxonomy import Taxonomy, TaxonomyError, parse_taxonomy
+from routecat.taxonomy import TaxonomyError, parse_taxonomy
+
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -65,27 +69,21 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _load_model_file(path: Path) -> CentroidModel:
+def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
+    """Parse a file, prefixing any format error with the file's path."""
     try:
-        return loads_model(_read_text(path, "model"))
-    except ModelFormatError as exc:
+        return parse(_read_text(path, what))
+    except (TaxonomyError, CorpusError, ModelFormatError, CalibrationError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
 def _load_calibration_file(path: Path, model: CentroidModel) -> Calibration:
-    try:
-        calibration, digest = loads_calibration(_read_text(path, "calibration"))
+    def parse(text: str) -> Calibration:
+        calibration, digest = loads_calibration(text)
         check_matching_vocabulary(model, digest)
-    except CalibrationError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    return calibration
+        return calibration
 
-
-def _load_corpus_file(path: Path, taxonomy: Taxonomy) -> list[Document]:
-    try:
-        return load_corpus(_read_text(path, "corpus"), taxonomy)
-    except CorpusError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    return _load(path, "calibration", parse)
 
 
 def _apply_threshold_flags(calibration: Calibration, args: argparse.Namespace) -> Calibration:
@@ -117,12 +115,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    taxonomy_path, corpus_path, out = Path(args.taxonomy), Path(args.corpus), Path(args.out_dir)
-    try:
-        taxonomy = parse_taxonomy(_read_text(taxonomy_path, "taxonomy"))
-    except TaxonomyError as exc:
-        raise CliError(f"{taxonomy_path}: {exc}") from exc
-    docs = _load_corpus_file(corpus_path, taxonomy)
+    taxonomy = _load(Path(args.taxonomy), "taxonomy", parse_taxonomy)
+    docs = _load(Path(args.corpus), "corpus", lambda text: load_corpus(text, taxonomy))
     mode = Mode(args.mode)
     if mode is Mode.BINARY and args.policy is None:
         raise CliError("--mode binary requires --policy")
@@ -137,7 +131,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         threshold_override=args.threshold,
         accept_all=args.accept_all,
     )
-    calibration = run.calibration
+    calibration, out = run.calibration, Path(args.out_dir)
     _write_text(out / "model.json", dumps_model(run.model))
     _write_text(
         out / "calibration.json",
@@ -154,7 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    model = _load_model_file(Path(args.model))
+    model = _load(Path(args.model), "model", loads_model)
     calibration = _load_calibration_file(Path(args.calibration), model)
     calibration = _apply_threshold_flags(calibration, args)
     text = _read_text(Path(args.input), "input")
@@ -177,10 +171,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model = _load_model_file(Path(args.model))
+    model = _load(Path(args.model), "model", loads_model)
     calibration = _load_calibration_file(Path(args.calibration), model)
     calibration = _apply_threshold_flags(calibration, args)
-    docs = _load_corpus_file(Path(args.corpus), model.taxonomy)
+    docs = _load(Path(args.corpus), "corpus", lambda text: load_corpus(text, model.taxonomy))
     split = split_corpus(docs, args.val_fraction, args.test_fraction, args.seed)
     summary_rows, comparison_rows = evaluation.report_rows(args.problem, model, calibration, split)
     out = Path(args.out_dir)
@@ -249,10 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TaxonomyError, CorpusError, ModelFormatError, CalibrationError, ValueError) as exc:
+    except (CliError, TaxonomyError, CorpusError, ModelFormatError, CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

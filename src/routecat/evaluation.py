@@ -242,9 +242,7 @@ def train_and_calibrate(
 ) -> TrainedRun:
     """Split the corpus, train on the training part, and calibrate on the validation part.
 
-    The vocabulary comes from the training part only.  The threshold comes
-    from the EER sweep unless ``threshold_override`` or ``accept_all`` says
-    otherwise.
+    The vocabulary comes from the training part only.
     """
     split = split_corpus(docs, val_fraction, test_fraction, seed)
     if not split.train:
@@ -261,10 +259,7 @@ def train_and_calibrate(
 def report_rows(
     problem: str, model: CentroidModel, calibration: Calibration, split: CorpusSplit
 ) -> tuple[list[SummaryRow], list[ComparisonRow]]:
-    """Score the test split with the reject option and next to the flat baseline.
-
-    The comparison row holds recognition rates in percent.
-    """
+    """Score the test split with the reject option and the flat baseline; rates in percent."""
     if not split.test:
         raise ValueError("split produced an empty test set; use a positive --test-fraction")
     summary = evaluate(model, calibration, split.test)

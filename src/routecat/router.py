@@ -202,9 +202,7 @@ def eer_threshold(scores: Iterable[tuple[float, bool]]) -> tuple[float, float]:
     """
     correct, incorrect = _by_outcome(scores)
     if not correct or not incorrect:
-        raise EerUndefinedError(
-            "EER needs both correct and incorrect validation samples"
-        )
+        raise EerUndefinedError("EER needs both correct and incorrect validation samples")
     best_tau = float("-inf")
     best_gap = _fa_fr_gap(correct, incorrect, best_tau)
     for tau in sorted(set(correct) | set(incorrect)):
@@ -243,11 +241,8 @@ def build_calibration(
         rel = reliability(trace.steps, weights)
         samples.append((rel, true_path[-1] in trace.route))
 
-    if accept_all:
-        threshold, source = ACCEPT_ALL, "accept-all"
-        gap = _fa_fr_gap(*_by_outcome(samples), threshold)
-    elif threshold_override is not None:
-        threshold, source = threshold_override, "manual"
+    if accept_all or threshold_override is not None:
+        threshold, source = (ACCEPT_ALL, "accept-all") if accept_all else (threshold_override, "manual")
         gap = _fa_fr_gap(*_by_outcome(samples), threshold)
     else:
         try:

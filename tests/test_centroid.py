@@ -182,7 +182,7 @@ def test_model_version_check(t0, t0_docs):
         ("taxonomy", None, "no field 'taxonomy'"),
         ("taxonomy", 5, "malformed"),
         ("mode", "ternary", "malformed"),
-        ("vocabulary", {"n_docs": "1", "terms": []}, "n_docs"),
+        ("vocabulary", {"n_docs": "many", "terms": []}, "malformed"),
         ("vocabulary", {"n_docs": 1, "terms": [["x"]]}, "malformed"),
         ("centroids", [], "malformed"),
         ("centroids", {"A": []}, "no centroid for node"),
