@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 from typing import Mapping, Sequence
 
 from routecat.prng import SplitMix64
@@ -108,6 +110,40 @@ class SparseVector:
 
     def scaled(self, factor: float) -> SparseVector:
         return SparseVector(tuple((i, w * factor) for i, w in self.entries))
+
+
+class InvertedIndex:
+    """Inner products of one document with each of a fixed list of vectors, in one call.
+
+    The index maps every term to parallel lists of vector positions and
+    weights (an inverted file, as in Zobel & Moffat 2006, "Inverted files for
+    text search engines"), so a document touches only the postings of its
+    own terms.  Each product lands in its vector's list and each score is
+    the fsum of that list.  fsum is correctly rounded, so the order of the
+    products does not matter, and a vector sharing no term scores
+    ``fsum([]) == 0.0``: ``dots(d)[k] == d.dot(vectors[k])`` bit for bit.
+    """
+
+    def __init__(self, vectors: Sequence[SparseVector]) -> None:
+        postings: dict[int, tuple[list[int], list[float]]] = {}
+        for position, vec in enumerate(vectors):
+            for i, w in vec.entries:
+                positions, weights = postings.setdefault(i, ([], []))
+                positions.append(position)
+                weights.append(w)
+        self._postings = postings
+        self._size = len(vectors)
+
+    def dots(self, d: SparseVector) -> list[float]:
+        """``[d.dot(v) for v in vectors]``, with the same floats."""
+        acc: list[list[float]] = [[] for _ in range(self._size)]
+        postings = self._postings
+        for i, w in d.entries:
+            if i in postings:
+                positions, weights = postings[i]
+                # C-level loop: append w * weight to acc[position] for each posting
+                deque(map(list.append, map(acc.__getitem__, positions), map(mul, repeat(w), weights)), maxlen=0)
+        return list(map(math.fsum, acc))
 
 
 def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:

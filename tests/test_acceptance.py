@@ -11,7 +11,7 @@ import time
 from conftest import naive_training_set, random_labeled_docs, random_taxonomy, synthetic_run
 from routecat.cli import main as cli_main
 from routecat.corpus import vectorize
-from routecat.evaluation import SyntheticSpec, evaluate, flat_predictions
+from routecat.evaluation import SyntheticSpec, evaluate, flat_predictions, leaf_centroids
 from routecat.policies import PolicyKind, build_training_set
 from routecat.router import confidence_score, decode, eer_threshold
 
@@ -134,7 +134,8 @@ def test_criterion_5_depth_one_equivalence():
             0.2,
             0.3,
         )
-        flats = flat_predictions(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
+        t, vocab = run.model.taxonomy, run.model.vocabulary
+        flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), run.split.test, t, vocab)
         for doc, flat_leaf in zip(run.split.test, flats):
             trace = decode(run.model, vectorize(doc, run.model.vocabulary))
             disagreements += trace.route[-1] != flat_leaf

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import synthetic_run
 from routecat.centroid import CentroidModel, Mode, vocabulary_digest
 from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
-from routecat.evaluation import SyntheticSpec, flat_predictions
+from routecat.evaluation import SyntheticSpec, flat_predictions, leaf_centroids
 from routecat.router import (
     ACCEPT_ALL,
     Calibration,
@@ -74,7 +74,8 @@ def test_decode_zero_scores_fall_back_to_first_child():
 
 def test_decode_depth_one_equals_flat_argmax():
     run = synthetic_run(SyntheticSpec(depth=1, branching=5, docs_per_leaf=20, noise_fraction=0.2, seed=3), 0.2, 0.3)
-    flats = flat_predictions(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
+    t, vocab = run.model.taxonomy, run.model.vocabulary
+    flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), run.split.test, t, vocab)
     for doc, flat_leaf in zip(run.split.test, flats):
         trace = decode(run.model, vectorize(doc, run.model.vocabulary))
         assert len(trace.route) == 1
