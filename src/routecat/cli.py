@@ -9,6 +9,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -56,6 +57,16 @@ def _fraction(value: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {value!r}") from exc
     if not 0.0 <= f < 1.0:
         raise argparse.ArgumentTypeError(f"fraction must lie in [0, 1): {value}")
+    return f
+
+
+def _threshold(value: str) -> float:
+    try:
+        f = float(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from exc
+    if math.isnan(f):
+        raise argparse.ArgumentTypeError(f"threshold must not be NaN: {value}")
     return f
 
 
@@ -211,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.POSITIVE_ONLY.value)
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
-    p.add_argument("--threshold", type=float, default=None, help="skip EER and use this threshold")
+    p.add_argument("--threshold", type=_threshold, default=None, help="skip EER and use this threshold")
     p.add_argument("--accept-all", action="store_true", help="threshold -inf: accept everything")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--input", required=True, help="doc_id<TAB>[label<TAB>]text lines")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--accept-all", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -231,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=_fraction, default=0.2)
     p.add_argument("--test-fraction", type=_fraction, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--accept-all", action="store_true")
     p.add_argument("--problem", default="synthetic", help="problem name for report rows")
     p.add_argument("--out-dir", required=True)

@@ -71,6 +71,11 @@ class Calibration:
     validation_size: int
     source: str = "eer"
 
+    def __post_init__(self) -> None:
+        # NaN compares false with everything, so it would silently reject every document
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -263,26 +268,42 @@ def build_calibration(
     )
 
 
+def _threshold_to_json(threshold: float) -> float | str:
+    """RFC 8259 JSON has no infinities, so the sentinels are written as "inf" and "-inf"."""
+    if math.isinf(threshold):
+        return "inf" if threshold > 0 else "-inf"
+    return threshold
+
+
+def _threshold_from_json(value: object) -> float:
+    """Inverse of :func:`_threshold_to_json`; a bare number covers older files' -Infinity/Infinity."""
+    if value in ("inf", "-inf"):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"threshold must be a number, 'inf' or '-inf', not {value!r}")
+    return float(value)
+
+
 def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
-    """Serialize calibration to canonical JSON, tagged with the model's vocabulary digest."""
+    """Serialize calibration to canonical standard JSON, tagged with the model's vocabulary digest."""
     payload = {
         "format": CALIBRATION_FORMAT,
         "format_version": CALIBRATION_FORMAT_VERSION,
         "level_weights": {str(depth): w for depth, w in calibration.level_weights.items()},
-        "threshold": calibration.threshold,
+        "threshold": _threshold_to_json(calibration.threshold),
         "eer_gap": calibration.eer_gap,
         "validation_size": calibration.validation_size,
         "source": calibration.source,
         "vocabulary_digest": vocab_digest,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def loads_calibration(text: str) -> tuple[Calibration, str]:
     """Inverse of :func:`dumps_calibration`; returns the calibration and its digest.
 
-    Unknown formats and versions and missing or wrongly typed fields raise
-    :class:`CalibrationError`.
+    Unknown formats and versions, missing or wrongly typed fields, and a NaN
+    threshold raise :class:`CalibrationError`.
     """
     try:
         payload = json.loads(text)
@@ -298,7 +319,7 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
     try:
         calibration = Calibration(
             level_weights={int(k): float(v) for k, v in payload["level_weights"].items()},
-            threshold=float(payload["threshold"]),
+            threshold=_threshold_from_json(payload["threshold"]),
             eer_gap=float(payload["eer_gap"]),
             validation_size=int(payload["validation_size"]),
             source=payload["source"],

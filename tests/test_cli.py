@@ -330,3 +330,59 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert result.stdout == ""
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents misrouted
+
+
+@pytest.mark.parametrize(
+    "flags, corpus, source, threshold",
+    [
+        ((), NOISY, "eer", None),
+        (("--accept-all",), NOISY, "accept-all", "-inf"),
+        (("--threshold", "inf"), NOISY, "manual", "inf"),
+        (("--threshold=-inf",), NOISY, "manual", "-inf"),
+        ((), {"--noise": "0.0"}, "eer-all-correct", "-inf"),
+    ],
+)
+def test_calibration_file_is_standard_json(tmp_path, capsys, flags, corpus, source, threshold):
+    data = generate(tmp_path, **corpus)
+    run = train_into(tmp_path, data, *flags)
+    payload = json.loads((run / "calibration.json").read_text(), parse_constant=_refuse_constant)
+    assert payload["source"] == source
+    if threshold is None:
+        assert isinstance(payload["threshold"], float)
+    else:
+        assert payload["threshold"] == threshold
+    capsys.readouterr()
+    assert run_cli(
+        "classify",
+        "--model", str(run / "model.json"),
+        "--calibration", str(run / "calibration.json"),
+        "--input", str(data / "corpus.tsv"),
+    ) == 0
+    verdicts = {line.split("\t")[3] for line in capsys.readouterr().out.splitlines()}
+    expected = {"-inf": {"ACCEPT"}, "inf": {"REJECT"}, None: {"ACCEPT", "REJECT"}}[threshold]
+    assert verdicts == expected
+
+
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+def test_nan_threshold_is_a_usage_error(tmp_path, command):
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    inputs = {
+        "train": ["--taxonomy", str(data / "taxonomy.tsv"), "--corpus", str(data / "corpus.tsv"),
+                  "--out-dir", str(tmp_path / "nan")],
+        "classify": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
+                     "--input", str(data / "corpus.tsv")],
+        "evaluate": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
+                     "--corpus", str(data / "corpus.tsv"), "--out-dir", str(tmp_path / "report")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *inputs, "--threshold", "nan")
+    assert exc.value.code == 2
+    assert not (tmp_path / "nan").exists() and not (tmp_path / "report").exists()

@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from routecat.corpus import (
     CorpusError,
     Document,
+    InvertedIndex,
     SparseVector,
     build_vocabulary,
     load_corpus,
@@ -184,3 +185,31 @@ def test_split_deterministic_and_seed_sensitive(seed, n):
     assert len(c.train) == len(a.train)
     assert len(c.validation) == len(a.validation)
     assert len(c.test) == len(a.test)
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+# Nonnegative weights: ordinary ones, and zero or subnormal ones whose products underflow.
+weights = st.one_of(
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=0.0, max_value=SMALLEST_NORMAL),
+)
+# A small index space, so supports often overlap and sometimes are disjoint or empty.
+sparse_vectors = st.dictionaries(st.integers(0, 24), weights, max_size=10).map(
+    lambda m: SparseVector(tuple(sorted(m.items())))
+)
+
+
+@given(sparse_vectors, st.lists(sparse_vectors, max_size=8))
+@example(SparseVector(), [SparseVector(), SparseVector(((0, 1.0),))])
+@example(SparseVector(((0, 1.0),)), [SparseVector(((1, 1.0),)), SparseVector()])
+@example(
+    SparseVector(((0, 5e-324), (1, 0.1), (2, 1e3))),
+    [SparseVector(((0, SMALLEST_NORMAL), (1, 0.7), (2, 1e-3))), SparseVector(((0, 5e-324), (2, 5e-324)))],
+)
+# a plain left-to-right sum gives 1.0 here; the correctly rounded sum is 1.0000000000000002
+@example(SparseVector(((0, 1.0), (1, 1.0), (2, 1.0))), [SparseVector(((0, 1.0), (1, 1e-16), (2, 1e-16)))])
+def test_inverted_index_scores_equal_dot_bit_for_bit(d, vectors):
+    scores = InvertedIndex(vectors).dots(d)
+    assert len(scores) == len(vectors)
+    for score, v in zip(scores, vectors):
+        assert score == d.dot(v)

@@ -1,8 +1,12 @@
+import dataclasses
+import random
+
 import pytest
 
-from conftest import synthetic_run
-from routecat.corpus import load_corpus, split_corpus, build_vocabulary
-from routecat.centroid import train
+from conftest import random_labeled_docs, random_taxonomy, synthetic_run
+from routecat import evaluation
+from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary
+from routecat.centroid import Mode, train
 from routecat.evaluation import (
     ComparisonRow,
     EvalSummary,
@@ -10,12 +14,17 @@ from routecat.evaluation import (
     SyntheticSpec,
     comparison_csv,
     evaluate,
+    flat_accuracy,
     flat_baseline,
+    flat_predictions,
     generate_synthetic,
+    leaf_centroids,
     render_report,
+    report_rows,
     summarize,
     summary_csv,
 )
+from routecat.policies import PolicyKind
 from routecat.router import ACCEPT_ALL, build_calibration, with_threshold
 from routecat.taxonomy import parse_taxonomy
 
@@ -197,3 +206,62 @@ def test_noise_free_flat_accuracy_is_perfect():
     split = split_corpus(docs, 0.2, 0.3, seed=6)
     vocab = build_vocabulary(split.train)
     assert flat_baseline(split.train, split.test, t, vocab) == 1.0
+
+
+def test_flat_argmax_returns_the_first_of_tied_leaves():
+    tax = parse_taxonomy("R\tb\nR\ta\nR\tc\n")
+    docs = [Document("d1", "b", "xx yy"), Document("d2", "a", "xx zz"), Document("d3", "c", "zz ww")]
+    vocab = build_vocabulary(docs)
+    xx, yy, zz, ww = (vocab.index[t] for t in ("xx", "yy", "zz", "ww"))
+    same = SparseVector(((xx, 0.5), (zz, 0.25)))
+    centroids = {"b": same, "a": same, "c": SparseVector(((ww, 1.0),))}
+    queries = [Document("q1", "b", "xx"), Document("q2", "b", "yy"), Document("q3", "c", "ww zz")]
+    # q1 ties b and a, q2 scores 0 everywhere, q3 prefers c (1.0 + 0.25 against 0.25)
+    assert flat_predictions(centroids, queries, tax, vocab) == ["b", "b", "c"]
+
+
+@pytest.mark.parametrize("policy", [None, *PolicyKind])
+def test_model_leaf_centroids_equal_the_retrained_ones(policy):
+    mode = Mode.POSITIVE_ONLY if policy is None else Mode.BINARY
+    spec = SyntheticSpec(depth=2, branching=3, docs_per_leaf=12, noise_fraction=0.5, seed=7)
+    tax_text, corpus_text = generate_synthetic(spec)
+    synthetic = parse_taxonomy(tax_text)
+    rng = random.Random(11)
+    random_tax = random_taxonomy(rng)
+    # the random corpus labels internal nodes too, which a leaf centroid must not average in
+    for t, docs in ((synthetic, load_corpus(corpus_text, synthetic)), (random_tax, random_labeled_docs(rng, random_tax))):
+        vocab = build_vocabulary(docs)
+        model = train(docs, t, vocab, mode=mode, policy=policy)
+        retrained = leaf_centroids(docs, t, vocab)
+        assert list(retrained) == list(t.leaves)
+        for leaf in t.leaves:
+            assert model.centroid_of[leaf] == retrained[leaf]
+
+
+def test_report_rows_flat_equals_flat_baseline():
+    run = synthetic_run(SyntheticSpec(depth=2, branching=4, docs_per_leaf=15, noise_fraction=0.6, seed=8), 0.2, 0.3)
+    _, [comparison] = report_rows("p", run.model, run.calibration, run.split)
+    flat = flat_baseline(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
+    assert comparison.flat == 100.0 * flat
+
+
+def test_report_rows_reads_no_training_document(monkeypatch):
+    run = synthetic_run(SyntheticSpec(depth=2, branching=3, docs_per_leaf=15, noise_fraction=0.6, seed=3), 0.2, 0.3)
+    expected = report_rows("p", run.model, run.calibration, run.split)
+    test_ids = {doc.doc_id for doc in run.split.test}
+    vectorize = evaluation.vectorize
+
+    def test_docs_only(doc, vocab):
+        assert doc.doc_id in test_ids
+        return vectorize(doc, vocab)
+
+    def forbidden(*args):
+        raise AssertionError("the flat baseline retrained or called SparseVector.dot")
+
+    monkeypatch.setattr(evaluation, "vectorize", test_docs_only)
+    monkeypatch.setattr(evaluation, "mean_vector", forbidden)
+    without_train = dataclasses.replace(run.split, train=())
+    assert report_rows("p", run.model, run.calibration, without_train) == expected
+    monkeypatch.setattr(SparseVector, "dot", forbidden)
+    flat = flat_accuracy(run.model.centroid_of, run.split.test, run.model.taxonomy, run.model.vocabulary)
+    assert 100.0 * flat == expected[1][0].flat

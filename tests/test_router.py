@@ -377,3 +377,47 @@ def test_with_threshold_replaces_only_threshold():
     out = with_threshold(cal, 0.9, "manual")
     assert out.threshold == 0.9 and out.source == "manual"
     assert out.level_weights == cal.level_weights and out.eer_gap == cal.eer_gap
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "threshold, source, written",
+    [
+        (-math.inf, "accept-all", '"threshold":"-inf"'),
+        (-math.inf, "eer-all-correct", '"threshold":"-inf"'),
+        (math.inf, "eer-all-incorrect", '"threshold":"inf"'),
+        (0.7331760453985413, "eer", '"threshold":0.7331760453985413'),
+    ],
+)
+def test_calibration_json_is_standard_and_round_trips(threshold, source, written):
+    cal = Calibration({1: 1.0, 2: 0.5}, threshold, 0.0, 3, source)
+    text = dumps_calibration(cal, "abc123")
+    json.loads(text, parse_constant=_refuse_constant)
+    assert written in text
+    assert loads_calibration(text) == (cal, "abc123")
+
+
+@pytest.mark.parametrize("constant, threshold", [("-Infinity", -math.inf), ("Infinity", math.inf)])
+def test_calibration_reads_older_nonstandard_infinities(constant, threshold):
+    text = dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "abc123")
+    loaded, _ = loads_calibration(text.replace('"threshold":0.5', f'"threshold":{constant}'))
+    assert loaded.threshold == threshold
+
+
+@pytest.mark.parametrize("value", ["NaN", '"nan"', '"0.5"', "true"])
+def test_calibration_refuses_a_nan_or_non_numeric_threshold(value):
+    text = dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "abc123")
+    with pytest.raises(CalibrationError, match="malformed"):
+        loads_calibration(text.replace('"threshold":0.5', f'"threshold":{value}'))
+
+
+def test_nan_threshold_is_refused():
+    model = calibration_model()
+    validation = [Document("v1", "A1", "ta t1"), Document("v2", "A2", "ta t1")]
+    with pytest.raises(ValueError, match="NaN"):
+        build_calibration(model, validation, threshold_override=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        with_threshold(build_calibration(model, validation), math.nan, "manual")
