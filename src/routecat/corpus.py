@@ -121,7 +121,9 @@ class InvertedIndex:
     own terms.  Each product lands in its vector's list and each score is
     the fsum of that list.  fsum is correctly rounded, so the order of the
     products does not matter, and a vector sharing no term scores
-    ``fsum([]) == 0.0``: ``dots(d)[k] == d.dot(vectors[k])`` bit for bit.
+    ``fsum([]) == 0.0``: ``dots(d)[k] == d.dot(vectors[k])`` bit for bit,
+    for vectors with distinct indices, as ``vectorize`` and ``mean_vector``
+    build them.
     """
 
     def __init__(self, vectors: Sequence[SparseVector]) -> None:
