@@ -1,4 +1,4 @@
-"""Shared fixtures: the toy taxonomy, random instances, a naive policy oracle, and synthetic runs."""
+"""Shared fixtures: the toy taxonomy, random instances, a naive policy oracle, a strict JSON hook, and synthetic runs."""
 
 from __future__ import annotations
 
@@ -102,6 +102,11 @@ def naive_training_set(train_docs, t: Taxonomy, node, policy: PolicyKind):
         elif neg:
             negatives.add(d.doc_id)
     return frozenset(positives), frozenset(negatives)
+
+
+def refuse_json_constant(name: str):
+    """``parse_constant`` hook for ``json.loads`` that refuses NaN and the infinities (not RFC 8259)."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def synthetic_run(spec: SyntheticSpec, val_fraction: float, test_fraction: float) -> TrainedRun:

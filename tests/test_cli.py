@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import refuse_json_constant
 from routecat.cli import main
 
 
@@ -332,10 +333,6 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
     assert result.stdout == ""
 
 
-def _refuse_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents misrouted
 
 
@@ -352,7 +349,7 @@ NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents
 def test_calibration_file_is_standard_json(tmp_path, capsys, flags, corpus, source, threshold):
     data = generate(tmp_path, **corpus)
     run = train_into(tmp_path, data, *flags)
-    payload = json.loads((run / "calibration.json").read_text(), parse_constant=_refuse_constant)
+    payload = json.loads((run / "calibration.json").read_text(), parse_constant=refuse_json_constant)
     assert payload["source"] == source
     if threshold is None:
         assert isinstance(payload["threshold"], float)

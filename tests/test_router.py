@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import synthetic_run
+from conftest import refuse_json_constant, synthetic_run
 from routecat.centroid import CentroidModel, Mode, vocabulary_digest
 from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
 from routecat.evaluation import SyntheticSpec, flat_predictions, leaf_centroids
@@ -379,10 +379,6 @@ def test_with_threshold_replaces_only_threshold():
     assert out.level_weights == cal.level_weights and out.eer_gap == cal.eer_gap
 
 
-def _refuse_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 @pytest.mark.parametrize(
     "threshold, source, written",
     [
@@ -395,7 +391,7 @@ def _refuse_constant(name):
 def test_calibration_json_is_standard_and_round_trips(threshold, source, written):
     cal = Calibration({1: 1.0, 2: 0.5}, threshold, 0.0, 3, source)
     text = dumps_calibration(cal, "abc123")
-    json.loads(text, parse_constant=_refuse_constant)
+    json.loads(text, parse_constant=refuse_json_constant)
     assert written in text
     assert loads_calibration(text) == (cal, "abc123")
 
