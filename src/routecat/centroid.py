@@ -13,14 +13,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
-MODEL_FORMAT = "routecat-model"
 MODEL_FORMAT_VERSION = 1
+
+T = TypeVar("T")
 
 
 class ModelFormatError(Exception):
@@ -129,17 +130,46 @@ def vocabulary_digest(vocab: Vocabulary) -> str:
     return h.hexdigest()
 
 
+def dumps_artifact(kind: str, version: int, fields: Mapping[str, object]) -> str:
+    """Canonical JSON of a ``routecat-<kind>`` artifact: sorted keys, compact, one trailing newline.
+
+    NaN and the infinities raise ``ValueError``: RFC 8259 JSON has no spelling for them.
+    """
+    payload = {"format": f"routecat-{kind}", "format_version": version, **fields}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def loads_artifact(text: str, kind: str, version: int, error: type[Exception], build: Callable[[dict], T]) -> T:
+    """Inverse of :func:`dumps_artifact`: check the envelope, then return ``build(payload)``.
+
+    Every failure raises ``error``: text that is not JSON or has another format or
+    version, a field ``build`` misses (``KeyError``), or one it finds malformed.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{kind} file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != f"routecat-{kind}":
+        raise error(f"not a {kind} file")
+    if payload.get("format_version") != version:
+        raise error(f"unsupported {kind} format version {payload.get('format_version')!r}, expected {version}")
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise error(f"{kind} file has no field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, TaxonomyError) as exc:
+        raise error(f"malformed {kind} file: {exc}") from exc
+
+
 def _entries_payload(vec: SparseVector) -> list[list]:
     return [[idx, w] for idx, w in vec.entries]
 
 
 def dumps_model(model: CentroidModel) -> str:
-    """Serialize a model to canonical JSON (stable key order, compact separators)."""
+    """Serialize a model to canonical standard JSON (see :func:`dumps_artifact`)."""
     vocab = model.vocabulary
     terms = sorted(vocab.index.items(), key=lambda kv: kv[1])
-    payload = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
+    fields = {
         "mode": model.mode.value,
         "policy": model.policy.value if model.policy is not None else None,
         "taxonomy": format_taxonomy(model.taxonomy),
@@ -155,7 +185,7 @@ def dumps_model(model: CentroidModel) -> str:
             else None
         ),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return dumps_artifact("model", MODEL_FORMAT_VERSION, fields)
 
 
 def loads_model(text: str) -> CentroidModel:
@@ -164,23 +194,7 @@ def loads_model(text: str) -> CentroidModel:
     Unknown formats and versions, missing or wrongly typed fields, and models
     that lack a centroid a node needs raise :class:`ModelFormatError`.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ModelFormatError("not a model file")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {payload.get('format_version')!r}, "
-            f"expected {MODEL_FORMAT_VERSION}"
-        )
-    try:
-        model = _model_from_payload(payload)
-    except KeyError as exc:
-        raise ModelFormatError(f"model file has no field {exc}") from exc
-    except (TypeError, ValueError, AttributeError, TaxonomyError) as exc:
-        raise ModelFormatError(f"malformed model file: {exc}") from exc
+    model = loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
     t = model.taxonomy
     missing = [node for node in t.nodes if node != t.root and node not in model.centroid_of]
     if missing:

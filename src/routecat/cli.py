@@ -28,7 +28,7 @@ from routecat.router import (
     loads_calibration,
     with_threshold,
 )
-from routecat.taxonomy import TaxonomyError, parse_taxonomy
+from routecat.taxonomy import TaxonomyError, parse_taxonomy, tsv_lines
 
 
 T = TypeVar("T")
@@ -163,17 +163,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     calibration = _load_calibration_file(Path(args.calibration), model)
     calibration = _apply_threshold_flags(calibration, args)
     text = _read_text(Path(args.input), "input")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) == 3:
-            doc_id, _, body = parts
-        elif len(parts) == 2:
-            doc_id, body = parts
-        else:
+    for lineno, _, parts in tsv_lines(text):
+        if len(parts) not in (2, 3):
             raise CliError(f"{args.input}: line {lineno}: expected doc_id<TAB>[label<TAB>]text")
+        doc_id, body = parts[0], parts[-1]
         vec = vectorize(Document(doc_id=doc_id, label="", text=body), model.vocabulary)
         decision = classify_with_reject(model, calibration, vec)
         verdict = "ACCEPT" if decision.accepted else "REJECT"

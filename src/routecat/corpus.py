@@ -1,7 +1,7 @@
 """Labeled documents, TF-IDF sparse vectors, and deterministic corpus splits.
 
-Corpus files are UTF-8 with one ``doc_id<TAB>label<TAB>text`` line per
-document; ``#`` lines and blank lines are ignored.  Every document carries
+Corpus files hold one ``doc_id<TAB>label<TAB>text`` line per document,
+read by :func:`routecat.taxonomy.tsv_lines`.  Every document carries
 exactly one label: the most specific category it belongs to, which may be
 an internal node of the taxonomy.
 """
@@ -18,7 +18,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from routecat.prng import SplitMix64
-from routecat.taxonomy import NodeId, Taxonomy
+from routecat.taxonomy import NodeId, Taxonomy, tsv_lines
 
 # maximal runs of Unicode alphanumerics; underscore is not a word character here
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -177,11 +177,7 @@ def load_corpus(text: str, taxonomy: Taxonomy) -> list[Document]:
     """Parse corpus lines in file order, validating labels against the taxonomy."""
     docs: list[Document] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for lineno, line, parts in tsv_lines(text):
         if len(parts) != 3 or not parts[0] or not parts[1]:
             raise CorpusError(f"line {lineno}: expected doc_id<TAB>label<TAB>text, got {line!r}")
         doc_id, label, body = parts

@@ -11,17 +11,15 @@ the calibrated threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from routecat.centroid import CentroidModel, node_score, vocabulary_digest
+from routecat.centroid import CentroidModel, dumps_artifact, loads_artifact, node_score, vocabulary_digest
 from routecat.corpus import Document, SparseVector, vectorize
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError
 
-CALIBRATION_FORMAT = "routecat-calibration"
 CALIBRATION_FORMAT_VERSION = 1
 
 #: Threshold sentinel that accepts every document (reliability > -inf always).
@@ -286,9 +284,7 @@ def _threshold_from_json(value: object) -> float:
 
 def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
     """Serialize calibration to canonical standard JSON, tagged with the model's vocabulary digest."""
-    payload = {
-        "format": CALIBRATION_FORMAT,
-        "format_version": CALIBRATION_FORMAT_VERSION,
+    fields = {
         "level_weights": {str(depth): w for depth, w in calibration.level_weights.items()},
         "threshold": _threshold_to_json(calibration.threshold),
         "eer_gap": calibration.eer_gap,
@@ -296,7 +292,7 @@ def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
         "source": calibration.source,
         "vocabulary_digest": vocab_digest,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return dumps_artifact("calibration", CALIBRATION_FORMAT_VERSION, fields)
 
 
 def loads_calibration(text: str) -> tuple[Calibration, str]:
@@ -305,32 +301,22 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
     Unknown formats and versions, missing or wrongly typed fields, and a NaN
     threshold raise :class:`CalibrationError`.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CALIBRATION_FORMAT:
-        raise CalibrationError("not a calibration file")
-    if payload.get("format_version") != CALIBRATION_FORMAT_VERSION:
-        raise CalibrationError(
-            f"unsupported calibration format version {payload.get('format_version')!r}, "
-            f"expected {CALIBRATION_FORMAT_VERSION}"
-        )
-    try:
-        calibration = Calibration(
-            level_weights={int(k): float(v) for k, v in payload["level_weights"].items()},
-            threshold=_threshold_from_json(payload["threshold"]),
-            eer_gap=float(payload["eer_gap"]),
-            validation_size=int(payload["validation_size"]),
-            source=payload["source"],
-        )
-        digest = payload["vocabulary_digest"]
-    except KeyError as exc:
-        raise CalibrationError(f"calibration file has no field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise CalibrationError(f"malformed calibration file: {exc}") from exc
+    return loads_artifact(
+        text, "calibration", CALIBRATION_FORMAT_VERSION, CalibrationError, _calibration_from_payload
+    )
+
+
+def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
+    calibration = Calibration(
+        level_weights={int(k): float(v) for k, v in payload["level_weights"].items()},
+        threshold=_threshold_from_json(payload["threshold"]),
+        eer_gap=float(payload["eer_gap"]),
+        validation_size=int(payload["validation_size"]),
+        source=payload["source"],
+    )
+    digest = payload["vocabulary_digest"]
     if not isinstance(calibration.source, str) or not isinstance(digest, str):
-        raise CalibrationError("malformed calibration file: source and vocabulary_digest must be strings")
+        raise TypeError("source and vocabulary_digest must be strings")
     return calibration, digest
 
 

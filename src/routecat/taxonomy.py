@@ -1,7 +1,7 @@
 """Category tree plus the ancestor/descendant/sibling relations used everywhere else.
 
-The file format is one ``parent<TAB>child`` edge per line (UTF-8, LF).
-Lines starting with ``#`` and blank lines are ignored.  The root is the
+The file format is one ``parent<TAB>child`` edge per line, read by
+:func:`tsv_lines` like every other tab-separated input.  The root is the
 unique node that never appears as a child.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 NodeId = str
 
@@ -141,6 +141,18 @@ class Taxonomy:
         return self.path(leaf)
 
 
+def tsv_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, tab-separated fields) of each line that is neither blank nor a ``#`` comment.
+
+    Only LF ends a line and a trailing CR is dropped, so CRLF text reads like LF
+    text; every other separator (VT, FF, NEL, U+2028, ...) belongs to its line.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if line.strip() and not line.startswith("#"):
+            yield lineno, line, line.split("\t")
+
+
 def parse_taxonomy(text: str) -> Taxonomy:
     """Parse ``parent<TAB>child`` edge lines into a validated Taxonomy.
 
@@ -155,11 +167,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
     def note(node: NodeId) -> None:
         children_of.setdefault(node, [])
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for lineno, line, parts in tsv_lines(text):
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise TaxonomyError(f"line {lineno}: malformed edge line {line!r}")
         parent, child = parts

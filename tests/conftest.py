@@ -13,6 +13,9 @@ from routecat.taxonomy import Taxonomy, parse_taxonomy
 
 T0_TEXT = "ROOT\tA\nROOT\tB\nA\tA1\nA\tA2\nB\tB1\n"
 
+# characters str.splitlines breaks on besides LF and CR; in a TSV input they are part of the line
+LINE_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 @pytest.fixture
 def t0() -> Taxonomy:

@@ -209,6 +209,42 @@ def test_classify_accepts_unlabeled_lines(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("q1\t")
 
 
+def test_classify_keeps_unicode_line_separators_in_text(tmp_path, capsys):
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    doc = tmp_path / "doc.tsv"
+    doc.write_text("q1\tfirst part\u2028second part\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(
+        "classify",
+        "--model", str(run / "model.json"),
+        "--calibration", str(run / "calibration.json"),
+        "--input", str(doc),
+    ) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("q1\t") and out.count("\n") == 1
+
+
+def test_crlf_inputs_read_like_lf(tmp_path, capsys):
+    data = generate(tmp_path)
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for name in ("taxonomy.tsv", "corpus.tsv"):
+        (crlf / name).write_bytes((data / name).read_bytes().replace(b"\n", b"\r\n"))
+    outputs = []
+    for inputs in (data, crlf):
+        run = train_into(tmp_path / inputs.name, inputs)
+        capsys.readouterr()
+        assert run_cli(
+            "classify",
+            "--model", str(run / "model.json"),
+            "--calibration", str(run / "calibration.json"),
+            "--input", str(inputs / "corpus.tsv"),
+        ) == 0
+        outputs.append(((run / "model.json").read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 def test_mismatched_calibration_rejected(tmp_path, capsys):
     data = generate(tmp_path)
     run_a = train_into(tmp_path, data)

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import T0_TEXT, random_taxonomy
-from routecat.taxonomy import TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
+from conftest import LINE_SEPARATORS, T0_TEXT, random_taxonomy
+from routecat.taxonomy import TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy, tsv_lines
 
 
 def test_parse_t0(t0):
@@ -19,6 +19,25 @@ def test_parse_ignores_comments_and_blank_lines():
     text = "# taxonomy\n\nROOT\tA\n   \nROOT\tB\n"
     t = parse_taxonomy(text)
     assert t.children("ROOT") == ("A", "B")
+
+
+def test_tsv_lines_grammar():
+    text = "# header\r\na\tb\r\n\r\n  \nx\u2028y\tz\n#\tnot a line\nlast"
+    assert list(tsv_lines(text)) == [
+        (2, "a\tb", ["a", "b"]),
+        (5, "x\u2028y\tz", ["x\u2028y", "z"]),
+        (7, "last", ["last"]),
+    ]
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_parse_keeps_line_separators_in_node_ids(sep):
+    t = parse_taxonomy(f"ROOT\tA{sep}x\nROOT\tB\n")
+    assert t.children("ROOT") == (f"A{sep}x", "B")
+
+
+def test_parse_crlf():
+    assert parse_taxonomy(T0_TEXT.replace("\n", "\r\n")) == parse_taxonomy(T0_TEXT)
 
 
 def test_parse_cycle():
