@@ -215,12 +215,24 @@ def _model_from_payload(payload: dict) -> CentroidModel:
         doc_frequency={term: n for term, _, n in terms},
         n_docs=int(vocab_payload["n_docs"]),
     )
+    n_terms = len(vocabulary)
+
+    def vector(node: NodeId, entries: list) -> SparseVector:
+        # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices
+        vec = SparseVector(tuple((int(i), float(w)) for i, w in entries))
+        previous = -1
+        for i, w in vec.entries:
+            if not previous < i < n_terms:
+                raise ValueError(
+                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
+                )
+            if not math.isfinite(w):
+                raise ValueError(f"centroid of {node!r}: weight {w} of term {i} is not finite")
+            previous = i
+        return vec
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
-        return {
-            node: SparseVector(tuple((int(i), float(w)) for i, w in entries))
-            for node, entries in mapping.items()
-        }
+        return {node: vector(node, entries) for node, entries in mapping.items()}
 
     negative = payload.get("negative_centroids")
     return CentroidModel(

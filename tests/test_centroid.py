@@ -199,6 +199,27 @@ def test_model_fields_are_validated(t0, t0_docs, field, value, message):
         loads_model(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field", ["centroids", "negative_centroids"])
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # a repeated index: d = [[0, 1.0]] scored 0.25 by SparseVector.dot but 0.75 by InvertedIndex
+        ([[0, 0.5], [0, 0.25], [1, 1.0]], "must increase"),
+        ([[1, 0.5], [0, 0.25]], "must increase"),
+        ([[-1, 0.5]], "must increase"),
+        ([[6, 0.5]], "must increase below 6, got 6 after -1"),
+        ([[0, float("nan")]], "not finite"),
+        ([[0, 0.5], [1, float("-inf")]], "not finite"),
+    ],
+)
+def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, message):
+    payload = json.loads(dumps_model(_toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)))
+    assert len(payload["vocabulary"]["terms"]) == 6
+    payload[field]["A1"] = entries
+    with pytest.raises(ModelFormatError, match=f"malformed model file: centroid of 'A1': .*{message}"):
+        loads_model(json.dumps(payload))
+
+
 def test_unit_vectors_give_unit_bounded_similarity(t0, t0_docs):
     # every document vector is unit; centroids average unit vectors, so norms
     # stay <= 1 and inner products stay in [0, 1]
