@@ -303,6 +303,28 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "d" / "corpus.tsv").exists()
 
 
+def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    texts = [line.split("\t")[2] for line in (data / "corpus.tsv").read_text().splitlines()]
+    many = tmp_path / "many.tsv"
+    # 7,200 decisions of at least 20 bytes: far more than a 64 KiB pipe plus the reader's buffer
+    many.write_text("".join(f"q{i}\t{text}\n" for i, text in enumerate(texts * 40)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "routecat.cli", "classify", "--model", str(run / "model.json"),
+         "--calibration", str(run / "calibration.json"), "--input", str(many)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b"q0\t")
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 def test_cli_uses_the_shared_pipeline(tmp_path):
     from routecat.centroid import dumps_model, vocabulary_digest
     from routecat.corpus import load_corpus
