@@ -45,11 +45,10 @@ class LevelStep:
 
 @dataclass(frozen=True)
 class RouteTrace:
-    """Decoded route with per-level steps; reliability is filled in once weights exist."""
+    """Decoded route with per-level steps."""
 
     route: tuple[NodeId, ...]
     steps: tuple[LevelStep, ...]
-    reliability: float | None = None
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,6 @@ def test_decode_worked_example(t0):
     assert trace.steps[0].group_scores == {"A": 0.6, "B": 0.2}
     assert trace.steps[1].group_scores == {"A1": 0.5, "A2": 0.0}
     assert [s.chosen for s in trace.steps] == list(trace.route)
-    assert trace.reliability is None
 
 
 def test_decode_zero_scores_fall_back_to_first_child():
