@@ -60,7 +60,7 @@ def mean_vector(doc_ids: frozenset[str], vectors: Mapping[str, SparseVector]) ->
     if not doc_ids:
         return SparseVector()
     acc: dict[int, list[float]] = {}
-    for doc_id in sorted(doc_ids):
+    for doc_id in doc_ids:
         for idx, w in vectors[doc_id].entries:
             acc.setdefault(idx, []).append(w)
     k = len(doc_ids)

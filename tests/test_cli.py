@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -127,6 +128,33 @@ def test_pipeline_is_byte_deterministic(tmp_path):
                     report / "comparison.csv",
                 )
             )
+        )
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "binary", "--policy", "siblings")])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, mode):
+    outputs = []
+    for hash_seed in ("1", "2"):
+        data, run, report = (tmp_path / hash_seed / name for name in ("data", "run", "report"))
+        split = ["--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "5"]
+        for argv in (
+            ["generate", "--depth", "2", "--branching", "3", "--docs-per-leaf", "20", "--noise", "0.3",
+             "--seed", "5", "--out-dir", str(data)],
+            ["train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", str(data / "corpus.tsv"),
+             *split, *mode, "--out-dir", str(run)],
+            ["evaluate", "--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
+             "--corpus", str(data / "corpus.tsv"), *split, "--out-dir", str(report)],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "routecat.cli", *argv],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                check=True,
+                capture_output=True,
+            )
+        outputs.append(
+            [p.read_bytes() for p in (run / "model.json", run / "calibration.json",
+                                      report / "summary.csv", report / "comparison.csv")]
         )
     assert outputs[0] == outputs[1]
 
