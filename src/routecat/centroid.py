@@ -191,8 +191,10 @@ def dumps_model(model: CentroidModel) -> str:
 def loads_model(text: str) -> CentroidModel:
     """Inverse of :func:`dumps_model`.
 
-    Unknown formats and versions, missing or wrongly typed fields, and models
-    that lack a centroid a node needs raise :class:`ModelFormatError`.
+    Unknown formats and versions, missing or wrongly typed fields, centroid
+    entries whose term indices do not increase below the vocabulary size or
+    whose weights are not finite, and models that lack a centroid a node
+    needs raise :class:`ModelFormatError`.
     """
     model = loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
     t = model.taxonomy
