@@ -30,14 +30,11 @@ def test_tsv_lines_grammar():
     ]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("sep", LINE_SEPARATORS)
-def test_parse_keeps_line_separators_in_node_ids(sep):
-    t = parse_taxonomy(f"ROOT\tA{sep}x\nROOT\tB\n")
+def test_parse_keeps_line_separators_in_node_ids(sep, newline):
+    t = parse_taxonomy(f"ROOT\tA{sep}x{newline}ROOT\tB{newline}")
     assert t.children("ROOT") == (f"A{sep}x", "B")
-
-
-def test_parse_crlf():
-    assert parse_taxonomy(T0_TEXT.replace("\n", "\r\n")) == parse_taxonomy(T0_TEXT)
 
 
 def test_parse_cycle():
