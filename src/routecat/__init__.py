@@ -38,7 +38,6 @@ from routecat.router import (
     LevelStep,
     RouteTrace,
     build_calibration,
-    calibrate_weights,
     classify_with_reject,
     confidence_score,
     decode,

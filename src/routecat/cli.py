@@ -99,11 +99,17 @@ def _load_calibration_file(path: Path, model: CentroidModel) -> Calibration:
 
 
 def _apply_threshold_flags(calibration: Calibration, args: argparse.Namespace) -> Calibration:
-    if args.accept_all:
-        return with_threshold(calibration, ACCEPT_ALL, "accept-all")
-    if args.threshold is not None:
-        return with_threshold(calibration, args.threshold, "manual")
-    return calibration
+    return calibration if args.threshold is None else with_threshold(calibration, args.threshold)
+
+
+def _add_threshold_flags(p: argparse.ArgumentParser, threshold_help: str | None = None) -> None:
+    """``--threshold`` and its short spelling ``--accept-all`` (``--threshold=-inf``); at most one of them."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--threshold", type=_threshold, default=None, help=threshold_help)
+    group.add_argument(
+        "--accept-all", dest="threshold", action="store_const", const=ACCEPT_ALL,
+        help="same as --threshold=-inf: accept everything",
+    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -140,8 +146,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.seed,
         mode=mode,
         policy=PolicyKind(args.policy) if args.policy else None,
-        threshold_override=args.threshold,
-        accept_all=args.accept_all,
+        threshold=args.threshold,
     )
     calibration, out = run.calibration, Path(args.out_dir)
     _write_text(out / "model.json", dumps_model(run.model))
@@ -216,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.POSITIVE_ONLY.value)
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
-    p.add_argument("--threshold", type=_threshold, default=None, help="skip EER and use this threshold")
-    p.add_argument("--accept-all", action="store_true", help="threshold -inf: accept everything")
+    _add_threshold_flags(p, "skip EER and use this threshold")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -225,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--input", required=True, help="doc_id<TAB>[label<TAB>]text lines")
-    p.add_argument("--threshold", type=_threshold, default=None)
-    p.add_argument("--accept-all", action="store_true")
+    _add_threshold_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="score the held-out test split and write report CSVs")
@@ -236,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=_fraction, default=0.2)
     p.add_argument("--test-fraction", type=_fraction, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=_threshold, default=None)
-    p.add_argument("--accept-all", action="store_true")
+    _add_threshold_flags(p)
     p.add_argument("--problem", default="synthetic", help="problem name for report rows")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)

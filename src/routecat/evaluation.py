@@ -265,12 +265,12 @@ def train_and_calibrate(
     seed: int,
     mode: Mode = Mode.POSITIVE_ONLY,
     policy: PolicyKind | None = None,
-    threshold_override: float | None = None,
-    accept_all: bool = False,
+    threshold: float | None = None,
 ) -> TrainedRun:
     """Split the corpus, train on the training part, and calibrate on the validation part.
 
-    The vocabulary comes from the training part only.
+    The vocabulary comes from the training part only; ``threshold`` is passed
+    to :func:`~routecat.router.build_calibration`.
     """
     split = split_corpus(docs, val_fraction, test_fraction, seed)
     if not split.train:
@@ -278,9 +278,7 @@ def train_and_calibrate(
     if not split.validation:
         raise ValueError("split produced an empty validation set; use a positive --val-fraction")
     model = train(split.train, taxonomy, build_vocabulary(split.train), mode=mode, policy=policy)
-    calibration = build_calibration(
-        model, split.validation, threshold_override=threshold_override, accept_all=accept_all
-    )
+    calibration = build_calibration(model, split.validation, threshold)
     return TrainedRun(split=split, model=model, calibration=calibration)
 
 

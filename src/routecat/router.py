@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from routecat.centroid import CentroidModel, dumps_artifact, loads_artifact, node_score, vocabulary_digest
 from routecat.corpus import Document, SparseVector, vectorize
-from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError
+from routecat.taxonomy import NodeId, TaxonomyError
 
 CALIBRATION_FORMAT_VERSION = 1
 
@@ -122,45 +122,6 @@ def decode(model: CentroidModel, d: SparseVector) -> RouteTrace:
     return RouteTrace(route=tuple(route), steps=tuple(steps))
 
 
-def _decode_labeled(
-    model: CentroidModel, docs: Sequence[Document]
-) -> list[tuple[tuple[NodeId, ...], RouteTrace]]:
-    """Decode labeled documents, pairing each trace with its true root path."""
-    t = model.taxonomy
-    out = []
-    for doc in docs:
-        out.append((t.path(doc.label), decode(model, vectorize(doc, model.vocabulary))))
-    return out
-
-
-def _weights_from_decoded(
-    taxonomy: Taxonomy, decoded: Sequence[tuple[tuple[NodeId, ...], RouteTrace]]
-) -> dict[int, float]:
-    eligible = [0] * (taxonomy.max_depth + 1)
-    correct = [0] * (taxonomy.max_depth + 1)
-    for true_path, trace in decoded:
-        for depth in range(1, len(true_path) + 1):
-            eligible[depth] += 1
-            if depth <= len(trace.route) and trace.route[depth - 1] == true_path[depth - 1]:
-                correct[depth] += 1
-    return {
-        depth: (correct[depth] / eligible[depth] if eligible[depth] else 0.0)
-        for depth in range(1, taxonomy.max_depth + 1)
-    }
-
-
-def calibrate_weights(model: CentroidModel, validation: Sequence[Document]) -> dict[int, float]:
-    """Per-depth recognition rate on the validation set.
-
-    weight(L) is the fraction of validation documents routed to the correct
-    node at depth L, among documents whose true label sits at depth >= L.
-    Depths nobody reaches get weight 0.
-    """
-    if not validation:
-        raise ValueError("empty validation set")
-    return _weights_from_decoded(model.taxonomy, _decode_labeled(model, validation))
-
-
 def reliability(steps: Sequence[LevelStep], level_weights: Mapping[int, float]) -> float:
     """Weighted sum of step confidences along a decoded route."""
     total = 0.0
@@ -221,30 +182,48 @@ def classify_with_reject(model: CentroidModel, calibration: Calibration, d: Spar
     return Decision(accepted=rel > calibration.threshold, leaf=trace.route[-1], reliability=rel)
 
 
+def _override_source(threshold: float) -> str:
+    """The ``source`` of a threshold given by hand: the -inf sentinel is "accept-all"."""
+    return "accept-all" if threshold == ACCEPT_ALL else "manual"
+
+
 def build_calibration(
-    model: CentroidModel,
-    validation: Sequence[Document],
-    threshold_override: float | None = None,
-    accept_all: bool = False,
+    model: CentroidModel, validation: Sequence[Document], threshold: float | None = None
 ) -> Calibration:
     """Run the full validation pass: level weights, then the threshold.
 
-    The threshold comes from the EER sweep unless overridden.  When the
+    weight(L) is the fraction of validation documents routed to the correct
+    node at depth L, among documents whose true label sits at depth >= L;
+    depths nobody reaches get weight 0.
+
+    ``threshold=None`` takes the threshold from the EER sweep.  When the
     validation set is entirely correct (or entirely incorrect) the EER is
     undefined and the calibration degrades gracefully to accept-everything
-    (or reject-everything).
+    (or reject-everything).  A number is used as given, and only its
+    validation gap is measured.
     """
     if not validation:
         raise ValueError("empty validation set")
-    decoded = _decode_labeled(model, validation)
-    weights = _weights_from_decoded(model.taxonomy, decoded)
-    samples = []
-    for true_path, trace in decoded:
-        rel = reliability(trace.steps, weights)
-        samples.append((rel, true_path[-1] in trace.route))
+    t = model.taxonomy
+    eligible = [0] * (t.max_depth + 1)
+    correct = [0] * (t.max_depth + 1)
+    decoded = []
+    for doc in validation:
+        true_path = t.path(doc.label)
+        trace = decode(model, vectorize(doc, model.vocabulary))
+        for depth, node in enumerate(true_path, start=1):
+            eligible[depth] += 1
+            if depth <= len(trace.route) and trace.route[depth - 1] == node:
+                correct[depth] += 1
+        decoded.append((trace.steps, true_path[-1] in trace.route))
+    weights = {
+        depth: (correct[depth] / eligible[depth] if eligible[depth] else 0.0)
+        for depth in range(1, t.max_depth + 1)
+    }
+    samples = [(reliability(steps, weights), ok) for steps, ok in decoded]
 
-    if accept_all or threshold_override is not None:
-        threshold, source = (ACCEPT_ALL, "accept-all") if accept_all else (threshold_override, "manual")
+    if threshold is not None:
+        source = _override_source(threshold)
         gap = _fa_fr_gap(*_by_outcome(samples), threshold)
     else:
         try:
@@ -252,7 +231,7 @@ def build_calibration(
             source = "eer"
         except EerUndefinedError:
             if all(ok for _, ok in samples):
-                threshold, source = float("-inf"), "eer-all-correct"
+                threshold, source = ACCEPT_ALL, "eer-all-correct"
             else:
                 threshold, source = float("inf"), "eer-all-incorrect"
             gap = 0.0
@@ -327,6 +306,6 @@ def check_matching_vocabulary(model: CentroidModel, calibration_digest: str) -> 
         )
 
 
-def with_threshold(calibration: Calibration, threshold: float, source: str) -> Calibration:
-    """Copy of a calibration with a replaced acceptance threshold."""
-    return replace(calibration, threshold=threshold, source=source)
+def with_threshold(calibration: Calibration, threshold: float) -> Calibration:
+    """Copy of a calibration with a threshold given by hand ("manual", or "accept-all" for -inf)."""
+    return replace(calibration, threshold=threshold, source=_override_source(threshold))

@@ -428,7 +428,7 @@ NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents
         ((), NOISY, "eer", None),
         (("--accept-all",), NOISY, "accept-all", "-inf"),
         (("--threshold", "inf"), NOISY, "manual", "inf"),
-        (("--threshold=-inf",), NOISY, "manual", "-inf"),
+        (("--threshold=-inf",), NOISY, "accept-all", "-inf"),
         ((), {"--noise": "0.0"}, "eer-all-correct", "-inf"),
     ],
 )
@@ -453,19 +453,43 @@ def test_calibration_file_is_standard_json(tmp_path, capsys, flags, corpus, sour
     assert verdicts == expected
 
 
-@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
-def test_nan_threshold_is_a_usage_error(tmp_path, command):
+def command_inputs(tmp_path, command):
+    """Valid input flags for ``command``; train writes to tmp_path/out, evaluate to tmp_path/report."""
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
-    inputs = {
+    return {
         "train": ["--taxonomy", str(data / "taxonomy.tsv"), "--corpus", str(data / "corpus.tsv"),
-                  "--out-dir", str(tmp_path / "nan")],
+                  "--out-dir", str(tmp_path / "out")],
         "classify": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
                      "--input", str(data / "corpus.tsv")],
         "evaluate": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
                      "--corpus", str(data / "corpus.tsv"), "--out-dir", str(tmp_path / "report")],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+def test_nan_threshold_is_a_usage_error(tmp_path, command):
+    inputs = command_inputs(tmp_path, command)
     with pytest.raises(SystemExit) as exc:
         run_cli(command, *inputs, "--threshold", "nan")
     assert exc.value.code == 2
-    assert not (tmp_path / "nan").exists() and not (tmp_path / "report").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+def test_accept_all_with_threshold_is_a_usage_error(tmp_path, capsys, command):
+    inputs = command_inputs(tmp_path, command)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *inputs, "--accept-all", "--threshold", "0.5")
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "report").exists()
+
+
+def test_accept_all_is_threshold_minus_inf(tmp_path):
+    data = generate(tmp_path, **NOISY)
+    by_flag = train_into(tmp_path / "flag", data, "--accept-all")
+    by_value = train_into(tmp_path / "value", data, "--threshold=-inf")
+    for name in ("model.json", "calibration.json"):
+        assert (by_flag / name).read_bytes() == (by_value / name).read_bytes()

@@ -127,7 +127,7 @@ def test_render_report_sections():
 
 def test_evaluate_accept_all_matches_overall():
     run = synthetic_run(SyntheticSpec(depth=2, branching=3, docs_per_leaf=20, noise_fraction=0.4, seed=2), 0.2, 0.3)
-    cal = with_threshold(run.calibration, ACCEPT_ALL, "accept-all")
+    cal = with_threshold(run.calibration, ACCEPT_ALL)
     s = evaluate(run.model, cal, run.split.test)
     assert s.rejected == 0
     assert s.boosted_accuracy == s.overall_accuracy
@@ -171,7 +171,7 @@ def test_flat_baseline_single_leaf():
 def test_flat_baseline_matches_lcn_on_flat_taxonomy():
     run = synthetic_run(SyntheticSpec(depth=1, branching=4, docs_per_leaf=15, noise_fraction=0.2, seed=9), 0.2, 0.3)
     flat = flat_baseline(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
-    s = evaluate(run.model, with_threshold(run.calibration, ACCEPT_ALL, "accept-all"), run.split.test)
+    s = evaluate(run.model, with_threshold(run.calibration, ACCEPT_ALL), run.split.test)
     assert flat == pytest.approx(s.overall_accuracy)
 
 

@@ -14,7 +14,6 @@ from routecat.router import (
     CalibrationError,
     EerUndefinedError,
     build_calibration,
-    calibrate_weights,
     check_matching_vocabulary,
     classify_with_reject,
     confidence_score,
@@ -128,7 +127,7 @@ def test_calibrate_weights_examples():
         Document("v3", "A2", "ta t2"),
         Document("v4", "A1", "ta t2"),  # routed to A2 at depth 2: the one mistake
     ]
-    weights = calibrate_weights(model, validation)
+    weights = build_calibration(model, validation).level_weights
     assert weights[1] == 1.0
     assert weights[2] == 0.75
     assert weights[3] == 0.0  # nobody's true label reaches depth 3
@@ -137,7 +136,7 @@ def test_calibrate_weights_examples():
 
 def test_calibrate_weights_empty():
     with pytest.raises(ValueError, match="empty validation set"):
-        calibrate_weights(calibration_model(), [])
+        build_calibration(calibration_model(), []).level_weights
 
 
 def test_reliability_examples():
@@ -320,10 +319,11 @@ def test_build_calibration_all_incorrect_rejects_everything():
 def test_build_calibration_manual_and_accept_all():
     model = calibration_model()
     validation = [Document("v1", "A1", "ta t1"), Document("v2", "A1", "ta t2")]
-    manual = build_calibration(model, validation, threshold_override=0.5)
+    manual = build_calibration(model, validation, 0.5)
     assert manual.source == "manual" and manual.threshold == 0.5
-    everything = build_calibration(model, validation, accept_all=True)
+    everything = build_calibration(model, validation, ACCEPT_ALL)
     assert everything.source == "accept-all" and everything.threshold == -math.inf
+    assert build_calibration(model, validation, math.inf).source == "manual"
 
 
 def test_calibration_round_trip():
@@ -373,9 +373,11 @@ def test_calibration_fields_are_validated(field, value, message):
 
 def test_with_threshold_replaces_only_threshold():
     cal = Calibration({1: 1.0}, 0.5, 0.1, 4)
-    out = with_threshold(cal, 0.9, "manual")
+    out = with_threshold(cal, 0.9)
     assert out.threshold == 0.9 and out.source == "manual"
     assert out.level_weights == cal.level_weights and out.eer_gap == cal.eer_gap
+    everything = with_threshold(cal, -math.inf)
+    assert everything.threshold == ACCEPT_ALL and everything.source == "accept-all"
 
 
 @pytest.mark.parametrize(
@@ -413,6 +415,6 @@ def test_nan_threshold_is_refused():
     model = calibration_model()
     validation = [Document("v1", "A1", "ta t1"), Document("v2", "A2", "ta t1")]
     with pytest.raises(ValueError, match="NaN"):
-        build_calibration(model, validation, threshold_override=math.nan)
+        build_calibration(model, validation, math.nan)
     with pytest.raises(ValueError, match="NaN"):
-        with_threshold(build_calibration(model, validation), math.nan, "manual")
+        with_threshold(build_calibration(model, validation), math.nan)
