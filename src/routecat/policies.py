@@ -1,17 +1,19 @@
 """Positive/negative training-set construction for each node's local classifier.
 
 All six policies are defined over the documents' most specific labels.
-Writing lam(c) for the documents labeled exactly c, below(c) for documents
-labeled at a strict descendant of c, above(c) for documents labeled at a
-strict ancestor of c, and sib(c)/sib_below(c) for documents labeled at a
-sibling of c or a descendant of a sibling, the policies are:
+Each picks two label sets for a node c and then takes the documents
+labeled with them.  Writing sub(c) for c's subtree ({c} | descendants(c)),
+anc(c) for its strict ancestors, sib(c) for its siblings and sib_sub(c)
+for the union of the siblings' subtrees, the policies are:
 
-    exclusive            T+ = lam(c)             T- = everything else
-    less-exclusive       T+ = lam(c)             T- = all - lam(c) - below(c)
-    less-inclusive       T+ = lam(c) + below(c)  T- = everything else
-    inclusive            T+ = lam(c) + below(c)  T- = all - T+ - above(c)
-    siblings             T+ = lam(c) + below(c)  T- = sib(c) + sib_below(c)
-    exclusive-siblings   T+ = lam(c)             T- = sib(c)
+    exclusive            T+ = {c}       T- = every label outside {c}
+    less-exclusive       T+ = {c}       T- = every label outside sub(c)
+    less-inclusive       T+ = sub(c)    T- = every label outside sub(c)
+    inclusive            T+ = sub(c)    T- = every label outside sub(c) | anc(c)
+    siblings             T+ = sub(c)    T- = sib_sub(c)
+    exclusive-siblings   T+ = {c}       T- = sib(c)
+
+Each document set is selected in one scan of the training documents.
 """
 
 from __future__ import annotations
@@ -47,12 +49,15 @@ def _check_node(t: Taxonomy, node: NodeId) -> None:
         raise ValueError("the root carries no classifier and has no training set")
 
 
-def _ids_with_label_in(train: Sequence[Document], labels: frozenset[NodeId]) -> frozenset[str]:
-    return frozenset(d.doc_id for d in train if d.label in labels)
+def _ids_labeled(train: Sequence[Document], labels: frozenset[NodeId], inside: bool = True) -> frozenset[str]:
+    """Ids of the documents whose label is in ``labels`` (with ``inside=False``: is not in it)."""
+    if inside:
+        return frozenset(d.doc_id for d in train if d.label in labels)
+    return frozenset(d.doc_id for d in train if d.label not in labels)
 
 
 def most_specific_examples(train: Sequence[Document], t: Taxonomy, node: NodeId) -> frozenset[str]:
-    """Documents whose most specific label is exactly ``node`` (lam(c))."""
+    """Documents whose most specific label is exactly ``node``."""
     _check_node(t, node)
     return frozenset(d.doc_id for d in train if d.label == node)
 
@@ -63,39 +68,29 @@ def build_training_set(
     node: NodeId,
     policy: PolicyKind,
 ) -> NodeTrainingSet:
-    """Positive and negative doc_id sets for ``node`` under ``policy``."""
+    """Positive and negative doc_id sets for ``node`` under ``policy`` (see the module's table)."""
     _check_node(t, node)
-    everything = frozenset(d.doc_id for d in train)
-    lam = most_specific_examples(train, t, node)
-    below = _ids_with_label_in(train, t.descendants(node))
-    sibling_nodes = t.siblings(node)
-    sib_descendants = frozenset(
-        d for s in sibling_nodes for d in t.descendants(s)
-    )
-
+    own = frozenset((node,))
+    subtree = own | t.descendants(node)
+    # (T+ labels, T- labels, whether T- takes the labels inside its set or outside it)
     if policy is PolicyKind.EXCLUSIVE:
-        positives = lam
-        negatives = everything - positives
+        positive, negative, inside = own, own, False
     elif policy is PolicyKind.LESS_EXCLUSIVE:
-        positives = lam
-        negatives = everything - lam - below
+        positive, negative, inside = own, subtree, False
     elif policy is PolicyKind.LESS_INCLUSIVE:
-        positives = lam | below
-        negatives = everything - positives
+        positive, negative, inside = subtree, subtree, False
     elif policy is PolicyKind.INCLUSIVE:
-        positives = lam | below
-        above = _ids_with_label_in(train, t.ancestors(node))
-        negatives = everything - positives - above
+        positive, negative, inside = subtree, subtree | t.ancestors(node), False
     elif policy is PolicyKind.SIBLINGS:
-        positives = lam | below
-        negatives = _ids_with_label_in(train, sibling_nodes | sib_descendants)
+        # the parent's strict descendants are c's subtree plus its siblings' subtrees
+        positive, negative, inside = subtree, t.descendants(t.parent(node)) - subtree, True
     elif policy is PolicyKind.EXCLUSIVE_SIBLINGS:
-        positives = lam
-        negatives = _ids_with_label_in(train, sibling_nodes)
+        positive, negative, inside = own, t.siblings(node), True
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unhandled policy {policy!r}")
-
-    return NodeTrainingSet(node=node, positives=positives, negatives=negatives)
+    return NodeTrainingSet(
+        node=node, positives=_ids_labeled(train, positive), negatives=_ids_labeled(train, negative, inside)
+    )
 
 
 def positives_for_centroid(train: Sequence[Document], t: Taxonomy, node: NodeId) -> frozenset[str]:
@@ -106,4 +101,4 @@ def positives_for_centroid(train: Sequence[Document], t: Taxonomy, node: NodeId)
     whole subtree.
     """
     _check_node(t, node)
-    return most_specific_examples(train, t, node) | _ids_with_label_in(train, t.descendants(node))
+    return _ids_labeled(train, frozenset((node,)) | t.descendants(node))
