@@ -161,6 +161,20 @@ def loads_artifact(text: str, kind: str, version: int, error: type[Exception], b
         raise error(f"malformed {kind} file: {exc}") from exc
 
 
+def checked_int(value: object, what: str) -> int:
+    """``value`` if JSON read it as an integer (true and false load as bool, a subclass of int)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def checked_float(value: object, what: str) -> float:
+    """``value`` if JSON read it as a finite float, as the writers always write weights."""
+    if type(value) is not float or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite float, not {value!r}")
+    return value
+
+
 def _entries_payload(vec: SparseVector) -> list[list]:
     return [[idx, w] for idx, w in vec.entries]
 
@@ -191,10 +205,12 @@ def dumps_model(model: CentroidModel) -> str:
 def loads_model(text: str) -> CentroidModel:
     """Inverse of :func:`dumps_model`.
 
-    Unknown formats and versions, missing or wrongly typed fields, centroid
-    entries whose term indices do not increase below the vocabulary size or
-    whose weights are not finite, and models that lack a centroid a node
-    needs raise :class:`ModelFormatError`.
+    Unknown formats and versions, missing or wrongly typed fields, a
+    vocabulary whose indices are not its positions 0..n-1 or whose terms
+    repeat, centroid entries whose term indices are not integers increasing
+    below the vocabulary size or whose weights are not finite floats, and
+    models that lack a centroid a node needs raise :class:`ModelFormatError`.
+    Values are checked as JSON typed them, never converted.
     """
     model = loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
     t = model.taxonomy
@@ -211,27 +227,33 @@ def loads_model(text: str) -> CentroidModel:
 
 def _model_from_payload(payload: dict) -> CentroidModel:
     vocab_payload = payload["vocabulary"]
-    terms = [(term, int(idx), int(n)) for term, idx, n in vocab_payload["terms"]]
-    vocabulary = Vocabulary(
-        index={term: idx for term, idx, _ in terms},
-        doc_frequency={term: n for term, _, n in terms},
-        n_docs=int(vocab_payload["n_docs"]),
-    )
+    index: dict[str, int] = {}
+    doc_frequency: dict[str, int] = {}
+    for position, (term, idx, df) in enumerate(vocab_payload["terms"]):
+        if not isinstance(term, str) or term in index:
+            raise ValueError(f"vocabulary term {term!r} is not a string or repeats")
+        if type(idx) is not int or idx != position:
+            raise ValueError(f"vocabulary term {term!r} has index {idx!r} at position {position}")
+        index[term] = idx
+        doc_frequency[term] = checked_int(df, f"document frequency of {term!r}")
+    n_docs = checked_int(vocab_payload["n_docs"], "n_docs")
+    vocabulary = Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=n_docs)
     n_terms = len(vocabulary)
 
     def vector(node: NodeId, entries: list) -> SparseVector:
         # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices
-        vec = SparseVector(tuple((int(i), float(w)) for i, w in entries))
+        out = []
         previous = -1
-        for i, w in vec.entries:
-            if not previous < i < n_terms:
+        for i, w in entries:
+            if type(i) is not int or not previous < i < n_terms:
                 raise ValueError(
-                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
+                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i!r} after {previous}"
                 )
-            if not math.isfinite(w):
-                raise ValueError(f"centroid of {node!r}: weight {w} of term {i} is not finite")
+            if type(w) is not float or not math.isfinite(w):
+                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not a float or not finite")
+            out.append((i, w))
             previous = i
-        return vec
+        return SparseVector(tuple(out))
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
         return {node: vector(node, entries) for node, entries in mapping.items()}

@@ -16,7 +16,15 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from routecat.centroid import CentroidModel, dumps_artifact, loads_artifact, node_score, vocabulary_digest
+from routecat.centroid import (
+    CentroidModel,
+    checked_float,
+    checked_int,
+    dumps_artifact,
+    loads_artifact,
+    node_score,
+    vocabulary_digest,
+)
 from routecat.corpus import Document, SparseVector, vectorize
 from routecat.taxonomy import NodeId, TaxonomyError
 
@@ -276,8 +284,10 @@ def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
 def loads_calibration(text: str) -> tuple[Calibration, str]:
     """Inverse of :func:`dumps_calibration`; returns the calibration and its digest.
 
-    Unknown formats and versions, missing or wrongly typed fields, and a NaN
-    threshold raise :class:`CalibrationError`.
+    Unknown formats and versions, missing or wrongly typed fields (weights
+    and the gap must be finite floats, the size an integer, each weight key a
+    depth written as a plain integer), and a NaN threshold raise
+    :class:`CalibrationError`.
     """
     return loads_artifact(
         text, "calibration", CALIBRATION_FORMAT_VERSION, CalibrationError, _calibration_from_payload
@@ -285,11 +295,17 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
 
 
 def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
+    level_weights = {}
+    for key, weight in payload["level_weights"].items():
+        depth = int(key)
+        if str(depth) != key:
+            raise ValueError(f"level weight key {key!r} is not a depth")
+        level_weights[depth] = checked_float(weight, f"level weight {key}")
     calibration = Calibration(
-        level_weights={int(k): float(v) for k, v in payload["level_weights"].items()},
+        level_weights=level_weights,
         threshold=_threshold_from_json(payload["threshold"]),
-        eer_gap=float(payload["eer_gap"]),
-        validation_size=int(payload["validation_size"]),
+        eer_gap=checked_float(payload["eer_gap"], "eer_gap"),
+        validation_size=checked_int(payload["validation_size"], "validation_size"),
         source=payload["source"],
     )
     digest = payload["vocabulary_digest"]

@@ -210,6 +210,10 @@ def test_model_fields_are_validated(t0, t0_docs, field, value, message):
         ([[6, 0.5]], "must increase below 6, got 6 after -1"),
         ([[0, float("nan")]], "not finite"),
         ([[0, 0.5], [1, float("-inf")]], "not finite"),
+        # JSON has typed these values already: a float or bool index and a string weight are refused, not converted
+        ([[0.9, 0.5], [1.5, 0.2]], "must increase below 6, got 0.9 after -1"),
+        ([[True, 0.5]], "must increase below 6, got True after -1"),
+        ([[0, "0.5"]], "not a float"),
     ],
 )
 def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, message):
@@ -217,6 +221,33 @@ def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, messa
     assert len(payload["vocabulary"]["terms"]) == 6
     payload[field]["A1"] = entries
     with pytest.raises(ModelFormatError, match=f"malformed model file: centroid of 'A1': .*{message}"):
+        loads_model(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "position, column, value, message",
+    [
+        (3, 1, 2.7, "'two' has index 2.7 at position 3"),  # int() made it 2, the index of 'uno'
+        (1, 1, 0, "'one' has index 0 at position 1"),  # two terms on one index: vectorize("alpha one") lost one
+        (1, 1, True, "'one' has index True at position 1"),
+        (1, 0, "alpha", "'alpha' is not a string or repeats"),
+        (0, 0, 7, "7 is not a string"),
+        (2, 2, 1.0, "document frequency of 'uno' must be an integer, not 1.0"),
+        (2, 2, "1", "document frequency of 'uno' must be an integer"),
+    ],
+)
+def test_model_vocabulary_is_validated(t0, t0_docs, position, column, value, message):
+    payload = json.loads(dumps_model(_toy_model(t0, t0_docs)))
+    payload["vocabulary"]["terms"][position][column] = value
+    with pytest.raises(ModelFormatError, match=f"malformed model file: .*{message}"):
+        loads_model(json.dumps(payload))
+
+
+@pytest.mark.parametrize("n_docs", [4.0, "4", True])
+def test_model_document_count_must_be_an_integer(t0, t0_docs, n_docs):
+    payload = json.loads(dumps_model(_toy_model(t0, t0_docs)))
+    payload["vocabulary"]["n_docs"] = n_docs
+    with pytest.raises(ModelFormatError, match="n_docs must be an integer"):
         loads_model(json.dumps(payload))
 
 

@@ -359,6 +359,14 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("source", 1, "must be strings"),
         ("vocabulary_digest", None, "no field 'vocabulary_digest'"),
         ("vocabulary_digest", 7, "must be strings"),
+        # values JSON has typed are checked, not converted
+        ("level_weights", {"1": "0.5"}, "level weight 1 must be a finite float"),
+        ("level_weights", {"1": True}, "level weight 1 must be a finite float"),
+        ("level_weights", {"01": 1.0}, "'01' is not a depth"),
+        ("eer_gap", "0.25", "eer_gap must be a finite float"),
+        ("eer_gap", math.nan, "eer_gap must be a finite float"),
+        ("validation_size", 3.7, "validation_size must be an integer"),
+        ("validation_size", True, "validation_size must be an integer"),
     ],
 )
 def test_calibration_fields_are_validated(field, value, message):
