@@ -19,7 +19,7 @@ from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 T = TypeVar("T")
 
@@ -39,7 +39,9 @@ class CentroidModel:
 
     Nodes with no member documents map to the empty vector and score 0.
     The taxonomy travels with the model so a serialized model is
-    self-contained for classification.
+    self-contained for classification.  ``training_digest`` is the
+    :func:`documents_digest` of the training documents, so that evaluation
+    can refuse a split whose training part differs.
     """
 
     taxonomy: Taxonomy
@@ -48,6 +50,7 @@ class CentroidModel:
     policy: PolicyKind | None
     centroid_of: Mapping[NodeId, SparseVector]
     negative_centroid_of: Mapping[NodeId, SparseVector] | None = None
+    training_digest: str = ""
 
 
 def mean_vector(doc_ids: frozenset[str], vectors: Mapping[str, SparseVector]) -> SparseVector:
@@ -104,6 +107,7 @@ def train(
         policy=policy if mode is Mode.BINARY else None,
         centroid_of=centroids,
         negative_centroid_of=negatives if mode is Mode.BINARY else None,
+        training_digest=documents_digest(train_docs),
     )
 
 
@@ -128,6 +132,12 @@ def vocabulary_digest(vocab: Vocabulary) -> str:
         h.update(f"{term}\t{idx}\t{vocab.doc_frequency[term]}\n".encode("utf-8"))
     h.update(str(vocab.n_docs).encode("utf-8"))
     return h.hexdigest()
+
+
+def documents_digest(docs: Sequence[Document]) -> str:
+    """sha256 of the documents written as ``doc_id<TAB>label<TAB>text`` corpus lines, in order."""
+    lines = "".join(f"{d.doc_id}\t{d.label}\t{d.text}\n" for d in docs)
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
 
 def dumps_artifact(kind: str, version: int, fields: Mapping[str, object]) -> str:
@@ -192,6 +202,7 @@ def dumps_model(model: CentroidModel) -> str:
             "terms": [[term, idx, vocab.doc_frequency[term]] for term, idx in terms],
         },
         "vocabulary_digest": vocabulary_digest(vocab),
+        "training_digest": model.training_digest,
         "centroids": {node: _entries_payload(vec) for node, vec in model.centroid_of.items()},
         "negative_centroids": (
             {node: _entries_payload(vec) for node, vec in model.negative_centroid_of.items()}
@@ -258,6 +269,9 @@ def _model_from_payload(payload: dict) -> CentroidModel:
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
         return {node: vector(node, entries) for node, entries in mapping.items()}
 
+    digest = payload["training_digest"]
+    if not isinstance(digest, str):
+        raise TypeError(f"training_digest must be a string, not {digest!r}")
     negative = payload.get("negative_centroids")
     return CentroidModel(
         taxonomy=parse_taxonomy(payload["taxonomy"]),
@@ -266,4 +280,5 @@ def _model_from_payload(payload: dict) -> CentroidModel:
         policy=PolicyKind(payload["policy"]) if payload.get("policy") else None,
         centroid_of=vectors(payload["centroids"]),
         negative_centroid_of=vectors(negative) if negative is not None else None,
+        training_digest=digest,
     )

@@ -16,7 +16,15 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from routecat import evaluation
-from routecat.centroid import CentroidModel, Mode, ModelFormatError, dumps_model, loads_model, vocabulary_digest
+from routecat.centroid import (
+    CentroidModel,
+    Mode,
+    ModelFormatError,
+    documents_digest,
+    dumps_model,
+    loads_model,
+    vocabulary_digest,
+)
 from routecat.corpus import CorpusError, Document, load_corpus, split_corpus, vectorize
 from routecat.policies import PolicyKind
 from routecat.router import (
@@ -186,6 +194,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     calibration = _apply_threshold_flags(calibration, args)
     docs = _load(Path(args.corpus), "corpus", lambda text: load_corpus(text, model.taxonomy))
     split = split_corpus(docs, args.val_fraction, args.test_fraction, args.seed)
+    if documents_digest(split.train) != model.training_digest:
+        raise CliError(
+            f"{args.corpus}: the model was not trained on this split's training part; "
+            "give evaluate the corpus, --val-fraction, --test-fraction and --seed that train was given"
+        )
     summary_rows, comparison_rows = evaluation.report_rows(args.problem, model, calibration, split)
     out = Path(args.out_dir)
     _write_text(out / "summary.csv", evaluation.summary_csv(summary_rows))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from routecat.centroid import (
     Mode,
     ModelFormatError,
+    documents_digest,
     dumps_model,
     loads_model,
     mean_vector,
@@ -152,6 +154,16 @@ def test_train_is_deterministic(t0, t0_docs):
     assert dumps_model(a) == dumps_model(b)
 
 
+def test_model_records_its_training_documents(t0, t0_docs):
+    model = _toy_model(t0, t0_docs)
+    assert model.training_digest == documents_digest(t0_docs)
+    assert loads_model(dumps_model(model)).training_digest == model.training_digest
+    assert documents_digest(t0_docs[::-1]) != model.training_digest
+    assert documents_digest(t0_docs[:-1]) != model.training_digest
+    lines = "".join(f"{d.doc_id}\t{d.label}\t{d.text}\n" for d in t0_docs)
+    assert model.training_digest == hashlib.sha256(lines.encode("utf-8")).hexdigest()
+
+
 def test_model_round_trip(t0, t0_docs):
     model = _toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.EXCLUSIVE)
     text = dumps_model(model)
@@ -167,13 +179,15 @@ def test_model_round_trip(t0, t0_docs):
 
 def test_model_version_check(t0, t0_docs):
     text = dumps_model(_toy_model(t0, t0_docs))
-    tampered = text.replace('"format_version":1', '"format_version":99')
+    tampered = text.replace('"format_version":2', '"format_version":99')
     with pytest.raises(ModelFormatError, match="version"):
         loads_model(tampered)
     with pytest.raises(ModelFormatError):
         loads_model('{"format":"something-else"}')
     with pytest.raises(ModelFormatError):
         loads_model("not json at all")
+    with pytest.raises(ModelFormatError, match="unsupported model format version 1, expected 2"):
+        loads_model(text.replace('"format_version":2', '"format_version":1'))
 
 
 @pytest.mark.parametrize(
@@ -187,6 +201,8 @@ def test_model_version_check(t0, t0_docs):
         ("centroids", [], "malformed"),
         ("centroids", {"A": []}, "no centroid for node"),
         ("negative_centroids", None, "negative centroid"),
+        ("training_digest", None, "no field 'training_digest'"),
+        ("training_digest", 7, "training_digest must be a string"),
     ],
 )
 def test_model_fields_are_validated(t0, t0_docs, field, value, message):

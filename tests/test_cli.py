@@ -300,6 +300,33 @@ def test_generate_bad_noise_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "split, corpus_seed",
+    [
+        (("--val-fraction", "0.3", "--test-fraction", "0.3", "--seed", "5"), "5"),  # other fractions
+        (("--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "6"), "5"),  # other seed
+        (("--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "5"), "6"),  # other corpus
+    ],
+)
+def test_evaluate_refuses_a_split_the_model_was_not_trained_on(tmp_path, capsys, split, corpus_seed):
+    run = train_into(tmp_path, generate(tmp_path))
+    other = generate(tmp_path / "other", **{"--seed": corpus_seed})
+    capsys.readouterr()
+    code = run_cli(
+        "evaluate",
+        "--model", str(run / "model.json"),
+        "--calibration", str(run / "calibration.json"),
+        "--corpus", str(other / "corpus.tsv"),
+        *split,
+        "--out-dir", str(tmp_path / "report"),
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and not (tmp_path / "report").exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not trained on this split's training part" in captured.err
+
+
 def test_accept_all_evaluate_has_zero_boost(tmp_path):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
@@ -405,7 +432,8 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
     artifact = tmp_path / f"bad-{bad}.json"
-    artifact.write_text(f'{{"format":"routecat-{bad}","format_version":1}}')
+    version = {"model": 2, "calibration": 1}[bad]
+    artifact.write_text(f'{{"format":"routecat-{bad}","format_version":{version}}}')
     paths = {"model": run / "model.json", "calibration": run / "calibration.json", bad: artifact}
     result = subprocess.run(
         [sys.executable, "-m", "routecat.cli", "classify", "--model", str(paths["model"]),
