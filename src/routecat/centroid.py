@@ -82,12 +82,14 @@ def train(
     In positive-only mode a node averages every document labeled at the node
     or below it.  In binary mode the chosen policy supplies the positive set,
     and the mean of its negative set is stored alongside for contrastive
-    scoring.
+    scoring; a policy in positive-only mode is refused, not ignored.
     """
     if not train_docs:
         raise ValueError("empty training set")
     if mode is Mode.BINARY and policy is None:
         raise ValueError("binary mode requires a training policy")
+    if mode is Mode.POSITIVE_ONLY and policy is not None:
+        raise ValueError(f"policy {policy.value!r} applies only in binary mode")
     vectors = {d.doc_id: vectorize(d, vocabulary) for d in train_docs}
     centroids: dict[NodeId, SparseVector] = {}
     negatives: dict[NodeId, SparseVector] = {}
@@ -104,7 +106,7 @@ def train(
         taxonomy=taxonomy,
         vocabulary=vocabulary,
         mode=mode,
-        policy=policy if mode is Mode.BINARY else None,
+        policy=policy,
         centroid_of=centroids,
         negative_centroid_of=negatives if mode is Mode.BINARY else None,
         training_digest=documents_digest(train_docs),

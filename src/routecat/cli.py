@@ -143,16 +143,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     taxonomy = _load(Path(args.taxonomy), "taxonomy", parse_taxonomy)
     docs = _load(Path(args.corpus), "corpus", lambda text: load_corpus(text, taxonomy))
-    mode = Mode(args.mode)
-    if mode is Mode.BINARY and args.policy is None:
-        raise CliError("--mode binary requires --policy")
     run = evaluation.train_and_calibrate(
         taxonomy,
         docs,
         args.val_fraction,
         args.test_fraction,
         args.seed,
-        mode=mode,
+        mode=Mode(args.mode),
         policy=PolicyKind(args.policy) if args.policy else None,
         threshold=args.threshold,
     )

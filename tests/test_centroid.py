@@ -106,6 +106,11 @@ def test_binary_mode_requires_policy(t0, t0_docs):
         _toy_model(t0, t0_docs, mode=Mode.BINARY)
 
 
+def test_positive_only_mode_refuses_a_policy(t0, t0_docs):
+    with pytest.raises(ValueError, match="'siblings' applies only in binary mode"):
+        _toy_model(t0, t0_docs, policy=PolicyKind.SIBLINGS)
+
+
 def test_binary_mode_clamps_at_zero(t0, t0_docs):
     model = _toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
     assert model.negative_centroid_of is not None

@@ -301,6 +301,28 @@ def test_generate_bad_noise_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--policy", "siblings"), "policy 'siblings' applies only in binary mode"),
+        (("--mode", "binary"), "binary mode requires a training policy"),
+    ],
+)
+def test_train_refuses_policy_and_mode_mismatch(tmp_path, capsys, flags, message):
+    data = generate(tmp_path)
+    capsys.readouterr()
+    code = run_cli(
+        "train",
+        "--taxonomy", str(data / "taxonomy.tsv"),
+        "--corpus", str(data / "corpus.tsv"),
+        "--out-dir", str(tmp_path / "run"),
+        *flags,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "split, corpus_seed",
     [
         (("--val-fraction", "0.3", "--test-fraction", "0.3", "--seed", "5"), "5"),  # other fractions
