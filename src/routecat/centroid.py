@@ -138,8 +138,10 @@ def vocabulary_digest(vocab: Vocabulary) -> str:
 
 def documents_digest(docs: Sequence[Document]) -> str:
     """sha256 of the documents written as ``doc_id<TAB>label<TAB>text`` corpus lines, in order."""
-    lines = "".join(f"{d.doc_id}\t{d.label}\t{d.text}\n" for d in docs)
-    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
+    h = hashlib.sha256()
+    for d in docs:
+        h.update(f"{d.doc_id}\t{d.label}\t{d.text}\n".encode("utf-8"))
+    return h.hexdigest()
 
 
 def dumps_artifact(kind: str, version: int, fields: Mapping[str, object]) -> str:

@@ -110,10 +110,10 @@ def _apply_threshold_flags(calibration: Calibration, args: argparse.Namespace) -
     return calibration if args.threshold is None else with_threshold(calibration, args.threshold)
 
 
-def _add_threshold_flags(p: argparse.ArgumentParser, threshold_help: str | None = None) -> None:
+def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     """``--threshold`` and its short spelling ``--accept-all`` (``--threshold=-inf``); at most one of them."""
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--threshold", type=_threshold, default=None, help=threshold_help)
+    group.add_argument("--threshold", type=_threshold, default=None, help="use this threshold, not the calibrated one")
     group.add_argument(
         "--accept-all", dest="threshold", action="store_const", const=ACCEPT_ALL,
         help="same as --threshold=-inf: accept everything",
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.POSITIVE_ONLY.value)
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
-    _add_threshold_flags(p, "skip EER and use this threshold")
+    _add_threshold_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
