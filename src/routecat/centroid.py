@@ -12,10 +12,10 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
+from routecat.corpus import Document, SparseVector, TermTable, Vocabulary, vectorize
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
@@ -41,7 +41,9 @@ class CentroidModel:
     The taxonomy travels with the model so a serialized model is
     self-contained for classification.  ``training_digest`` is the
     :func:`documents_digest` of the training documents, so that evaluation
-    can refuse a split whose training part differs.
+    can refuse a split whose training part differs.  ``group_tables``
+    caches one :class:`~routecat.corpus.TermTable` per sibling group, keyed
+    by the group's parent, as :func:`group_scores` first needs it.
     """
 
     taxonomy: Taxonomy
@@ -51,6 +53,7 @@ class CentroidModel:
     centroid_of: Mapping[NodeId, SparseVector]
     negative_centroid_of: Mapping[NodeId, SparseVector] | None = None
     training_digest: str = ""
+    group_tables: dict[NodeId, TermTable] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def mean_vector(doc_ids: frozenset[str], vectors: Mapping[str, SparseVector]) -> SparseVector:
@@ -125,6 +128,33 @@ def node_score(model: CentroidModel, d: SparseVector, node: NodeId) -> float:
     if model.mode is Mode.BINARY:
         score = max(0.0, score - d.dot(model.negative_centroid_of[node]))
     return score
+
+
+def group_scores(model: CentroidModel, d: SparseVector, parent: NodeId) -> list[float]:
+    """``[node_score(model, d, c) for c in children(parent)]``, with the same floats, from one table lookup per term.
+
+    The group's table is built the first time it is needed and cached on
+    the model: one column per child centroid, followed in binary mode by
+    one per child's negative centroid.
+    """
+    table = model.group_tables.get(parent)
+    if table is None:
+        table = model.group_tables[parent] = TermTable(_group_vectors(model, model.taxonomy.children(parent)))
+    scores = table.dots(d)
+    if model.mode is Mode.BINARY:
+        half = len(scores) // 2
+        return [max(0.0, pos - neg) for pos, neg in zip(scores[:half], scores[half:])]
+    return scores
+
+
+def _group_vectors(model: CentroidModel, group: Sequence[NodeId]) -> list[SparseVector]:
+    missing = [node for node in group if node not in model.centroid_of]
+    if missing:
+        raise UnknownNodeError(f"no classifier for node {missing[0]!r}")
+    vectors = [model.centroid_of[node] for node in group]
+    if model.mode is Mode.BINARY:
+        vectors += [model.negative_centroid_of[node] for node in group]
+    return vectors
 
 
 def vocabulary_digest(vocab: Vocabulary) -> str:

@@ -148,6 +148,39 @@ class InvertedIndex:
         return list(map(math.fsum, acc))
 
 
+class TermTable:
+    """Inner products of one document with each of a few fixed vectors, one table row per term.
+
+    The table maps every term to a tuple of weights with one column per
+    vector, 0.0 where a vector lacks the term.  A document looks up one row
+    per term (a term no vector holds gets the all-zero row), the rows are
+    transposed into columns in C, and each score is the fsum of the
+    column's products.  The padding products are +0.0 for nonnegative
+    document weights and leave an fsum unchanged, and fsum is correctly
+    rounded, so ``dots(d)[k] == d.dot(vectors[k])`` bit for bit, for
+    vectors with distinct indices.  Dense rows suit a few vectors, such as
+    one sibling group; :class:`InvertedIndex` suits many.
+    """
+
+    def __init__(self, vectors: Sequence[SparseVector]) -> None:
+        rows: dict[int, list[float]] = {}
+        for column, vec in enumerate(vectors):
+            for i, w in vec.entries:
+                if i not in rows:
+                    rows[i] = [0.0] * len(vectors)
+                rows[i][column] = w
+        self._rows = {i: tuple(row) for i, row in rows.items()}
+        self._zero_row = (0.0,) * len(vectors)
+
+    def dots(self, d: SparseVector) -> list[float]:
+        """``[d.dot(v) for v in vectors]``, with the same floats."""
+        if not d.entries:
+            return list(self._zero_row)
+        indices, weights = zip(*d.entries)
+        columns = zip(*map(self._rows.get, indices, repeat(self._zero_row)))
+        return [math.fsum(map(mul, weights, column)) for column in columns]
+
+
 def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:
     """TF-IDF vector of a document, L2-normalized.
 

@@ -21,8 +21,8 @@ from routecat.centroid import (
     checked_float,
     checked_int,
     dumps_artifact,
+    group_scores,
     loads_artifact,
-    node_score,
     vocabulary_digest,
 )
 from routecat.corpus import Document, SparseVector, vectorize
@@ -108,17 +108,20 @@ def confidence_score(group_scores: Mapping[NodeId, float], chosen: NodeId) -> fl
 def decode(model: CentroidModel, d: SparseVector) -> RouteTrace:
     """Route a document vector from the root's children down to a leaf.
 
-    Every step records the full sibling group's scores; prediction never
-    stops early, so the route always ends at a leaf.
+    Every step records the full sibling group's scores, which
+    :func:`~routecat.centroid.group_scores` computes in one pass over the
+    document's terms; prediction never stops early, so the route always
+    ends at a leaf.
     """
     t = model.taxonomy
-    group = t.children(t.root)
+    parent = t.root
+    group = t.children(parent)
     if not group:
         raise TaxonomyError("taxonomy root has no children")
     route: list[NodeId] = []
     steps: list[LevelStep] = []
     while group:
-        scores = {node: node_score(model, d, node) for node in group}
+        scores = dict(zip(group, group_scores(model, d, parent)))
         chosen = group[0]
         best = scores[chosen]
         for node in group[1:]:
@@ -126,7 +129,8 @@ def decode(model: CentroidModel, d: SparseVector) -> RouteTrace:
                 chosen, best = node, scores[node]
         route.append(chosen)
         steps.append(LevelStep(chosen=chosen, group_scores=scores, confidence=confidence_score(scores, chosen)))
-        group = t.children(chosen)
+        parent = chosen
+        group = t.children(parent)
     return RouteTrace(route=tuple(route), steps=tuple(steps))
 
 

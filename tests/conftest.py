@@ -1,12 +1,13 @@
-"""Shared fixtures: the toy taxonomy, random instances, a naive policy oracle, a strict JSON hook, and synthetic runs."""
+"""Shared fixtures: the toy taxonomy, random instances and sparse vectors, a naive policy oracle, a strict JSON hook, and synthetic runs."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from routecat.corpus import Document, load_corpus
+from routecat.corpus import Document, SparseVector, load_corpus
 from routecat.evaluation import SyntheticSpec, TrainedRun, generate_synthetic, train_and_calibrate
 from routecat.policies import PolicyKind
 from routecat.taxonomy import Taxonomy, parse_taxonomy
@@ -15,6 +16,17 @@ T0_TEXT = "ROOT\tA\nROOT\tB\nA\tA1\nA\tA2\nB\tB1\n"
 
 # characters str.splitlines breaks on besides LF and CR; in a TSV input they are part of the line
 LINE_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+# Nonnegative weights: ordinary ones, and zero or subnormal ones whose products underflow.
+weights = st.one_of(
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=0.0, max_value=SMALLEST_NORMAL),
+)
+# A small index space, so supports often overlap and sometimes are disjoint or empty.
+sparse_vectors = st.dictionaries(st.integers(0, 24), weights, max_size=10).map(
+    lambda m: SparseVector(tuple(sorted(m.items())))
+)
 
 
 @pytest.fixture
@@ -112,9 +124,12 @@ def refuse_json_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def synthetic_run(spec: SyntheticSpec, val_fraction: float, test_fraction: float) -> TrainedRun:
-    """Generate the spec's corpus and run the shared pipeline on it, split by the spec's seed."""
+def synthetic_run(spec: SyntheticSpec, val_fraction: float, test_fraction: float, **training) -> TrainedRun:
+    """Generate the spec's corpus and run the shared pipeline on it, split by the spec's seed.
+
+    ``training`` (mode, policy, threshold) is passed on to ``train_and_calibrate``.
+    """
     taxonomy_text, corpus_text = generate_synthetic(spec)
     taxonomy = parse_taxonomy(taxonomy_text)
     docs = load_corpus(corpus_text, taxonomy)
-    return train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed)
+    return train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed, **training)

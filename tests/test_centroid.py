@@ -2,13 +2,16 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import SMALLEST_NORMAL, sparse_vectors
 from routecat.centroid import (
+    CentroidModel,
     Mode,
     ModelFormatError,
     documents_digest,
     dumps_model,
+    group_scores,
     loads_model,
     mean_vector,
     node_score,
@@ -16,7 +19,7 @@ from routecat.centroid import (
 )
 from routecat.corpus import SparseVector, Vocabulary, build_vocabulary
 from routecat.policies import PolicyKind
-from routecat.taxonomy import UnknownNodeError
+from routecat.taxonomy import UnknownNodeError, parse_taxonomy
 
 
 def vec(*pairs):
@@ -277,3 +280,56 @@ def test_unit_vectors_give_unit_bounded_similarity(t0, t0_docs):
         d = vectorize(doc, vocab)
         for node, centroid in model.centroid_of.items():
             assert -1e-12 <= d.dot(centroid) <= 1.0 + 1e-12
+
+
+def group_model(mode, centroids, negatives):
+    """A one-level model whose root children c0, c1, ... have the given centroids (and negatives in binary mode)."""
+    children = [f"c{k}" for k in range(len(centroids))]
+    return CentroidModel(
+        taxonomy=parse_taxonomy("".join(f"R\t{c}\n" for c in children)),
+        vocabulary=Vocabulary(index={}, doc_frequency={}, n_docs=1),
+        mode=mode,
+        policy=PolicyKind.SIBLINGS if mode is Mode.BINARY else None,
+        centroid_of=dict(zip(children, centroids)),
+        negative_centroid_of=dict(zip(children, negatives)) if mode is Mode.BINARY else None,
+    )
+
+
+@given(
+    sparse_vectors,
+    st.lists(st.tuples(sparse_vectors, sparse_vectors), min_size=1, max_size=6),
+    st.sampled_from(Mode),
+)
+@example(SparseVector(), [(vec((0, 1.0)), vec((1, 1.0))), (SparseVector(), SparseVector())], Mode.BINARY)
+@example(vec((0, 1.0)), [(vec((1, 1.0)), vec((2, 1.0)))], Mode.POSITIVE_ONLY)
+@example(
+    vec((0, 5e-324), (1, 0.1), (2, 1e3)),
+    [(vec((0, SMALLEST_NORMAL), (1, 0.7), (2, 1e-3)), vec((0, 5e-324), (2, 5e-324)))],
+    Mode.BINARY,
+)
+# a plain left-to-right sum gives 1.0 for c0; the correctly rounded sum is 1.0000000000000002
+@example(vec((0, 1.0), (1, 1.0), (2, 1.0)), [(vec((0, 1.0), (1, 1e-16), (2, 1e-16)), SparseVector())], Mode.BINARY)
+# c0 scores 0.25 - 0.5, which clamps to 0.0
+@example(vec((0, 1.0)), [(vec((0, 0.25)), vec((0, 0.5))), (vec((0, 0.5)), vec((0, 0.25)))], Mode.BINARY)
+def test_group_scores_equal_node_score_bit_for_bit(d, children, mode):
+    model = group_model(mode, *zip(*children))
+    group = model.taxonomy.children("R")
+    assert group_scores(model, d, "R") == [node_score(model, d, node) for node in group]
+
+
+def test_group_scores_clamp_binary_contrast_at_zero():
+    model = group_model(Mode.BINARY, [vec((0, 0.25)), vec((0, 0.5))], [vec((0, 0.5)), vec((0, 0.25))])
+    assert group_scores(model, vec((0, 1.0)), "R") == [0.0, 0.25]
+
+
+def test_group_scores_need_a_centroid_for_every_child():
+    model = group_model(Mode.POSITIVE_ONLY, [vec((0, 1.0)), vec((0, 0.5))], [])
+    lacking = CentroidModel(
+        taxonomy=model.taxonomy,
+        vocabulary=model.vocabulary,
+        mode=model.mode,
+        policy=None,
+        centroid_of={"c0": model.centroid_of["c0"]},
+    )
+    with pytest.raises(UnknownNodeError, match="no classifier for node 'c1'"):
+        group_scores(lacking, vec((0, 1.0)), "R")

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import refuse_json_constant, synthetic_run
-from routecat.centroid import CentroidModel, Mode, vocabulary_digest
-from routecat.corpus import Document, SparseVector, Vocabulary, vectorize
-from routecat.evaluation import SyntheticSpec, flat_predictions, leaf_centroids
+from routecat import centroid
+from routecat.centroid import CentroidModel, Mode, node_score, vocabulary_digest
+from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus, vectorize
+from routecat.evaluation import SyntheticSpec, flat_predictions, generate_synthetic, leaf_centroids
+from routecat.policies import PolicyKind
 from routecat.router import (
     ACCEPT_ALL,
     Calibration,
     CalibrationError,
     EerUndefinedError,
+    LevelStep,
+    RouteTrace,
     build_calibration,
     check_matching_vocabulary,
     classify_with_reject,
@@ -24,7 +28,7 @@ from routecat.router import (
     reliability,
     with_threshold,
 )
-from routecat.taxonomy import TaxonomyError, parse_taxonomy
+from routecat.taxonomy import TaxonomyError, UnknownNodeError, parse_taxonomy
 
 
 def vec(*pairs):
@@ -92,6 +96,72 @@ def test_decode_requires_children():
     )
     with pytest.raises(TaxonomyError, match="no children"):
         decode(bare, vec((0, 1.0)))
+
+
+def node_score_decode(model, d):
+    """The specification of :func:`decode`: every group member scored by its own ``node_score`` call."""
+    t = model.taxonomy
+    group = t.children(t.root)
+    route, steps = [], []
+    while group:
+        scores = {node: node_score(model, d, node) for node in group}
+        chosen = group[0]
+        for node in group[1:]:
+            if scores[node] > scores[chosen]:
+                chosen = node
+        route.append(chosen)
+        steps.append(LevelStep(chosen=chosen, group_scores=scores, confidence=confidence_score(scores, chosen)))
+        group = t.children(chosen)
+    return RouteTrace(route=tuple(route), steps=tuple(steps))
+
+
+BINARY_SIBLINGS_SPEC = SyntheticSpec(depth=2, branching=4, docs_per_leaf=6, tokens_per_doc=12, noise_fraction=0.75, seed=5)
+
+
+def test_decode_equals_the_node_score_reference_on_a_binary_siblings_corpus():
+    run = synthetic_run(BINARY_SIBLINGS_SPEC, 0.2, 0.2, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
+    taxonomy_text, corpus_text = generate_synthetic(BINARY_SIBLINGS_SPEC)
+    docs = load_corpus(corpus_text, run.model.taxonomy)
+    for doc in docs:
+        d = vectorize(doc, run.model.vocabulary)
+        trace = decode(run.model, d)
+        # traces hold every group score and confidence, so == compares each float
+        assert trace == node_score_decode(run.model, d)
+
+
+def test_decode_builds_each_group_table_once_per_model(monkeypatch):
+    run = synthetic_run(BINARY_SIBLINGS_SPEC, 0.2, 0.2, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
+    built = []
+
+    def counting_table(vectors):
+        built.append(len(vectors))
+        return table_class(vectors)
+
+    table_class = centroid.TermTable
+    monkeypatch.setattr(centroid, "TermTable", counting_table)
+    model = centroid.loads_model(centroid.dumps_model(run.model))  # calibration filled run.model's cache
+    assert not model.group_tables
+    vectors = [vectorize(doc, model.vocabulary) for doc in run.split.test]
+    for _ in range(2):
+        for d in vectors:
+            decode(model, d)
+    # the root group and one group per internal node reached; 2 columns per child in binary mode
+    assert len(built) == len(model.group_tables) <= 1 + BINARY_SIBLINGS_SPEC.branching
+    assert set(built) == {2 * BINARY_SIBLINGS_SPEC.branching}
+    assert model.taxonomy.root in model.group_tables
+
+
+def test_decode_refuses_a_model_lacking_a_centroid():
+    model = model_with_scores("R\ta\nR\tb\na\ta1\n", {"a": vec((0, 1.0))})
+    lacking = CentroidModel(
+        taxonomy=model.taxonomy,
+        vocabulary=model.vocabulary,
+        mode=model.mode,
+        policy=None,
+        centroid_of={node: c for node, c in model.centroid_of.items() if node != "a1"},
+    )
+    with pytest.raises(UnknownNodeError, match="no classifier for node 'a1'"):
+        decode(lacking, vec((0, 1.0)))
 
 
 # vocabulary whose idf is positive for every term, so single-term documents
