@@ -158,11 +158,19 @@ def _group_vectors(model: CentroidModel, group: Sequence[NodeId]) -> list[Sparse
 
 
 def vocabulary_digest(vocab: Vocabulary) -> str:
-    """Stable fingerprint of a vocabulary, used to pair model and calibration files."""
+    """Stable fingerprint of a vocabulary (:attr:`~routecat.corpus.Vocabulary.digest`), stored in both artifacts."""
+    return vocab.digest
+
+
+def model_identity(model: CentroidModel) -> str:
+    """sha256 of what fixes every centroid: the training documents' digest, the taxonomy, the mode and the policy.
+
+    A calibration records the identity of the model it was computed for.
+    """
+    policy = model.policy.value if model.policy is not None else ""
     h = hashlib.sha256()
-    for term, idx in sorted(vocab.index.items(), key=lambda kv: kv[1]):
-        h.update(f"{term}\t{idx}\t{vocab.doc_frequency[term]}\n".encode("utf-8"))
-    h.update(str(vocab.n_docs).encode("utf-8"))
+    for part in (model.training_digest, format_taxonomy(model.taxonomy), model.mode.value, policy):
+        h.update(f"{len(part)}:{part}".encode("utf-8"))
     return h.hexdigest()
 
 
@@ -254,8 +262,10 @@ def loads_model(text: str) -> CentroidModel:
     vocabulary whose indices are not its positions 0..n-1 or whose terms
     repeat, centroid entries whose term indices are not integers increasing
     below the vocabulary size or whose weights are not finite floats, and
-    models that lack a centroid a node needs raise :class:`ModelFormatError`.
-    Values are checked as JSON typed them, never converted.
+    models that lack a centroid a node needs, and a stored
+    ``vocabulary_digest`` that is not the vocabulary's own raise
+    :class:`ModelFormatError`.  Values are checked as JSON typed them, never
+    converted.
     """
     model = loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
     t = model.taxonomy
@@ -283,6 +293,8 @@ def _model_from_payload(payload: dict) -> CentroidModel:
         doc_frequency[term] = checked_int(df, f"document frequency of {term!r}")
     n_docs = checked_int(vocab_payload["n_docs"], "n_docs")
     vocabulary = Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=n_docs)
+    if payload["vocabulary_digest"] != vocabulary.digest:
+        raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
     n_terms = len(vocabulary)
 
     def vector(node: NodeId, entries: list) -> SparseVector:

@@ -31,7 +31,7 @@ from routecat.router import (
     ACCEPT_ALL,
     Calibration,
     CalibrationError,
-    check_matching_vocabulary,
+    check_pairing,
     classify_with_reject,
     dumps_calibration,
     loads_calibration,
@@ -100,7 +100,7 @@ def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
 def _load_calibration_file(path: Path, model: CentroidModel) -> Calibration:
     def parse(text: str) -> Calibration:
         calibration, digest = loads_calibration(text)
-        check_matching_vocabulary(model, digest)
+        check_pairing(model, calibration, digest)
         return calibration
 
     return _load(path, "calibration", parse)

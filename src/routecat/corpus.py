@@ -8,6 +8,7 @@ an internal node of the taxonomy.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from collections import Counter, deque
@@ -62,6 +63,20 @@ class Vocabulary:
     def idf(self, term: str) -> float:
         """Smoothed inverse document frequency ln((N + 1) / (df + 1))."""
         return math.log((self.n_docs + 1) / (self.doc_frequency[term] + 1))
+
+    @cached_property
+    def idf_of(self) -> dict[str, float]:
+        """:meth:`idf` of every term, computed once for all the documents :func:`vectorize` reads."""
+        return {term: self.idf(term) for term in self.index}
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the ``term<TAB>index<TAB>df`` lines in index order and the document count, hashed once."""
+        h = hashlib.sha256()
+        for term, idx in sorted(self.index.items(), key=lambda kv: kv[1]):
+            h.update(f"{term}\t{idx}\t{self.doc_frequency[term]}\n".encode("utf-8"))
+        h.update(str(self.n_docs).encode("utf-8"))
+        return h.hexdigest()
 
 
 def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
@@ -187,10 +202,11 @@ def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:
     Out-of-vocabulary terms are dropped, as are terms whose idf is zero
     (terms present in every training document), so the result may be empty.
     """
-    counts = Counter(t for t in tokenize(doc.text) if t in vocab.index)
+    idf_of = vocab.idf_of
+    counts = Counter(t for t in tokenize(doc.text) if t in idf_of)
     weights: dict[int, float] = {}
     for term, tf in counts.items():
-        w = tf * vocab.idf(term)
+        w = tf * idf_of[term]
         if w > 0.0:
             weights[vocab.index[term]] = w
     if not weights:

@@ -82,14 +82,20 @@ def summarize(outcomes: Iterable[tuple[bool, bool]]) -> EvalSummary:
 
 def evaluate(model: CentroidModel, calibration: Calibration, test: Sequence[Document]) -> EvalSummary:
     """Classify every test document with the reject option and tabulate the outcome."""
+    return _evaluate_vectors(model, calibration, test, [vectorize(doc, model.vocabulary) for doc in test])
+
+
+def _evaluate_vectors(
+    model: CentroidModel, calibration: Calibration, test: Sequence[Document], vectors: Sequence[SparseVector]
+) -> EvalSummary:
+    """:func:`evaluate` over the test documents' vectors, made once by the caller."""
     if not test:
         raise ValueError("empty test set")
     t = model.taxonomy
     outcomes = []
-    for doc in test:
-        decision = classify_with_reject(model, calibration, vectorize(doc, model.vocabulary))
-        correct = doc.label in t.path(decision.leaf)
-        outcomes.append((correct, decision.accepted))
+    for doc, d in zip(test, vectors):
+        decision = classify_with_reject(model, calibration, d)
+        outcomes.append((doc.label in t.path(decision.leaf), decision.accepted))
     return summarize(outcomes)
 
 
@@ -109,12 +115,9 @@ def leaf_centroids(
 
 
 def flat_predictions(
-    centroid_of: Mapping[NodeId, SparseVector],
-    test: Sequence[Document],
-    taxonomy: Taxonomy,
-    vocabulary: Vocabulary,
+    centroid_of: Mapping[NodeId, SparseVector], vectors: Sequence[SparseVector], taxonomy: Taxonomy
 ) -> list[NodeId]:
-    """Hierarchy-blind prediction: nearest leaf centroid over all leaves at once.
+    """Hierarchy-blind prediction for each document vector: nearest leaf centroid over all leaves at once.
 
     Ties go to the first leaf in ``taxonomy.leaves`` order.
     """
@@ -122,8 +125,8 @@ def flat_predictions(
     index = InvertedIndex([centroid_of[leaf] for leaf in leaves])
     positions = range(len(leaves))
     predictions = []
-    for doc in test:
-        scores = index.dots(vectorize(doc, vocabulary))
+    for d in vectors:
+        scores = index.dots(d)
         predictions.append(leaves[max(positions, key=scores.__getitem__)])
     return predictions
 
@@ -131,11 +134,11 @@ def flat_predictions(
 def flat_accuracy(
     centroid_of: Mapping[NodeId, SparseVector],
     test: Sequence[Document],
+    vectors: Sequence[SparseVector],
     taxonomy: Taxonomy,
-    vocabulary: Vocabulary,
 ) -> float:
     """Exact-label accuracy of the flat nearest-centroid classifier over the given leaf centroids."""
-    predictions = flat_predictions(centroid_of, test, taxonomy, vocabulary)
+    predictions = flat_predictions(centroid_of, vectors, taxonomy)
     return sum(p == doc.label for p, doc in zip(predictions, test)) / len(test)
 
 
@@ -146,7 +149,8 @@ def flat_baseline(
     vocabulary: Vocabulary,
 ) -> float:
     """Exact-label accuracy of the flat nearest-centroid classifier retrained on ``train``."""
-    return flat_accuracy(leaf_centroids(train, taxonomy, vocabulary), test, taxonomy, vocabulary)
+    vectors = [vectorize(doc, vocabulary) for doc in test]
+    return flat_accuracy(leaf_centroids(train, taxonomy, vocabulary), test, vectors, taxonomy)
 
 
 @dataclass(frozen=True)
@@ -288,12 +292,14 @@ def report_rows(
     """Score the test split with the reject option and the flat baseline; rates in percent.
 
     The flat baseline scores the model's own leaf centroids, so only the
-    test split is read.
+    test split is read, and both methods score the same vectors, made once
+    per test document.
     """
     if not split.test:
         raise ValueError("split produced an empty test set; use a positive --test-fraction")
-    summary = evaluate(model, calibration, split.test)
-    flat = flat_accuracy(model.centroid_of, split.test, model.taxonomy, model.vocabulary)
+    vectors = [vectorize(doc, model.vocabulary) for doc in split.test]
+    summary = _evaluate_vectors(model, calibration, split.test, vectors)
+    flat = flat_accuracy(model.centroid_of, split.test, vectors, model.taxonomy)
     comparison = ComparisonRow(
         problem=problem,
         flat=100.0 * flat,

@@ -23,12 +23,13 @@ from routecat.centroid import (
     dumps_artifact,
     group_scores,
     loads_artifact,
+    model_identity,
     vocabulary_digest,
 )
 from routecat.corpus import Document, SparseVector, vectorize
 from routecat.taxonomy import NodeId, TaxonomyError
 
-CALIBRATION_FORMAT_VERSION = 1
+CALIBRATION_FORMAT_VERSION = 2
 
 #: Threshold sentinel that accepts every document (reliability > -inf always).
 ACCEPT_ALL = float("-inf")
@@ -67,7 +68,8 @@ class Calibration:
     equal-error-rate sweep, "eer-all-correct"/"eer-all-incorrect" for the
     degenerate validation cases (accept everything / reject everything),
     "manual" for an explicit override, and "accept-all" for the -inf
-    sentinel.
+    sentinel.  ``model_identity`` is the :func:`~routecat.centroid.model_identity`
+    of the model the weights and threshold were computed for.
     """
 
     level_weights: Mapping[int, float]
@@ -75,6 +77,7 @@ class Calibration:
     eer_gap: float
     validation_size: int
     source: str = "eer"
+    model_identity: str = ""
 
     def __post_init__(self) -> None:
         # NaN compares false with everything, so it would silently reject every document
@@ -121,12 +124,9 @@ def decode(model: CentroidModel, d: SparseVector) -> RouteTrace:
     route: list[NodeId] = []
     steps: list[LevelStep] = []
     while group:
-        scores = dict(zip(group, group_scores(model, d, parent)))
-        chosen = group[0]
-        best = scores[chosen]
-        for node in group[1:]:
-            if scores[node] > best:
-                chosen, best = node, scores[node]
+        values = group_scores(model, d, parent)
+        chosen = group[values.index(max(values))]  # the first of tied children
+        scores = dict(zip(group, values))
         route.append(chosen)
         steps.append(LevelStep(chosen=chosen, group_scores=scores, confidence=confidence_score(scores, chosen)))
         parent = chosen
@@ -253,6 +253,7 @@ def build_calibration(
         eer_gap=gap,
         validation_size=len(validation),
         source=source,
+        model_identity=model_identity(model),
     )
 
 
@@ -280,6 +281,7 @@ def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
         "eer_gap": calibration.eer_gap,
         "validation_size": calibration.validation_size,
         "source": calibration.source,
+        "model_identity": calibration.model_identity,
         "vocabulary_digest": vocab_digest,
     }
     return dumps_artifact("calibration", CALIBRATION_FORMAT_VERSION, fields)
@@ -311,19 +313,38 @@ def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
         eer_gap=checked_float(payload["eer_gap"], "eer_gap"),
         validation_size=checked_int(payload["validation_size"], "validation_size"),
         source=payload["source"],
+        model_identity=payload["model_identity"],
     )
     digest = payload["vocabulary_digest"]
-    if not isinstance(calibration.source, str) or not isinstance(digest, str):
-        raise TypeError("source and vocabulary_digest must be strings")
+    if not all(isinstance(value, str) for value in (calibration.source, calibration.model_identity, digest)):
+        raise TypeError("source, model_identity and vocabulary_digest must be strings")
     return calibration, digest
 
 
 def check_matching_vocabulary(model: CentroidModel, calibration_digest: str) -> None:
-    """Refuse model/calibration pairs that were not produced together."""
+    """Refuse a calibration whose vocabulary digest is not the model's."""
     if vocabulary_digest(model.vocabulary) != calibration_digest:
         raise CalibrationError(
             "vocabulary mismatch: the calibration was computed for a different model"
         )
+
+
+def check_pairing(model: CentroidModel, calibration: Calibration, calibration_digest: str) -> None:
+    """Refuse a calibration that was not computed for ``model`` or cannot weigh every step of its routes.
+
+    Checks the vocabulary digest, the model identity, and a level weight for
+    each depth 1..``taxonomy.max_depth``, so a mismatch stops a command
+    before its first decision.
+    """
+    check_matching_vocabulary(model, calibration_digest)
+    if calibration.model_identity != model_identity(model):
+        raise CalibrationError(
+            "model mismatch: the calibration was computed for a model with other training documents, "
+            "taxonomy, mode or policy"
+        )
+    for depth in range(1, model.taxonomy.max_depth + 1):
+        if depth not in calibration.level_weights:
+            raise CalibrationError(f"no weight calibrated for depth {depth}")
 
 
 def with_threshold(calibration: Calibration, threshold: float) -> Calibration:

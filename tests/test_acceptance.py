@@ -135,9 +135,10 @@ def test_criterion_5_depth_one_equivalence():
             0.3,
         )
         t, vocab = run.model.taxonomy, run.model.vocabulary
-        flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), run.split.test, t, vocab)
-        for doc, flat_leaf in zip(run.split.test, flats):
-            trace = decode(run.model, vectorize(doc, run.model.vocabulary))
+        vectors = [vectorize(doc, vocab) for doc in run.split.test]
+        flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), vectors, t)
+        for d, flat_leaf in zip(vectors, flats):
+            trace = decode(run.model, d)
             disagreements += trace.route[-1] != flat_leaf
             checked += 1
     verdict(

@@ -333,3 +333,14 @@ def test_group_scores_need_a_centroid_for_every_child():
     )
     with pytest.raises(UnknownNodeError, match="no classifier for node 'c1'"):
         group_scores(lacking, vec((0, 1.0)), "R")
+
+
+def test_model_with_another_vocabulary_digest_is_refused(t0, t0_docs):
+    payload = json.loads(dumps_model(_toy_model(t0, t0_docs)))
+    payload["vocabulary_digest"] = "0" * 64
+    with pytest.raises(ModelFormatError, match="malformed model file: vocabulary_digest '0+' is not the digest"):
+        loads_model(json.dumps(payload))
+    payload["vocabulary"]["n_docs"] += 1  # an edited vocabulary no longer matches the stored digest
+    payload["vocabulary_digest"] = json.loads(dumps_model(_toy_model(t0, t0_docs)))["vocabulary_digest"]
+    with pytest.raises(ModelFormatError, match="is not the digest of the vocabulary"):
+        loads_model(json.dumps(payload))

@@ -294,6 +294,93 @@ def test_mismatched_calibration_rejected(tmp_path, capsys):
     assert "vocabulary mismatch" in capsys.readouterr().err
 
 
+def run_subprocess(*argv):
+    return subprocess.run([sys.executable, "-m", "routecat.cli", *argv], capture_output=True, text=True)
+
+
+def assert_one_line_error(result, message):
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+def test_calibration_of_another_model_on_the_same_split_is_refused(tmp_path, command):
+    # both models share the training split, so the vocabulary digest cannot tell them apart
+    data = generate(tmp_path, **NOISY)
+    positive = train_into(tmp_path / "positive", data)
+    binary = train_into(tmp_path / "binary", data, "--mode", "binary", "--policy", "siblings")
+    assert json.loads((positive / "calibration.json").read_text())["vocabulary_digest"] == json.loads(
+        (binary / "calibration.json").read_text()
+    )["vocabulary_digest"]
+    inputs = {
+        "classify": ["--input", str(data / "corpus.tsv")],
+        "evaluate": ["--corpus", str(data / "corpus.tsv"), "--val-fraction", "0.2", "--test-fraction", "0.3",
+                     "--seed", "5", "--out-dir", str(tmp_path / "report")],
+    }[command]
+    pairing = ["--model", str(binary / "model.json"), "--calibration", str(positive / "calibration.json")]
+    assert_one_line_error(run_subprocess(command, *pairing, *inputs), "model mismatch")
+    assert not (tmp_path / "report").exists()
+
+
+def test_calibration_lacking_a_depth_is_refused_before_any_decision(tmp_path):
+    # leaf A sits at depth 1, so a document routed there needs no depth-2 weight
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "taxonomy.tsv").write_text("R\tA\nR\tB\nB\tB1\nB\tB2\n")
+    topics = {"A": "alpha apple", "B1": "beta bee", "B2": "beta bird"}
+    (data / "corpus.tsv").write_text(
+        "".join(f"{label}{i}\t{label}\t{text} w{i}\n" for i in range(10) for label, text in topics.items())
+    )
+    run = train_into(tmp_path, data)
+    payload = json.loads((run / "calibration.json").read_text())
+    del payload["level_weights"]["2"]
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(payload))
+    result = run_subprocess(
+        "classify", "--model", str(run / "model.json"), "--calibration", str(stale), "--input", str(data / "corpus.tsv")
+    )
+    assert_one_line_error(result, "no weight calibrated for depth 2")
+
+
+def test_calibration_format_1_is_refused(tmp_path, capsys):
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    calibration = run / "calibration.json"
+    calibration.write_text(calibration.read_text().replace('"format_version":2', '"format_version":1'))
+    capsys.readouterr()
+    code = run_cli(
+        "classify", "--model", str(run / "model.json"), "--calibration", str(calibration),
+        "--input", str(data / "corpus.tsv"),
+    )
+    assert code == 1
+    assert "unsupported calibration format version 1, expected 2" in capsys.readouterr().err
+
+
+def test_classify_hashes_the_vocabulary_once(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from routecat import corpus
+
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    hashed = []
+
+    def counting_sha256(*args):
+        hashed.append(args)
+        return corpus_hashlib.sha256(*args)
+
+    corpus_hashlib = corpus.hashlib
+    monkeypatch.setattr(corpus, "hashlib", SimpleNamespace(sha256=counting_sha256))
+    assert run_cli(
+        "classify", "--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
+        "--input", str(data / "corpus.tsv"),
+    ) == 0
+    # loads_model checks the stored digest and the calibration pairing reuses it
+    assert len(hashed) == 1
+
+
 def test_generate_bad_noise_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("generate", "--noise", "1.5", "--out-dir", str(tmp_path / "x"))
@@ -454,7 +541,7 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
     artifact = tmp_path / f"bad-{bad}.json"
-    version = {"model": 2, "calibration": 1}[bad]
+    version = {"model": 2, "calibration": 2}[bad]
     artifact.write_text(f'{{"format":"routecat-{bad}","format_version":{version}}}')
     paths = {"model": run / "model.json", "calibration": run / "calibration.json", bad: artifact}
     result = subprocess.run(

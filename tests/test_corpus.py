@@ -149,6 +149,31 @@ def test_vectorize_norm_is_unit_or_empty(train_texts, query):
         assert abs(vec.norm() - 1.0) <= 1e-9
 
 
+def vectorize_by_the_formula(doc, vocab):
+    """vectorize with ln((N + 1) / (df + 1)) computed for every term of the document."""
+    counts = {}
+    for term in tokenize(doc.text):
+        if term in vocab.index:
+            counts[term] = counts.get(term, 0) + 1
+    weights = {}
+    for term, tf in counts.items():
+        w = tf * math.log((vocab.n_docs + 1) / (vocab.doc_frequency[term] + 1))
+        if w > 0.0:
+            weights[vocab.index[term]] = w
+    norm = math.sqrt(math.fsum(w * w for w in weights.values()))
+    return SparseVector(tuple((i, weights[i] / norm) for i in sorted(weights)))
+
+
+@given(st.lists(texts, min_size=1, max_size=8), texts)
+def test_vectorize_with_precomputed_idf_equals_the_formula(train_texts, query):
+    docs = [Document(f"d{i}", "A", text) for i, text in enumerate(train_texts)]
+    vocab = build_vocabulary(docs)
+    for term in vocab.index:
+        assert vocab.idf_of[term] == vocab.idf(term) == math.log((vocab.n_docs + 1) / (vocab.doc_frequency[term] + 1))
+    for doc in [*docs, Document("q", "A", query)]:
+        assert vectorize(doc, vocab) == vectorize_by_the_formula(doc, vocab)
+
+
 @given(st.lists(texts, min_size=1, max_size=8))
 def test_vocabulary_only_from_train(train_texts):
     train = [Document(f"d{i}", "A1", t) for i, t in enumerate(train_texts)]

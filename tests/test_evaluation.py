@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_labeled_docs, random_taxonomy, synthetic_run
 from routecat import evaluation
-from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary
+from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary, vectorize
 from routecat.centroid import Mode, train
 from routecat.evaluation import (
     ComparisonRow,
@@ -217,7 +217,7 @@ def test_flat_argmax_returns_the_first_of_tied_leaves():
     centroids = {"b": same, "a": same, "c": SparseVector(((ww, 1.0),))}
     queries = [Document("q1", "b", "xx"), Document("q2", "b", "yy"), Document("q3", "c", "ww zz")]
     # q1 ties b and a, q2 scores 0 everywhere, q3 prefers c (1.0 + 0.25 against 0.25)
-    assert flat_predictions(centroids, queries, tax, vocab) == ["b", "b", "c"]
+    assert flat_predictions(centroids, [vectorize(q, vocab) for q in queries], tax) == ["b", "b", "c"]
 
 
 @pytest.mark.parametrize("policy", [None, *PolicyKind])
@@ -263,5 +263,22 @@ def test_report_rows_reads_no_training_document(monkeypatch):
     without_train = dataclasses.replace(run.split, train=())
     assert report_rows("p", run.model, run.calibration, without_train) == expected
     monkeypatch.setattr(SparseVector, "dot", forbidden)
-    flat = flat_accuracy(run.model.centroid_of, run.split.test, run.model.taxonomy, run.model.vocabulary)
+    vectors = [vectorize(doc, run.model.vocabulary) for doc in run.split.test]
+    flat = flat_accuracy(run.model.centroid_of, run.split.test, vectors, run.model.taxonomy)
     assert 100.0 * flat == expected[1][0].flat
+
+
+def test_report_rows_vectorizes_each_test_document_once(monkeypatch):
+    run = synthetic_run(SyntheticSpec(depth=2, branching=3, docs_per_leaf=20, seed=1), 0.2, 0.3)
+    expected = report_rows("p", run.model, run.calibration, run.split)
+    calls = []
+    vectorize_one = evaluation.vectorize
+
+    def counting_vectorize(doc, vocab):
+        calls.append(doc.doc_id)
+        return vectorize_one(doc, vocab)
+
+    monkeypatch.setattr(evaluation, "vectorize", counting_vectorize)
+    # the hierarchical route and the flat baseline score the same vectors
+    assert report_rows("p", run.model, run.calibration, run.split) == expected
+    assert sorted(calls) == sorted(doc.doc_id for doc in run.split.test)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import refuse_json_constant, synthetic_run
 from routecat import centroid
-from routecat.centroid import CentroidModel, Mode, node_score, vocabulary_digest
+from routecat.centroid import CentroidModel, Mode, model_identity, node_score, vocabulary_digest
 from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus, vectorize
 from routecat.evaluation import SyntheticSpec, flat_predictions, generate_synthetic, leaf_centroids
 from routecat.policies import PolicyKind
@@ -19,6 +19,7 @@ from routecat.router import (
     RouteTrace,
     build_calibration,
     check_matching_vocabulary,
+    check_pairing,
     classify_with_reject,
     confidence_score,
     decode,
@@ -77,9 +78,10 @@ def test_decode_zero_scores_fall_back_to_first_child():
 def test_decode_depth_one_equals_flat_argmax():
     run = synthetic_run(SyntheticSpec(depth=1, branching=5, docs_per_leaf=20, noise_fraction=0.2, seed=3), 0.2, 0.3)
     t, vocab = run.model.taxonomy, run.model.vocabulary
-    flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), run.split.test, t, vocab)
-    for doc, flat_leaf in zip(run.split.test, flats):
-        trace = decode(run.model, vectorize(doc, run.model.vocabulary))
+    vectors = [vectorize(doc, vocab) for doc in run.split.test]
+    flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), vectors, t)
+    for d, flat_leaf in zip(vectors, flats):
+        trace = decode(run.model, d)
         assert len(trace.route) == 1
         assert trace.route[-1] == flat_leaf
 
@@ -410,8 +412,9 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
     from routecat.centroid import train
 
     text = dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "bogus")
-    with pytest.raises(CalibrationError):
-        loads_calibration(text.replace('"format_version":1', '"format_version":7'))
+    for version in (7, 1):
+        with pytest.raises(CalibrationError, match=f"unsupported calibration format version {version}, expected 2"):
+            loads_calibration(text.replace('"format_version":2', f'"format_version":{version}'))
     model = train(t0_docs, t0, build_vocabulary(t0_docs))
     cal, digest = loads_calibration(text)
     with pytest.raises(CalibrationError, match="vocabulary mismatch"):
@@ -437,6 +440,8 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("eer_gap", math.nan, "eer_gap must be a finite float"),
         ("validation_size", 3.7, "validation_size must be an integer"),
         ("validation_size", True, "validation_size must be an integer"),
+        ("model_identity", None, "no field 'model_identity'"),
+        ("model_identity", 7, "must be strings"),
     ],
 )
 def test_calibration_fields_are_validated(field, value, message):
@@ -447,6 +452,69 @@ def test_calibration_fields_are_validated(field, value, message):
         payload[field] = value
     with pytest.raises(CalibrationError, match=message):
         loads_calibration(json.dumps(payload))
+
+
+def test_calibration_records_the_identity_of_its_model():
+    model = calibration_model()
+    validation = [Document("v1", "A1", "ta t1"), Document("v2", "B", "tb")]
+    cal = build_calibration(model, validation)
+    assert cal.model_identity == model_identity(model)
+    assert with_threshold(cal, 0.5).model_identity == cal.model_identity
+    loaded, digest = loads_calibration(dumps_calibration(cal, vocabulary_digest(model.vocabulary)))
+    assert loaded == cal
+    check_pairing(model, loaded, digest)
+
+
+def _variant(model, **fields):
+    kept = dict(
+        taxonomy=model.taxonomy,
+        vocabulary=model.vocabulary,
+        mode=model.mode,
+        policy=model.policy,
+        centroid_of=model.centroid_of,
+        negative_centroid_of=model.negative_centroid_of,
+        training_digest=model.training_digest,
+    )
+    return CentroidModel(**(kept | fields))
+
+
+def test_model_identity_covers_training_documents_taxonomy_mode_and_policy():
+    model = calibration_model()
+    binary = _variant(
+        model, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS, negative_centroid_of=dict.fromkeys(model.centroid_of, vec())
+    )
+    variants = [
+        model,
+        _variant(model, training_digest="0" * 64),
+        _variant(model, taxonomy=parse_taxonomy(CAL_TAXONOMY + "B\tB1\n")),
+        binary,
+        _variant(binary, policy=PolicyKind.EXCLUSIVE),
+    ]
+    assert len({model_identity(m) for m in variants}) == len(variants)
+    # the centroids follow from those four, so they are not hashed again
+    assert model_identity(_variant(model, centroid_of={})) == model_identity(model)
+
+
+def test_check_pairing_refuses_another_model():
+    model = calibration_model()
+    digest = vocabulary_digest(model.vocabulary)
+    cal = build_calibration(model, [Document("v1", "A1", "ta t1"), Document("v2", "B", "tb")])
+    other = _variant(model, training_digest="0" * 64)  # same vocabulary, other training documents
+    with pytest.raises(CalibrationError, match="model mismatch"):
+        check_pairing(other, cal, digest)
+    with pytest.raises(CalibrationError, match="vocabulary mismatch"):
+        check_pairing(model, cal, "bogus")
+
+
+def test_check_pairing_refuses_a_calibration_lacking_a_depth():
+    model = calibration_model()  # max depth 3
+    digest = vocabulary_digest(model.vocabulary)
+    cal = build_calibration(model, [Document("v1", "A1", "ta t1"), Document("v2", "B", "tb")])
+    assert set(cal.level_weights) == {1, 2, 3}
+    for depth in (1, 3):
+        weights = {d: w for d, w in cal.level_weights.items() if d != depth}
+        with pytest.raises(CalibrationError, match=f"no weight calibrated for depth {depth}"):
+            check_pairing(model, Calibration(weights, cal.threshold, cal.eer_gap, 2, model_identity=cal.model_identity), digest)
 
 
 def test_with_threshold_replaces_only_threshold():
