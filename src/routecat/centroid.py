@@ -139,22 +139,19 @@ def group_scores(model: CentroidModel, d: SparseVector, parent: NodeId) -> list[
     """
     table = model.group_tables.get(parent)
     if table is None:
-        table = model.group_tables[parent] = TermTable(_group_vectors(model, model.taxonomy.children(parent)))
+        group = model.taxonomy.children(parent)
+        missing = [node for node in group if node not in model.centroid_of]
+        if missing:
+            raise UnknownNodeError(f"no classifier for node {missing[0]!r}")
+        vectors = [model.centroid_of[node] for node in group]
+        if model.mode is Mode.BINARY:
+            vectors += [model.negative_centroid_of[node] for node in group]
+        table = model.group_tables[parent] = TermTable(vectors)
     scores = table.dots(d)
     if model.mode is Mode.BINARY:
         half = len(scores) // 2
         return [max(0.0, pos - neg) for pos, neg in zip(scores[:half], scores[half:])]
     return scores
-
-
-def _group_vectors(model: CentroidModel, group: Sequence[NodeId]) -> list[SparseVector]:
-    missing = [node for node in group if node not in model.centroid_of]
-    if missing:
-        raise UnknownNodeError(f"no classifier for node {missing[0]!r}")
-    vectors = [model.centroid_of[node] for node in group]
-    if model.mode is Mode.BINARY:
-        vectors += [model.negative_centroid_of[node] for node in group]
-    return vectors
 
 
 def vocabulary_digest(vocab: Vocabulary) -> str:
