@@ -544,16 +544,11 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
     version = {"model": 2, "calibration": 2}[bad]
     artifact.write_text(f'{{"format":"routecat-{bad}","format_version":{version}}}')
     paths = {"model": run / "model.json", "calibration": run / "calibration.json", bad: artifact}
-    result = subprocess.run(
-        [sys.executable, "-m", "routecat.cli", "classify", "--model", str(paths["model"]),
-         "--calibration", str(paths["calibration"]), "--input", str(data / "corpus.tsv")],
-        capture_output=True,
-        text=True,
+    result = run_subprocess(
+        "classify", "--model", str(paths["model"]), "--calibration", str(paths["calibration"]),
+        "--input", str(data / "corpus.tsv"),
     )
-    assert result.returncode == 1
-    assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert result.stdout == ""
+    assert_one_line_error(result, "has no field")
 
 
 NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents misrouted

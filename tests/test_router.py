@@ -122,7 +122,7 @@ BINARY_SIBLINGS_SPEC = SyntheticSpec(depth=2, branching=4, docs_per_leaf=6, toke
 
 def test_decode_equals_the_node_score_reference_on_a_binary_siblings_corpus():
     run = synthetic_run(BINARY_SIBLINGS_SPEC, 0.2, 0.2, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
-    taxonomy_text, corpus_text = generate_synthetic(BINARY_SIBLINGS_SPEC)
+    _, corpus_text = generate_synthetic(BINARY_SIBLINGS_SPEC)
     docs = load_corpus(corpus_text, run.model.taxonomy)
     for doc in docs:
         d = vectorize(doc, run.model.vocabulary)
