@@ -224,10 +224,6 @@ def checked_float(value: object, what: str) -> float:
     return value
 
 
-def _entries_payload(vec: SparseVector) -> list[list]:
-    return [[idx, w] for idx, w in vec.entries]
-
-
 def dumps_model(model: CentroidModel) -> str:
     """Serialize a model to canonical standard JSON (see :func:`dumps_artifact`)."""
     vocab = model.vocabulary
@@ -242,9 +238,9 @@ def dumps_model(model: CentroidModel) -> str:
         },
         "vocabulary_digest": vocabulary_digest(vocab),
         "training_digest": model.training_digest,
-        "centroids": {node: _entries_payload(vec) for node, vec in model.centroid_of.items()},
+        "centroids": {node: vec.entries for node, vec in model.centroid_of.items()},
         "negative_centroids": (
-            {node: _entries_payload(vec) for node, vec in model.negative_centroid_of.items()}
+            {node: vec.entries for node, vec in model.negative_centroid_of.items()}
             if model.negative_centroid_of is not None
             else None
         ),

@@ -105,15 +105,6 @@ class SparseVector:
     def _lookup(self) -> dict[int, float]:
         return dict(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(w * w for _, w in self.entries))
-
     def dot(self, other: SparseVector) -> float:
         """Inner product over matching indices.
 
@@ -122,9 +113,6 @@ class SparseVector:
         small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
         lookup = big._lookup
         return math.fsum(w * lookup[i] for i, w in small.entries if i in lookup)
-
-    def scaled(self, factor: float) -> SparseVector:
-        return SparseVector(tuple((i, w * factor) for i, w in self.entries))
 
 
 class InvertedIndex:

@@ -37,7 +37,6 @@ class PolicyKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class NodeTrainingSet:
-    node: NodeId
     positives: frozenset[str]
     negatives: frozenset[str]
 
@@ -89,7 +88,7 @@ def build_training_set(
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unhandled policy {policy!r}")
     return NodeTrainingSet(
-        node=node, positives=_ids_labeled(train, positive), negatives=_ids_labeled(train, negative, inside)
+        positives=_ids_labeled(train, positive), negatives=_ids_labeled(train, negative, inside)
     )
 
 

@@ -88,10 +88,6 @@ class Taxonomy:
         self._require(node)
         return self.children_of[node]
 
-    def is_leaf(self, node: NodeId) -> bool:
-        self._require(node)
-        return not self.children_of[node]
-
     def depth(self, node: NodeId) -> int:
         """Edge distance from the root (root itself is at depth 0)."""
         return len(self.path(node))
@@ -132,13 +128,6 @@ class Taxonomy:
             raise TaxonomyError("root has no siblings")
         group = self.children_of[self.parent_of[node]]
         return frozenset(n for n in group if n != node)
-
-    def route_to(self, leaf: NodeId) -> tuple[NodeId, ...]:
-        """Unique root-to-leaf path, root excluded."""
-        self._require(leaf)
-        if self.children_of[leaf]:
-            raise TaxonomyError(f"node {leaf!r} is not a leaf")
-        return self.path(leaf)
 
 
 def tsv_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:

@@ -93,15 +93,14 @@ def test_siblings(t0):
         t0.siblings("ROOT")
 
 
-def test_route_to(t0):
-    assert t0.route_to("A1") == ("A", "A1")
-    assert t0.route_to("B1") == ("B", "B1")
-    with pytest.raises(TaxonomyError, match="not a leaf"):
-        t0.route_to("A")
+def test_path(t0):
+    assert t0.path("A1") == ("A", "A1")
+    assert t0.path("B1") == ("B", "B1")
+    assert t0.path("A") == ("A",)
 
 
 def test_unknown_node(t0):
-    for op in (t0.ancestors, t0.descendants, t0.siblings, t0.route_to, t0.path):
+    for op in (t0.ancestors, t0.descendants, t0.siblings, t0.path):
         with pytest.raises(UnknownNodeError):
             op("ZZ")
 
