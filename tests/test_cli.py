@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -456,6 +457,31 @@ def test_accept_all_evaluate_has_zero_boost(tmp_path):
     assert line.split(",")[1] == "0"
 
 
+@pytest.mark.parametrize("problem", ["news, wire", '"wire" news', "news\nwire", "news\rwire"])
+def test_report_csvs_quote_the_problem_name(tmp_path, problem):
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    report = tmp_path / "report"
+    assert run_cli(
+        "evaluate",
+        "--model", str(run / "model.json"),
+        "--calibration", str(run / "calibration.json"),
+        "--corpus", str(data / "corpus.tsv"),
+        "--val-fraction", "0.2",
+        "--test-fraction", "0.3",
+        "--seed", "5",
+        "--problem", problem,
+        "--out-dir", str(report),
+    ) == 0
+    headers = {"summary.csv": ["problem", "rejected", "TR", "FR", "accuracy_boost"],
+               "comparison.csv": ["problem", "flat", "LCN", "proposed"]}
+    for name, header in headers.items():
+        with open(report / name, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == header
+        assert len(rows) == 2 and len(rows[1]) == len(header) and rows[1][0] == problem
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "routecat.cli", "generate", "--depth", "1", "--branching", "2",
@@ -595,8 +621,33 @@ def command_inputs(tmp_path, command):
         "classify": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
                      "--input", str(data / "corpus.tsv")],
         "evaluate": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
-                     "--corpus", str(data / "corpus.tsv"), "--out-dir", str(tmp_path / "report")],
+                     "--corpus", str(data / "corpus.tsv"), "--val-fraction", "0.2", "--test-fraction", "0.3",
+                     "--seed", "5", "--out-dir", str(tmp_path / "report")],
     }[command]
+
+
+@pytest.mark.parametrize(
+    "command, first_written", [("generate", "taxonomy.tsv"), ("train", "model.json"), ("evaluate", "summary.csv")]
+)
+def test_unwritable_out_dir_is_a_one_line_error(tmp_path, command, first_written):
+    inputs = ["--depth", "1", "--branching", "2"] if command == "generate" else command_inputs(tmp_path, command)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    out = blocker / "out"
+    # the last --out-dir given wins
+    result = run_subprocess(command, *inputs, "--out-dir", str(out))
+    assert_one_line_error(result, f"cannot write {out / first_written}: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_non_utf8_input_is_a_one_line_error_naming_the_file(tmp_path):
+    data = generate(tmp_path)
+    corpus = tmp_path / "latin1.tsv"
+    corpus.write_bytes(b"d1\tA\tcaf\xe9\n")
+    result = run_subprocess(
+        "train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", str(corpus), "--out-dir", str(tmp_path / "run")
+    )
+    assert_one_line_error(result, f"cannot read corpus file {corpus}: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
