@@ -309,22 +309,37 @@ def report_rows(
     return [SummaryRow(problem=problem, summary=summary)], [comparison]
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """RFC 4180 CSV with LF line ends; floats are written as ``str``, their shortest round-trip form.
+
+    A field holding a comma, a quote, a CR or an LF is quoted and its quotes
+    doubled.  The rule is spelled out because ``csv.writer`` before Python
+    3.13 leaves a bare CR unquoted when the line end is LF.
+    """
+    lines = []
+    for fields in (header, *rows):
+        cells = []
+        for value in fields:
+            text = str(value)
+            if any(c in text for c in ',"\r\n'):
+                text = '"' + text.replace('"', '""') + '"'
+            cells.append(text)
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
 def summary_csv(rows: Sequence[SummaryRow]) -> str:
-    """Machine-readable rejection summary; floats use shortest round-trip form."""
-    lines = ["problem,rejected,TR,FR,accuracy_boost"]
+    """Machine-readable rejection summary."""
+    table = []
     for row in rows:
         s = row.summary
-        lines.append(
-            f"{row.problem},{s.rejected},{s.true_rejections},{s.false_rejections},{s.accuracy_boost!r}"
-        )
-    return "\n".join(lines) + "\n"
+        table.append([row.problem, s.rejected, s.true_rejections, s.false_rejections, s.accuracy_boost])
+    return _csv_text(["problem", "rejected", "TR", "FR", "accuracy_boost"], table)
 
 
 def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    lines = ["problem,flat,LCN,proposed"]
-    for row in rows:
-        lines.append(f"{row.problem},{row.flat!r},{row.lcn!r},{row.proposed!r}")
-    return "\n".join(lines) + "\n"
+    table = [[row.problem, row.flat, row.lcn, row.proposed] for row in rows]
+    return _csv_text(["problem", "flat", "LCN", "proposed"], table)
 
 
 def render_report(summary_rows: Sequence[SummaryRow], comparison_rows: Sequence[ComparisonRow]) -> str:
