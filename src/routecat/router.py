@@ -265,11 +265,11 @@ def _threshold_to_json(threshold: float) -> float | str:
 
 
 def _threshold_from_json(value: object) -> float:
-    """Inverse of :func:`_threshold_to_json`; a bare number covers older files' -Infinity/Infinity."""
+    """Inverse of :func:`_threshold_to_json`: "inf", "-inf" or a finite number."""
     if value in ("inf", "-inf"):
         return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"threshold must be a number, 'inf' or '-inf', not {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"threshold must be a finite number, 'inf' or '-inf', not {value!r}")
     return float(value)
 
 
