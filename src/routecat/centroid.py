@@ -206,7 +206,7 @@ def loads_artifact(text: str, kind: str, version: int, error: type[Exception], b
         return build(payload)
     except KeyError as exc:
         raise error(f"{kind} file has no field {exc}") from exc
-    except (TypeError, ValueError, AttributeError, TaxonomyError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError, TaxonomyError) as exc:
         raise error(f"malformed {kind} file: {exc}") from exc
 
 

@@ -543,7 +543,9 @@ def test_calibration_json_is_standard_and_round_trips(threshold, source, written
     assert loads_calibration(text) == (cal, "abc123")
 
 
-@pytest.mark.parametrize("value", ["NaN", "-Infinity", "Infinity", '"nan"', '"0.5"', "true"])
+@pytest.mark.parametrize(
+    "value", ["NaN", "-Infinity", "Infinity", '"nan"', '"0.5"', "true", pytest.param("1" + "0" * 400, id="1e400-int")]
+)
 def test_calibration_refuses_a_nan_or_non_numeric_threshold(value):
     text = dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "abc123")
     with pytest.raises(CalibrationError, match="malformed"):
