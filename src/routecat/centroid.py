@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from routecat.corpus import Document, SparseVector, TermTable, Vocabulary, vectorize
+from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, scorer, vectorize
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
@@ -42,8 +42,8 @@ class CentroidModel:
     self-contained for classification.  ``training_digest`` is the
     :func:`documents_digest` of the training documents, so that evaluation
     can refuse a split whose training part differs.  ``group_tables``
-    caches one :class:`~routecat.corpus.TermTable` per sibling group, keyed
-    by the group's parent, as :func:`group_scores` first needs it.
+    caches one :func:`~routecat.corpus.scorer` per sibling group, keyed by
+    the group's parent, as :func:`group_scores` first needs it.
     """
 
     taxonomy: Taxonomy
@@ -53,7 +53,7 @@ class CentroidModel:
     centroid_of: Mapping[NodeId, SparseVector]
     negative_centroid_of: Mapping[NodeId, SparseVector] | None = None
     training_digest: str = ""
-    group_tables: dict[NodeId, TermTable] = field(default_factory=dict, init=False, repr=False, compare=False)
+    group_tables: dict[NodeId, TermTable | InvertedIndex] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def mean_vector(doc_ids: frozenset[str], vectors: Mapping[str, SparseVector]) -> SparseVector:
@@ -133,9 +133,10 @@ def node_score(model: CentroidModel, d: SparseVector, node: NodeId) -> float:
 def group_scores(model: CentroidModel, d: SparseVector, parent: NodeId) -> list[float]:
     """``[node_score(model, d, c) for c in children(parent)]``, with the same floats, from one table lookup per term.
 
-    The group's table is built the first time it is needed and cached on
-    the model: one column per child centroid, followed in binary mode by
-    one per child's negative centroid.
+    The group's scorer (dense rows or postings, as
+    :func:`~routecat.corpus.scorer` picks) is built the first time it is
+    needed and cached on the model: one column per child centroid, followed
+    in binary mode by one per child's negative centroid.
     """
     table = model.group_tables.get(parent)
     if table is None:
@@ -146,7 +147,7 @@ def group_scores(model: CentroidModel, d: SparseVector, parent: NodeId) -> list[
         vectors = [model.centroid_of[node] for node in group]
         if model.mode is Mode.BINARY:
             vectors += [model.negative_centroid_of[node] for node in group]
-        table = model.group_tables[parent] = TermTable(vectors)
+        table = model.group_tables[parent] = scorer(vectors)
     scores = table.dots(d)
     if model.mode is Mode.BINARY:
         half = len(scores) // 2
@@ -254,7 +255,7 @@ def loads_model(text: str) -> CentroidModel:
     Unknown formats and versions, missing or wrongly typed fields, a
     vocabulary whose indices are not its positions 0..n-1 or whose terms
     repeat, centroid entries whose term indices are not integers increasing
-    below the vocabulary size or whose weights are not finite floats, and
+    below the vocabulary size or whose weights are not finite nonnegative floats, and
     models that lack a centroid a node needs, and a stored
     ``vocabulary_digest`` that is not the vocabulary's own raise
     :class:`ModelFormatError`.  Values are checked as JSON typed them, never
@@ -299,8 +300,9 @@ def _model_from_payload(payload: dict) -> CentroidModel:
                 raise ValueError(
                     f"centroid of {node!r}: term indices must increase below {n_terms}, got {i!r} after {previous}"
                 )
-            if type(w) is not float or not math.isfinite(w):
-                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not a float or not finite")
+            # vectors are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1]
+            if type(w) is not float or not 0.0 <= w < math.inf:
+                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not a float, not finite or negative")
             out.append((i, w))
             previous = i
         return SparseVector(tuple(out))

@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 from routecat.prng import SplitMix64
 from routecat.taxonomy import NodeId, Taxonomy, tsv_lines
 
-# maximal runs of Unicode alphanumerics; underscore is not a word character here
-_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+# maximal runs of two or more Unicode alphanumerics; underscore is not a word character here
+_TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
 
 
 class CorpusError(Exception):
@@ -42,7 +42,7 @@ def tokenize(text: str) -> list[str]:
     No stemming and no stopword removal, so the same bytes always produce
     the same token sequence.
     """
-    return [t for t in _TOKEN.findall(text.lower()) if len(t) >= 2]
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,8 @@ class InvertedIndex:
     products does not matter, and a vector sharing no term scores
     ``fsum([]) == 0.0``: ``dots(d)[k] == d.dot(vectors[k])`` bit for bit,
     for vectors with distinct indices, as ``vectorize`` and ``mean_vector``
-    build them.
+    build them.  Postings suit a sparse table, where most of a dense row
+    would be padding (see :func:`scorer`).
     """
 
     def __init__(self, vectors: Sequence[SparseVector]) -> None:
@@ -152,7 +153,7 @@ class InvertedIndex:
 
 
 class TermTable:
-    """Inner products of one document with each of a few fixed vectors, one table row per term.
+    """Inner products of one document with each of a fixed list of vectors, one table row per term.
 
     The table maps every term to a tuple of weights with one column per
     vector, 0.0 where a vector lacks the term.  A document looks up one row
@@ -161,8 +162,8 @@ class TermTable:
     column's products.  The padding products are +0.0 for nonnegative
     document weights and leave an fsum unchanged, and fsum is correctly
     rounded, so ``dots(d)[k] == d.dot(vectors[k])`` bit for bit, for
-    vectors with distinct indices.  Dense rows suit a few vectors, such as
-    one sibling group; :class:`InvertedIndex` suits many.
+    vectors with distinct indices.  Dense rows suit a table whose rows are
+    mostly weights, not padding (see :func:`scorer`).
     """
 
     def __init__(self, vectors: Sequence[SparseVector]) -> None:
@@ -182,6 +183,41 @@ class TermTable:
         indices, weights = zip(*d.entries)
         columns = zip(*map(self._rows.get, indices, repeat(self._zero_row)))
         return [math.fsum(map(mul, weights, column)) for column in columns]
+
+
+# Fill (centroid entries / (distinct terms * vectors)) from which dense rows
+# score faster than postings.  Per document over depth-1 leaf sets of synthetic
+# text, postings began to win at fill 0.064 on node-heavy-style text and 0.046
+# on binary-siblings-style text (near ties there), and won by 2.4x at 0.005
+# (512 leaves); long docs-heavy-style documents, which mostly hit full rows,
+# still scored faster dense at 0.027.
+DENSE_MIN_FILL = 0.05
+
+
+def table_fill(vectors: Sequence[SparseVector]) -> float:
+    """Share of a dense term table over ``vectors`` that holds weights: entries / (distinct terms * vectors).
+
+    0.0 when the vectors have no entries at all.
+    """
+    entries = sum(len(vec.entries) for vec in vectors)
+    if not entries:
+        return 0.0
+    terms = len({i for vec in vectors for i, _ in vec.entries})
+    return entries / (terms * len(vectors))
+
+
+def scorer(vectors: Sequence[SparseVector]) -> TermTable | InvertedIndex:
+    """The exact kernel that scores a document against ``vectors`` faster: dense rows or postings.
+
+    A table at least :data:`DENSE_MIN_FILL` full gets a :class:`TermTable`.
+    A sparser one gets an :class:`InvertedIndex`, and so does one with no
+    rows at all, where every document term costs one missed lookup instead
+    of a zero row per term.  Both kernels return ``[d.dot(v) for v in
+    vectors]`` bit for bit, so the choice changes only the speed.
+    """
+    if table_fill(vectors) >= DENSE_MIN_FILL:
+        return TermTable(vectors)
+    return InvertedIndex(vectors)
 
 
 def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:

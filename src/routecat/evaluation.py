@@ -14,10 +14,10 @@ from routecat.centroid import CentroidModel, Mode, mean_vector, train
 from routecat.corpus import (
     CorpusSplit,
     Document,
-    InvertedIndex,
     SparseVector,
     Vocabulary,
     build_vocabulary,
+    scorer,
     split_corpus,
     vectorize,
 )
@@ -119,10 +119,11 @@ def flat_predictions(
 ) -> list[NodeId]:
     """Hierarchy-blind prediction for each document vector: nearest leaf centroid over all leaves at once.
 
-    Ties go to the first leaf in ``taxonomy.leaves`` order.
+    Ties go to the first leaf in ``taxonomy.leaves`` order.  The leaves are
+    scored through the kernel :func:`~routecat.corpus.scorer` picks for them.
     """
     leaves = taxonomy.leaves
-    index = InvertedIndex([centroid_of[leaf] for leaf in leaves])
+    index = scorer([centroid_of[leaf] for leaf in leaves])
     positions = range(len(leaves))
     predictions = []
     for d in vectors:
@@ -342,10 +343,17 @@ def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
     return _csv_text(["problem", "flat", "LCN", "proposed"], table)
 
 
+def _table_name(problem: str) -> str:
+    """``problem`` with each unprintable character, such as a newline, written as its Python escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in problem)
+
+
 def render_report(summary_rows: Sequence[SummaryRow], comparison_rows: Sequence[ComparisonRow]) -> str:
     """Human-readable tables followed by their CSV equivalents.
 
-    The comparison section is omitted when no baseline rows are supplied.
+    The tables escape control characters in a problem name, so that each row
+    stays on one line; the CSV sections keep the name as it is, quoted.  The
+    comparison section is omitted when no baseline rows are supplied.
     """
     out: list[str] = []
     out.append("Rejection summary")
@@ -354,7 +362,7 @@ def render_report(summary_rows: Sequence[SummaryRow], comparison_rows: Sequence[
     for row in summary_rows:
         s = row.summary
         out.append(
-            f"{row.problem:<16}{s.total:>8}{s.accepted:>10}{s.rejected:>10}"
+            f"{_table_name(row.problem):<16}{s.total:>8}{s.accepted:>10}{s.rejected:>10}"
             f"{s.true_rejections:>7}{s.false_rejections:>7}"
             f"{s.overall_accuracy:>10.4f}{s.boosted_accuracy:>10.4f}{s.accuracy_boost:>11.2f}"
         )
@@ -366,7 +374,7 @@ def render_report(summary_rows: Sequence[SummaryRow], comparison_rows: Sequence[
         out.append("Method comparison (recognition rate, %)")
         out.append(f"{'problem':<16}{'flat':>8}{'LCN':>8}{'proposed':>10}")
         for row in comparison_rows:
-            out.append(f"{row.problem:<16}{row.flat:>8.1f}{row.lcn:>8.1f}{row.proposed:>10.1f}")
+            out.append(f"{_table_name(row.problem):<16}{row.flat:>8.1f}{row.lcn:>8.1f}{row.proposed:>10.1f}")
         out.append("")
         out.append("comparison.csv")
         out.append(comparison_csv(comparison_rows).rstrip("\n"))

@@ -7,7 +7,11 @@ import sys
 import pytest
 
 from conftest import refuse_json_constant
+from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
+from routecat.corpus import Document, build_vocabulary
+from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration
+from routecat.taxonomy import parse_taxonomy
 
 
 def run_cli(*argv):
@@ -408,6 +412,32 @@ def test_train_refuses_policy_and_mode_mismatch(tmp_path, capsys, flags, message
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
+    taxonomy = parse_taxonomy("R\tA\nR\tB\n")
+    texts = [("A", "alpha beta"), ("A", "alpha gamma"), ("B", "delta beta"), ("B", "delta eps")]
+    docs = [Document(f"d{k}", label, text) for k, (label, text) in enumerate(texts)]
+    model = train(docs, taxonomy, build_vocabulary(docs))
+    calibration = build_calibration(model, docs, ACCEPT_ALL)
+    payload = json.loads(dumps_model(model))
+    # loaded, B scored -0.274 against A's 0.549 and "alpha beta delta" got a step confidence of 2.0
+    payload["centroids"]["B"] = [[i, -w / 2] for i, w in payload["centroids"]["B"]]
+    (tmp_path / "model.json").write_text(json.dumps(payload), encoding="utf-8")
+    (tmp_path / "calibration.json").write_text(
+        dumps_calibration(calibration, vocabulary_digest(model.vocabulary)), encoding="utf-8"
+    )
+    (tmp_path / "input.tsv").write_text("q1\talpha beta delta\n", encoding="utf-8")
+    code = run_cli(
+        "classify",
+        "--model", str(tmp_path / "model.json"),
+        "--calibration", str(tmp_path / "calibration.json"),
+        "--input", str(tmp_path / "input.tsv"),
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "centroid of 'B'" in captured.err and "negative" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import LINE_SEPARATORS, SMALLEST_NORMAL, sparse_vectors
 from routecat.corpus import (
+    DENSE_MIN_FILL,
     CorpusError,
     Document,
     InvertedIndex,
@@ -12,7 +14,9 @@ from routecat.corpus import (
     TermTable,
     build_vocabulary,
     load_corpus,
+    scorer,
     split_corpus,
+    table_fill,
     tokenize,
     vectorize,
 )
@@ -77,6 +81,19 @@ def test_tokenize_underscore_splits():
 def test_tokenize_join_idempotent(text):
     tokens = tokenize(text)
     assert tokenize(" ".join(tokens)) == tokens
+
+
+# underscores, one-character runs, combining marks and a letter whose lowercase is two characters
+TOKENIZER_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("aZ9_ \u0301\u0308\u0130\u00df\u4e2d-"), st.characters()), max_size=60
+)
+
+
+@given(TOKENIZER_TEXT)
+@example("a_bc d\u0301ef _x_ \u0130i")
+def test_tokenize_keeps_the_runs_of_two_or_more_alphanumerics(text):
+    runs = re.findall(r"[^\W_]+", text.lower())
+    assert tokenize(text) == [t for t in runs if len(t) >= 2]
 
 
 def _vocab_two_docs():
@@ -263,3 +280,28 @@ def test_term_table_scores_equal_dot_bit_for_bit(d, vectors):
     assert len(scores) == len(vectors)
     for score, v in zip(scores, vectors):
         assert score == d.dot(v)
+
+
+@given(sparse_vectors, st.lists(sparse_vectors, max_size=8))
+@dot_examples
+def test_scorer_scores_equal_dot_bit_for_bit(d, vectors):
+    assert scorer(vectors).dots(d) == [d.dot(v) for v in vectors]
+
+
+def test_scorer_gives_dense_rows_from_the_threshold_fill():
+    # one entry in one term: the table is 1 / len(vectors) full
+    n = round(1 / DENSE_MIN_FILL)
+    one_entry = [SparseVector(((7, 0.5),))]
+    assert table_fill(one_entry + [SparseVector()] * (n - 1)) == DENSE_MIN_FILL
+    assert type(scorer(one_entry + [SparseVector()] * (n - 1))) is TermTable
+    assert type(scorer(one_entry + [SparseVector()] * n)) is InvertedIndex
+    assert table_fill([SparseVector(((0, 0.5), (1, 0.5))), SparseVector(((1, 0.5),))]) == 0.75
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_scorer_gives_a_set_with_no_rows_postings(n):
+    # every document term misses, so postings cost one lookup per term and dense rows a zero row per term
+    index = scorer([SparseVector()] * n)
+    assert table_fill([SparseVector()] * n) == 0.0
+    assert type(index) is InvertedIndex
+    assert index.dots(SparseVector(((0, 0.6), (4, 0.8)))) == [0.0] * n

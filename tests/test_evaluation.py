@@ -125,6 +125,29 @@ def test_render_report_sections():
     assert "topics,740,652,88,8.2" in no_baseline
 
 
+@pytest.mark.parametrize(
+    "name, shown",
+    [
+        ("news\nwire", r"news\nwire"),
+        ("news\r\nwire", r"news\r\nwire"),
+        ("news\twire", r"news\twire"),
+        ("news\x85wire", r"news\x85wire"),
+        ("news\u2028wire", r"news\u2028wire"),
+        ("nouvelles fraîches", "nouvelles fraîches"),
+    ],
+)
+def test_render_report_escapes_control_characters_in_table_rows_only(name, shown):
+    srow = SummaryRow(name, _table2_topics_row())
+    crow = ComparisonRow(name, flat=41.2, lcn=40.1, proposed=47.5)
+    lines = render_report([srow], [crow]).split("\n")
+    summary_row = lines[lines.index("Rejection summary") + 2]
+    comparison_row = lines[lines.index("Method comparison (recognition rate, %)") + 2]
+    assert summary_row.startswith(shown) and summary_row.endswith("8.20")
+    assert comparison_row.startswith(shown) and comparison_row.endswith("47.5")
+    report = "\n".join(lines)
+    assert summary_csv([srow]) in report and comparison_csv([crow]) in report
+
+
 def test_evaluate_accept_all_matches_overall():
     run = synthetic_run(SyntheticSpec(depth=2, branching=3, docs_per_leaf=20, noise_fraction=0.4, seed=2), 0.2, 0.3)
     cal = with_threshold(run.calibration, ACCEPT_ALL)

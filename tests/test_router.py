@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import refuse_json_constant, synthetic_run
 from routecat import centroid
-from routecat.centroid import CentroidModel, Mode, model_identity, node_score, vocabulary_digest
-from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus, vectorize
+from routecat.centroid import CentroidModel, Mode, group_scores, model_identity, node_score, vocabulary_digest
+from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, load_corpus, scorer, vectorize
 from routecat.evaluation import SyntheticSpec, flat_predictions, generate_synthetic, leaf_centroids
 from routecat.policies import PolicyKind
 from routecat.router import (
@@ -131,16 +131,55 @@ def test_decode_equals_the_node_score_reference_on_a_binary_siblings_corpus():
         assert trace == node_score_decode(run.model, d)
 
 
+# the benchmark's workloads (perfbench/workloads.py), each with the kernel its flat baseline gets
+BENCH_SHAPES = {
+    "docs-heavy": (SyntheticSpec(depth=2, branching=4, docs_per_leaf=225, tokens_per_doc=40, noise_fraction=0.9), {}, TermTable),
+    "node-heavy": (SyntheticSpec(depth=3, branching=8, docs_per_leaf=3, tokens_per_doc=30, noise_fraction=0.5), {}, InvertedIndex),
+    "binary-siblings": (
+        SyntheticSpec(depth=2, branching=12, docs_per_leaf=12, tokens_per_doc=20, noise_fraction=0.75),
+        {"mode": Mode.BINARY, "policy": PolicyKind.SIBLINGS},
+        InvertedIndex,
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SHAPES))
+def test_scorer_gives_bench_leaves_their_kernel_and_every_sibling_group_dense_rows(workload):
+    spec, training, leaf_kernel = BENCH_SHAPES[workload]
+    model = synthetic_run(spec, 0.15, 0.15, **training).model
+    t = model.taxonomy
+    # leaf fills: docs-heavy 0.28, binary-siblings 0.036, node-heavy 0.006
+    assert type(scorer([model.centroid_of[leaf] for leaf in t.leaves])) is leaf_kernel
+    for parent in t.nodes:
+        if t.children(parent):
+            group_scores(model, SparseVector(), parent)
+    # the sparsest groups are the roots': 0.40, 0.52 and 0.14 full
+    assert len(model.group_tables) == len(t.nodes) - len(t.leaves)
+    assert {type(table) for table in model.group_tables.values()} == {TermTable}
+
+
+def test_decode_over_a_wide_sparse_group_on_postings_equals_the_reference_and_the_flat_argmax():
+    run = synthetic_run(SyntheticSpec(depth=1, branching=240, docs_per_leaf=3, tokens_per_doc=8, noise_fraction=0.6, seed=2), 0.2, 0.2)
+    model, t = run.model, run.model.taxonomy
+    vectors = [vectorize(doc, model.vocabulary) for doc in run.split.validation + run.split.test]
+    traces = [decode(model, d) for d in vectors]
+    assert type(model.group_tables[t.root]) is InvertedIndex
+    # traces hold every group score and confidence, so == compares each float
+    assert traces == [node_score_decode(model, d) for d in vectors]
+    flats = flat_predictions(leaf_centroids(run.split.train, t, model.vocabulary), vectors, t)
+    assert [trace.route[-1] for trace in traces] == flats
+
+
 def test_decode_builds_each_group_table_once_per_model(monkeypatch):
     run = synthetic_run(BINARY_SIBLINGS_SPEC, 0.2, 0.2, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
     built = []
 
-    def counting_table(vectors):
+    def counting_scorer(vectors):
         built.append(len(vectors))
-        return table_class(vectors)
+        return build(vectors)
 
-    table_class = centroid.TermTable
-    monkeypatch.setattr(centroid, "TermTable", counting_table)
+    build = centroid.scorer
+    monkeypatch.setattr(centroid, "scorer", counting_scorer)
     model = centroid.loads_model(centroid.dumps_model(run.model))  # calibration filled run.model's cache
     assert not model.group_tables
     vectors = [vectorize(doc, model.vocabulary) for doc in run.split.test]
