@@ -42,8 +42,9 @@ class CentroidModel:
     self-contained for classification.  ``training_digest`` is the
     :func:`documents_digest` of the training documents, so that evaluation
     can refuse a split whose training part differs.  ``group_tables``
-    caches one :func:`~routecat.corpus.scorer` per sibling group, keyed by
-    the group's parent, as :func:`group_scores` first needs it.
+    caches the kernel :func:`~routecat.corpus.scorer` builds for each
+    sibling group, keyed by the group's parent, as :func:`group_scores`
+    first needs it.
     """
 
     taxonomy: Taxonomy
@@ -131,7 +132,7 @@ def node_score(model: CentroidModel, d: SparseVector, node: NodeId) -> float:
 
 
 def group_scores(model: CentroidModel, d: SparseVector, parent: NodeId) -> list[float]:
-    """``[node_score(model, d, c) for c in children(parent)]``, with the same floats, from one table lookup per term.
+    """``[node_score(model, d, c) for c in children(parent)]``, with the same floats, in one pass over ``d``'s terms.
 
     The group's scorer (dense rows or postings, as
     :func:`~routecat.corpus.scorer` picks) is built the first time it is

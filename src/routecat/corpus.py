@@ -187,10 +187,11 @@ class TermTable:
 
 # Fill (centroid entries / (distinct terms * vectors)) from which dense rows
 # score faster than postings.  Per document over depth-1 leaf sets of synthetic
-# text, postings began to win at fill 0.064 on node-heavy-style text and 0.046
-# on binary-siblings-style text (near ties there), and won by 2.4x at 0.005
-# (512 leaves); long docs-heavy-style documents, which mostly hit full rows,
-# still scored faster dense at 0.027.
+# text, dense rows won above fill 0.1 on every text style measured.  Postings
+# won from about 0.06 on node-heavy-style text, and by 2.4x at 0.005 (512
+# leaves); binary-siblings-style text stayed near a tie from 0.09 down to 0.03;
+# long docs-heavy-style documents, which mostly hit full rows, still scored
+# faster dense at 0.027.  0.05 follows the node-heavy-style crossover.
 DENSE_MIN_FILL = 0.05
 
 

@@ -352,8 +352,9 @@ def render_report(summary_rows: Sequence[SummaryRow], comparison_rows: Sequence[
     """Human-readable tables followed by their CSV equivalents.
 
     The tables escape control characters in a problem name, so that each row
-    stays on one line; the CSV sections keep the name as it is, quoted.  The
-    comparison section is omitted when no baseline rows are supplied.
+    stays on one line; the CSV sections keep the name as it is, quoted as
+    RFC 4180 requires.  The comparison section is omitted when no baseline
+    rows are supplied.
     """
     out: list[str] = []
     out.append("Rejection summary")

@@ -237,11 +237,11 @@ def test_model_fields_are_validated(t0, t0_docs, field, value, message):
         ([[6, 0.5]], "must increase below 6, got 6 after -1"),
         ([[0, float("nan")]], "not finite"),
         ([[0, 0.5], [1, float("-inf")]], "not finite"),
-        ([[0, 0.5], [1, -0.25]], "negative"),
         # JSON has typed these values already: a float or bool index and a string weight are refused, not converted
         ([[0.9, 0.5], [1.5, 0.2]], "must increase below 6, got 0.9 after -1"),
         ([[True, 0.5]], "must increase below 6, got True after -1"),
         ([[0, "0.5"]], "not a float"),
+        ([[0, 0.5], [1, -0.25]], "negative"),
     ],
 )
 def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, message):
