@@ -282,12 +282,6 @@ def test_term_table_scores_equal_dot_bit_for_bit(d, vectors):
         assert score == d.dot(v)
 
 
-@given(sparse_vectors, st.lists(sparse_vectors, max_size=8))
-@dot_examples
-def test_scorer_scores_equal_dot_bit_for_bit(d, vectors):
-    assert scorer(vectors).dots(d) == [d.dot(v) for v in vectors]
-
-
 def test_scorer_gives_dense_rows_from_the_threshold_fill():
     # one entry in one term: the table is 1 / len(vectors) full
     n = round(1 / DENSE_MIN_FILL)
