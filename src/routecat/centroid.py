@@ -255,28 +255,39 @@ def loads_model(text: str) -> CentroidModel:
 
     Unknown formats and versions, missing or wrongly typed fields, a
     vocabulary whose indices are not its positions 0..n-1 or whose terms
-    repeat, centroid entries whose term indices are not integers increasing
-    below the vocabulary size or whose weights are not finite nonnegative floats, and
-    models that lack a centroid a node needs, and a stored
-    ``vocabulary_digest`` that is not the vocabulary's own raise
-    :class:`ModelFormatError`.  Values are checked as JSON typed them, never
-    converted.
+    repeat, ``n_docs`` below 1 or a document frequency outside 1..``n_docs``,
+    centroid entries whose term indices are not integers increasing below
+    the vocabulary size or whose weights are not finite nonnegative floats,
+    centroids keyed by anything but exactly the non-root nodes, a binary
+    model without a policy and a negative centroid per node, a positive-only
+    model with either, and a stored ``vocabulary_digest`` that is not the
+    vocabulary's own raise :class:`ModelFormatError`.  Values are checked as
+    JSON typed them, never converted.
     """
     model = loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
     t = model.taxonomy
     missing = [node for node in t.nodes if node != t.root and node not in model.centroid_of]
     if missing:
         raise ModelFormatError(f"model file has no centroid for node {missing[0]!r}")
+    extra = [node for node in model.centroid_of if node == t.root or node not in t]
+    if extra:
+        raise ModelFormatError(f"model file has a centroid for {extra[0]!r}, which is the root or not in the taxonomy")
     negatives = model.negative_centroid_of
     if model.mode is Mode.BINARY and (
         model.policy is None or negatives is None or negatives.keys() != model.centroid_of.keys()
     ):
         raise ModelFormatError("binary model file needs a policy and a negative centroid per node")
+    if model.mode is Mode.POSITIVE_ONLY and (model.policy is not None or negatives is not None):
+        raise ModelFormatError("positive-only model file must have no policy and no negative centroids")
     return model
 
 
 def _model_from_payload(payload: dict) -> CentroidModel:
     vocab_payload = payload["vocabulary"]
+    # build_vocabulary counts at least one document, and each term in 1..n_docs of them; idf needs both
+    n_docs = checked_int(vocab_payload["n_docs"], "n_docs")
+    if n_docs < 1:
+        raise ValueError(f"n_docs must be at least 1, not {n_docs}")
     index: dict[str, int] = {}
     doc_frequency: dict[str, int] = {}
     for position, (term, idx, df) in enumerate(vocab_payload["terms"]):
@@ -286,7 +297,8 @@ def _model_from_payload(payload: dict) -> CentroidModel:
             raise ValueError(f"vocabulary term {term!r} has index {idx!r} at position {position}")
         index[term] = idx
         doc_frequency[term] = checked_int(df, f"document frequency of {term!r}")
-    n_docs = checked_int(vocab_payload["n_docs"], "n_docs")
+        if not 1 <= df <= n_docs:
+            raise ValueError(f"document frequency {df} of {term!r} lies outside 1..{n_docs}")
     vocabulary = Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=n_docs)
     if payload["vocabulary_digest"] != vocabulary.digest:
         raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
@@ -314,12 +326,13 @@ def _model_from_payload(payload: dict) -> CentroidModel:
     digest = payload["training_digest"]
     if not isinstance(digest, str):
         raise TypeError(f"training_digest must be a string, not {digest!r}")
-    negative = payload.get("negative_centroids")
+    policy = payload["policy"]
+    negative = payload["negative_centroids"]
     return CentroidModel(
         taxonomy=parse_taxonomy(payload["taxonomy"]),
         vocabulary=vocabulary,
         mode=Mode(payload["mode"]),
-        policy=PolicyKind(payload["policy"]) if payload.get("policy") else None,
+        policy=PolicyKind(policy) if policy is not None else None,
         centroid_of=vectors(payload["centroids"]),
         negative_centroid_of=vectors(negative) if negative is not None else None,
         training_digest=digest,

@@ -86,11 +86,9 @@ def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
     index: dict[str, int] = {}
     df: dict[str, int] = {}
     for doc in train:
-        tokens = tokenize(doc.text)
-        for term in tokens:
-            if term not in index:
-                index[term] = len(index)
-        for term in set(tokens):
+        # each distinct term once, in first-appearance order
+        for term in dict.fromkeys(tokenize(doc.text)):
+            index.setdefault(term, len(index))
             df[term] = df.get(term, 0) + 1
     return Vocabulary(index=index, doc_frequency=df, n_docs=len(train))
 
@@ -229,15 +227,10 @@ def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:
     """
     idf_of = vocab.idf_of
     counts = Counter(t for t in tokenize(doc.text) if t in idf_of)
-    weights: dict[int, float] = {}
-    for term, tf in counts.items():
-        w = tf * idf_of[term]
-        if w > 0.0:
-            weights[vocab.index[term]] = w
-    if not weights:
-        return SparseVector()
-    norm = math.sqrt(math.fsum(w * w for w in (weights[i] for i in sorted(weights))))
-    return SparseVector(tuple((i, weights[i] / norm) for i in sorted(weights)))
+    # one (index, tf * idf) entry per term of positive weight; indices are distinct, so they alone sort
+    entries = sorted((vocab.index[t], w) for t, tf in counts.items() if (w := tf * idf_of[t]) > 0.0)
+    norm = math.sqrt(math.fsum(w * w for _, w in entries))
+    return SparseVector(tuple((i, w / norm) for i, w in entries))
 
 
 @dataclass(frozen=True)

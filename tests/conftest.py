@@ -1,8 +1,12 @@
-"""Shared fixtures: the toy taxonomy, random instances and sparse vectors, a naive policy oracle, a strict JSON hook, and synthetic runs."""
+"""Shared fixtures: the toy taxonomy, random instances and sparse vectors, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import strategies as st
@@ -133,3 +137,15 @@ def synthetic_run(spec: SyntheticSpec, val_fraction: float, test_fraction: float
     taxonomy = parse_taxonomy(taxonomy_text)
     docs = load_corpus(corpus_text, taxonomy)
     return train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed, **training)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def import_perfbench(name: str) -> ModuleType:
+    """A module of the benchmark (``perfbench/<name>.py``), which is a directory of scripts, not a package."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))

@@ -9,21 +9,10 @@ from __future__ import annotations
 
 import ast
 import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def import_tracing():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import tracing
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return tracing
+from conftest import PERFBENCH, import_perfbench
 
 
 def routecat_reads(source: str) -> list[tuple[str, str]]:
@@ -45,7 +34,7 @@ def routecat_reads(source: str) -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("table", ["STAGES", "HOT"])
 def test_every_traced_function_exists(table):
-    entries = getattr(import_tracing(), table)
+    entries = getattr(import_perfbench("tracing"), table)
     assert entries
     missing = [label for owner, attr, label in entries if not hasattr(owner, attr)]
     assert missing == []

@@ -174,16 +174,19 @@ def test_model_records_its_training_documents(t0, t0_docs):
 
 
 def test_model_round_trip(t0, t0_docs):
-    model = _toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.EXCLUSIVE)
-    text = dumps_model(model)
-    loaded = loads_model(text)
-    assert loaded.taxonomy == model.taxonomy
-    assert loaded.vocabulary == model.vocabulary
-    assert loaded.mode is Mode.BINARY
-    assert loaded.policy is PolicyKind.EXCLUSIVE
-    assert loaded.centroid_of == model.centroid_of
-    assert loaded.negative_centroid_of == model.negative_centroid_of
-    assert dumps_model(loaded) == text
+    # every shape train writes loads, and loads back to the same text
+    for policy in [None, *PolicyKind]:
+        mode = Mode.POSITIVE_ONLY if policy is None else Mode.BINARY
+        model = _toy_model(t0, t0_docs, mode=mode, policy=policy)
+        text = dumps_model(model)
+        loaded = loads_model(text)
+        assert loaded.taxonomy == model.taxonomy
+        assert loaded.vocabulary == model.vocabulary
+        assert loaded.mode is mode
+        assert loaded.policy is policy
+        assert loaded.centroid_of == model.centroid_of
+        assert loaded.negative_centroid_of == model.negative_centroid_of
+        assert dumps_model(loaded) == text
 
 
 def test_model_version_check(t0, t0_docs):
@@ -212,8 +215,16 @@ def test_model_version_check(t0, t0_docs):
         ("negative_centroids", None, "negative centroid"),
         ("vocabulary", {"n_docs": 4.0, "terms": []}, "n_docs must be an integer, not 4.0"),
         ("vocabulary", {"n_docs": True, "terms": []}, "n_docs must be an integer, not True"),
+        # ln((n_docs + 1) / (df + 1)) raised "math domain error" at n_docs = -1
+        ("vocabulary", {"n_docs": -1, "terms": []}, "n_docs must be at least 1, not -1"),
+        ("vocabulary", {"n_docs": 0, "terms": []}, "n_docs must be at least 1, not 0"),
         ("training_digest", None, "no field 'training_digest'"),
         ("training_digest", 7, "training_digest must be a string"),
+        ("policy", None, "no field 'policy'"),
+        # a positive-only model carrying the binary model's policy and negatives
+        ("mode", "positive-only", "positive-only model file must have no policy and no negative centroids"),
+        ("centroids", {n: [] for n in ("ROOT", "A", "B", "A1", "A2", "B1")}, "centroid for 'ROOT', which is the root"),
+        ("centroids", {n: [] for n in ("A", "B", "A1", "A2", "B1", "Z")}, "centroid for 'Z', which is the root or not in"),
     ],
 )
 def test_model_fields_are_validated(t0, t0_docs, field, value, message):
@@ -223,6 +234,14 @@ def test_model_fields_are_validated(t0, t0_docs, field, value, message):
     else:
         payload[field] = value
     with pytest.raises(ModelFormatError, match=message):
+        loads_model(json.dumps(payload))
+
+
+@pytest.mark.parametrize("field", ["policy", "negative_centroids"])
+def test_positive_only_model_file_with_a_policy_or_negatives_is_refused(t0, t0_docs, field):
+    payload = json.loads(dumps_model(_toy_model(t0, t0_docs)))
+    payload[field] = {"policy": "siblings", "negative_centroids": payload["centroids"]}[field]
+    with pytest.raises(ModelFormatError, match="positive-only model file must have no policy and no negative centroids"):
         loads_model(json.dumps(payload))
 
 
@@ -262,6 +281,10 @@ def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, messa
         (0, 0, 7, "7 is not a string"),
         (2, 2, 1.0, "document frequency of 'uno' must be an integer, not 1.0"),
         (2, 2, "1", "document frequency of 'uno' must be an integer"),
+        # idf divided by df + 1 = 0 and ended classify in a ZeroDivisionError
+        (0, 2, -1, "document frequency -1 of 'alpha' lies outside 1..4"),
+        (0, 2, 0, "document frequency 0 of 'alpha' lies outside 1..4"),
+        (1, 2, 5, "document frequency 5 of 'one' lies outside 1..4"),
     ],
 )
 def test_model_vocabulary_is_validated(t0, t0_docs, position, column, value, message):

@@ -9,7 +9,7 @@ import pytest
 from conftest import refuse_json_constant
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
-from routecat.corpus import Document, build_vocabulary
+from routecat.corpus import Document, Vocabulary, build_vocabulary
 from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration
 from routecat.taxonomy import parse_taxonomy
 
@@ -605,6 +605,33 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
         "--input", str(data / "corpus.tsv"),
     )
     assert_one_line_error(result, "has no field")
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+@pytest.mark.parametrize("field", ["doc_frequency", "n_docs"])
+def test_model_with_an_impossible_document_count_is_a_one_line_error(tmp_path, command, field):
+    inputs = command_inputs(tmp_path, command)
+    model, calibration = tmp_path / "run" / "model.json", tmp_path / "run" / "calibration.json"
+    payload = json.loads(model.read_text())
+    vocab = payload["vocabulary"]
+    if field == "n_docs":
+        vocab["n_docs"] = -1  # idf raised "math domain error", naming no file
+    else:
+        vocab["terms"][0][2] = -1  # idf divided by df + 1 = 0 and ended in a traceback
+    # both files carry the digest of the edited vocabulary, so the pair still matches
+    digest = Vocabulary(
+        index={term: idx for term, idx, _ in vocab["terms"]},
+        doc_frequency={term: df for term, _, df in vocab["terms"]},
+        n_docs=vocab["n_docs"],
+    ).digest
+    payload["vocabulary_digest"] = digest
+    model.write_text(json.dumps(payload))
+    paired = json.loads(calibration.read_text())
+    paired["vocabulary_digest"] = digest
+    calibration.write_text(json.dumps(paired))
+    result = run_subprocess(command, *inputs)
+    assert_one_line_error(result, f"{model}: malformed model file: ")
+    assert "Traceback" not in result.stderr
 
 
 NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents misrouted

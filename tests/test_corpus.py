@@ -192,6 +192,18 @@ def test_vectorize_with_precomputed_idf_equals_the_formula(train_texts, query):
 
 
 @given(st.lists(texts, min_size=1, max_size=8))
+@example(["cat dog cat", "dog bird dog", "bird cat cat bird"])
+def test_build_vocabulary_numbers_terms_by_first_appearance_and_counts_each_document_once(train_texts):
+    docs = [Document(f"d{i}", "A", text) for i, text in enumerate(train_texts)]
+    vocab = build_vocabulary(docs)
+    stream = [term for doc in docs for term in tokenize(doc.text)]
+    first_appearance = sorted(set(stream), key=stream.index)
+    assert vocab.index == {term: k for k, term in enumerate(first_appearance)}
+    assert vocab.doc_frequency == {term: sum(term in tokenize(doc.text) for doc in docs) for term in first_appearance}
+    assert vocab.n_docs == len(docs)
+
+
+@given(st.lists(texts, min_size=1, max_size=8))
 def test_vocabulary_only_from_train(train_texts):
     train = [Document(f"d{i}", "A1", t) for i, t in enumerate(train_texts)]
     v = build_vocabulary(train)

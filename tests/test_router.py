@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import refuse_json_constant, synthetic_run
+from conftest import import_perfbench, refuse_json_constant, synthetic_run
 from routecat import centroid
 from routecat.centroid import CentroidModel, Mode, group_scores, model_identity, node_score, vocabulary_digest
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, load_corpus, scorer, vectorize
@@ -131,25 +131,25 @@ def test_decode_equals_the_node_score_reference_on_a_binary_siblings_corpus():
         assert trace == node_score_decode(run.model, d)
 
 
-# the benchmark's workloads (perfbench/workloads.py), each with the kernel its flat baseline gets
-BENCH_SHAPES = {
-    "docs-heavy": (SyntheticSpec(depth=2, branching=4, docs_per_leaf=225, tokens_per_doc=40, noise_fraction=0.9), {}, TermTable),
-    "node-heavy": (SyntheticSpec(depth=3, branching=8, docs_per_leaf=3, tokens_per_doc=30, noise_fraction=0.5), {}, InvertedIndex),
-    "binary-siblings": (
-        SyntheticSpec(depth=2, branching=12, docs_per_leaf=12, tokens_per_doc=20, noise_fraction=0.75),
-        {"mode": Mode.BINARY, "policy": PolicyKind.SIBLINGS},
-        InvertedIndex,
-    ),
-}
+BENCH = import_perfbench("workloads")
+# the kernel each benchmark workload's flat baseline gets
+BENCH_LEAF_KERNEL = {"docs-heavy": TermTable, "node-heavy": InvertedIndex, "binary-siblings": InvertedIndex}
 
 
-@pytest.mark.parametrize("workload", sorted(BENCH_SHAPES))
+@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
 def test_scorer_gives_bench_leaves_their_kernel_and_every_sibling_group_dense_rows(workload):
-    spec, training, leaf_kernel = BENCH_SHAPES[workload]
-    model = synthetic_run(spec, 0.15, 0.15, **training).model
+    # the workload's corpus (seed 0), trained with its flags and split by the benchmark's fractions
+    w = BENCH.WORKLOADS[workload]
+    spec = SyntheticSpec(
+        depth=w.depth, branching=w.branching, docs_per_leaf=w.docs_per_leaf, tokens_per_doc=w.tokens_per_doc,
+        noise_fraction=w.noise,
+    )
+    flags = dict(zip(w.train_flags()[::2], w.train_flags()[1::2]))
+    training = {"mode": Mode(flags["--mode"]), "policy": PolicyKind(flags["--policy"])} if flags else {}
+    model = synthetic_run(spec, BENCH.VAL_FRACTION, BENCH.TEST_FRACTION, **training).model
     t = model.taxonomy
     # leaf fills: docs-heavy 0.28, binary-siblings 0.036, node-heavy 0.006
-    assert type(scorer([model.centroid_of[leaf] for leaf in t.leaves])) is leaf_kernel
+    assert type(scorer([model.centroid_of[leaf] for leaf in t.leaves])) is BENCH_LEAF_KERNEL[workload]
     for parent in t.nodes:
         if t.children(parent):
             group_scores(model, SparseVector(), parent)
