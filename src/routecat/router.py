@@ -291,9 +291,9 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
     """Inverse of :func:`dumps_calibration`; returns the calibration and its digest.
 
     Unknown formats and versions, missing or wrongly typed fields (weights
-    and the gap must be finite floats, the size an integer, each weight key a
-    depth written as a plain integer), and a NaN threshold raise
-    :class:`CalibrationError`.
+    and the gap must be floats in [0, 1], the size an integer of at least 1,
+    each weight key a depth written as a plain integer), and a NaN threshold
+    raise :class:`CalibrationError`.
     """
     return loads_artifact(
         text, "calibration", CALIBRATION_FORMAT_VERSION, CalibrationError, _calibration_from_payload
@@ -306,12 +306,15 @@ def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
         depth = int(key)
         if str(depth) != key:
             raise ValueError(f"level weight key {key!r} is not a depth")
-        level_weights[depth] = checked_float(weight, f"level weight {key}")
+        level_weights[depth] = _checked_rate(weight, f"level weight {key}")
+    validation_size = checked_int(payload["validation_size"], "validation_size")
+    if validation_size < 1:
+        raise ValueError(f"validation_size must be at least 1, not {validation_size!r}")
     calibration = Calibration(
         level_weights=level_weights,
         threshold=_threshold_from_json(payload["threshold"]),
-        eer_gap=checked_float(payload["eer_gap"], "eer_gap"),
-        validation_size=checked_int(payload["validation_size"], "validation_size"),
+        eer_gap=_checked_rate(payload["eer_gap"], "eer_gap"),
+        validation_size=validation_size,
         source=payload["source"],
         model_identity=payload["model_identity"],
     )
@@ -319,6 +322,14 @@ def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
     if not all(isinstance(value, str) for value in (calibration.source, calibration.model_identity, digest)):
         raise TypeError("source, model_identity and vocabulary_digest must be strings")
     return calibration, digest
+
+
+def _checked_rate(value: object, what: str) -> float:
+    """``value`` if JSON read it as a float in [0, 1], as every level weight and EER gap is written."""
+    rate = checked_float(value, what)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1], not {rate!r}")
+    return rate
 
 
 def check_matching_vocabulary(model: CentroidModel, calibration_digest: str) -> None:

@@ -29,28 +29,41 @@ class Taxonomy:
     The root is a pure dispatch node: it carries no classifier, no documents,
     and never appears in a route.  Child order is the first-appearance order
     from the source file and is the tie-break order for every downstream
-    decision, so two parses of the same bytes behave identically.
+    decision, so two parses of the same bytes behave identically.  Only the
+    children are stored; parents, paths and the node order come from one
+    depth-first walk from the root, made when the taxonomy is built.
     """
 
     root: NodeId
-    parent_of: Mapping[NodeId, NodeId]
     children_of: Mapping[NodeId, tuple[NodeId, ...]]
 
     def __post_init__(self) -> None:
-        if self.root in self.parent_of:
-            raise TaxonomyError(f"root {self.root!r} has a parent")
-        node_count = len(self.children_of)
+        self._path_of  # walk now: the walk refuses a malformed tree
+
+    @cached_property
+    def _path_of(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        """Every node's path (see :meth:`path`), in depth-first pre-order, children in file order.
+
+        One walk from the root: a node reached twice (a second parent, or a
+        cycle through the root) or never reached (a cycle apart from it) is refused.
+        """
+        path_of: dict[NodeId, tuple[NodeId, ...]] = {}
+        stack: list[tuple[NodeId, tuple[NodeId, ...]]] = [(self.root, ())]
+        while stack:
+            node, path = stack.pop()
+            if node in path_of:
+                raise TaxonomyError(f"node {node!r} is reached twice from the root")
+            path_of[node] = path
+            stack.extend((child, path + (child,)) for child in reversed(self.children_of[node]))
         for node in self.children_of:
-            if node != self.root and node not in self.parent_of:
-                raise TaxonomyError(f"non-root node {node!r} has no parent")
-            # every parent chain must reach the root without revisiting a node
-            steps = 0
-            cursor = node
-            while cursor != self.root:
-                cursor = self.parent_of[cursor]
-                steps += 1
-                if steps > node_count:
-                    raise TaxonomyError(f"cycle detected at node {node!r}")
+            if node not in path_of:
+                raise TaxonomyError(f"cycle detected at node {node!r}")
+        return path_of
+
+    @cached_property
+    def parent_of(self) -> dict[NodeId, NodeId]:
+        """Each non-root node's parent."""
+        return {child: node for node, kids in self.children_of.items() for child in kids}
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self.children_of
@@ -62,13 +75,7 @@ class Taxonomy:
     @cached_property
     def nodes(self) -> tuple[NodeId, ...]:
         """All nodes in depth-first pre-order, children in file order."""
-        out: list[NodeId] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(self.children_of[node]))
-        return tuple(out)
+        return tuple(self._path_of)
 
     @cached_property
     def leaves(self) -> tuple[NodeId, ...]:
@@ -76,7 +83,7 @@ class Taxonomy:
 
     @cached_property
     def max_depth(self) -> int:
-        return max(self.depth(leaf) for leaf in self.leaves)
+        return max(map(len, self._path_of.values()))
 
     def parent(self, node: NodeId) -> NodeId:
         self._require(node)
@@ -95,20 +102,13 @@ class Taxonomy:
     def path(self, node: NodeId) -> tuple[NodeId, ...]:
         """Path from a child of the root down to ``node``, root excluded."""
         self._require(node)
-        chain: list[NodeId] = []
-        while node != self.root:
-            chain.append(node)
-            node = self.parent_of[node]
-        return tuple(reversed(chain))
+        return self._path_of[node]
 
     def ancestors(self, node: NodeId) -> frozenset[NodeId]:
         """Strict ancestors of ``node``, including the root; never ``node`` itself."""
         self._require(node)
-        out: set[NodeId] = set()
-        while node != self.root:
-            node = self.parent_of[node]
-            out.add(node)
-        return frozenset(out)
+        path = self._path_of[node]
+        return frozenset((self.root, *path[:-1])) if path else frozenset()
 
     def descendants(self, node: NodeId) -> frozenset[NodeId]:
         """Strict descendants of ``node``; never ``node`` itself."""
@@ -133,10 +133,11 @@ class Taxonomy:
 def tsv_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(line number, line, tab-separated fields) of each line that is neither blank nor a ``#`` comment.
 
-    Only LF ends a line and a trailing CR is dropped, so CRLF text reads like LF
-    text; every other separator (VT, FF, NEL, U+2028, ...) belongs to its line.
+    One leading byte-order mark (U+FEFF) is dropped.  Only LF ends a line and a
+    trailing CR is dropped, so CRLF text reads like LF text; every other
+    separator (VT, FF, NEL, U+2028, ...) belongs to its line.
     """
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.rstrip("\r")
         if line.strip() and not line.startswith("#"):
             yield lineno, line, line.split("\t")
@@ -151,26 +152,19 @@ def parse_taxonomy(text: str) -> Taxonomy:
     """
     parent_of: dict[NodeId, NodeId] = {}
     children_of: dict[NodeId, list[NodeId]] = {}
-    edges: set[tuple[NodeId, NodeId]] = set()
-
-    def note(node: NodeId) -> None:
-        children_of.setdefault(node, [])
-
     for lineno, line, parts in tsv_lines(text):
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise TaxonomyError(f"line {lineno}: malformed edge line {line!r}")
         parent, child = parts
-        if (parent, child) in edges:
+        if parent_of.get(child) == parent:
             raise TaxonomyError(f"line {lineno}: duplicate edge {parent!r} -> {child!r}")
-        edges.add((parent, child))
-        if child in parent_of and parent_of[child] != parent:
+        if child in parent_of:
             raise TaxonomyError(
                 f"line {lineno}: two parents for {child!r}: {parent_of[child]!r} and {parent!r}"
             )
         parent_of[child] = parent
-        note(parent)
-        note(child)
-        children_of[parent].append(child)
+        children_of.setdefault(parent, []).append(child)
+        children_of.setdefault(child, [])
 
     if not children_of:
         raise TaxonomyError("empty taxonomy")
@@ -181,15 +175,14 @@ def parse_taxonomy(text: str) -> Taxonomy:
         raise TaxonomyError(f"multiple roots: {sorted(roots)}")
 
     frozen = {node: tuple(kids) for node, kids in children_of.items()}
-    return Taxonomy(root=roots[0], parent_of=parent_of, children_of=frozen)
+    return Taxonomy(root=roots[0], children_of=frozen)
 
 
 def format_taxonomy(t: Taxonomy) -> str:
     """Render a taxonomy back to edge lines (breadth-first, child order kept)."""
     lines: list[str] = []
     queue: list[NodeId] = [t.root]
-    while queue:
-        node = queue.pop(0)
+    for node in queue:  # the loop reaches the children appended behind it
         for child in t.children_of[node]:
             lines.append(f"{node}\t{child}")
             queue.append(child)

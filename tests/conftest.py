@@ -48,17 +48,23 @@ def t0_docs() -> list[Document]:
     ]
 
 
-def random_taxonomy(rng: random.Random, max_nodes: int = 20, max_depth: int = 4) -> Taxonomy:
-    """Random tree as edge text, depth-capped, parsed through the real parser."""
+def random_edges(rng: random.Random, max_nodes: int = 20, max_depth: int = 4) -> list[tuple[str, str]]:
+    """(parent, child) edges of a random depth-capped tree rooted at ``n0``, in file order."""
     n = rng.randint(2, max_nodes)
     depth = {0: 0}
-    lines = []
+    edges = []
     for i in range(1, n):
         candidates = [j for j in range(i) if depth[j] < max_depth]
         p = rng.choice(candidates)
         depth[i] = depth[p] + 1
-        lines.append(f"n{p}\tn{i}")
-    return parse_taxonomy("\n".join(lines) + "\n")
+        edges.append((f"n{p}", f"n{i}"))
+    return edges
+
+
+def random_taxonomy(rng: random.Random, max_nodes: int = 20, max_depth: int = 4) -> Taxonomy:
+    """The tree of :func:`random_edges` as edge text, parsed through the real parser."""
+    edges = random_edges(rng, max_nodes, max_depth)
+    return parse_taxonomy("".join(f"{parent}\t{child}\n" for parent, child in edges))
 
 
 def random_labeled_docs(rng: random.Random, t: Taxonomy, max_docs: int = 200) -> list[Document]:
@@ -73,18 +79,19 @@ def random_labeled_docs(rng: random.Random, t: Taxonomy, max_docs: int = 200) ->
 def naive_training_set(train_docs, t: Taxonomy, node, policy: PolicyKind):
     """Independent oracle: evaluates each policy's membership predicate per document.
 
-    Works directly off the parent map instead of the library's relation
-    queries, so it cannot share bugs with them.
+    Works off its own parent map, built from ``t.children_of``, instead of the
+    library's relation queries, so it cannot share bugs with them.
     """
+    parent_of = {child: parent for parent, kids in t.children_of.items() for child in kids}
 
     def chain_up(label):
         out = []
         while label != t.root:
-            label = t.parent_of[label]
+            label = parent_of[label]
             out.append(label)
         return out
 
-    node_parent = t.parent_of[node]
+    node_parent = parent_of[node]
     positives, negatives = set(), set()
     for d in train_docs:
         lab = d.label
@@ -92,14 +99,14 @@ def naive_training_set(train_docs, t: Taxonomy, node, policy: PolicyKind):
         is_lam = lab == node
         is_below = node in ancestors_of_label
         is_above = lab in chain_up(node)
-        is_sibling = lab != node and lab != t.root and t.parent_of.get(lab) == node_parent
+        is_sibling = lab != node and lab != t.root and parent_of.get(lab) == node_parent
         # walk up from the label; the first node sharing node's parent tells us
         # whether the label sits under node itself or under one of its siblings
         is_sibling_or_below = False
         for member in [lab] + ancestors_of_label:
             if member == t.root:
                 break
-            if t.parent_of.get(member) == node_parent:
+            if parent_of.get(member) == node_parent:
                 is_sibling_or_below = member != node
                 break
 

@@ -258,24 +258,35 @@ def test_classify_keeps_unicode_line_separators_in_text(tmp_path, capsys):
     assert out.startswith("q1\t") and out.count("\n") == 1
 
 
+def model_and_classify_output(tmp_path, capsys, inputs):
+    """``model.json`` trained on ``inputs`` and ``classify``'s output for its corpus."""
+    run = train_into(tmp_path / inputs.name, inputs)
+    capsys.readouterr()
+    assert run_cli(
+        "classify",
+        "--model", str(run / "model.json"),
+        "--calibration", str(run / "calibration.json"),
+        "--input", str(inputs / "corpus.tsv"),
+    ) == 0
+    return (run / "model.json").read_bytes(), capsys.readouterr().out
+
+
 def test_crlf_inputs_read_like_lf(tmp_path, capsys):
     data = generate(tmp_path)
     crlf = tmp_path / "crlf"
     crlf.mkdir()
     for name in ("taxonomy.tsv", "corpus.tsv"):
         (crlf / name).write_bytes((data / name).read_bytes().replace(b"\n", b"\r\n"))
-    outputs = []
-    for inputs in (data, crlf):
-        run = train_into(tmp_path / inputs.name, inputs)
-        capsys.readouterr()
-        assert run_cli(
-            "classify",
-            "--model", str(run / "model.json"),
-            "--calibration", str(run / "calibration.json"),
-            "--input", str(inputs / "corpus.tsv"),
-        ) == 0
-        outputs.append(((run / "model.json").read_bytes(), capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
+    assert model_and_classify_output(tmp_path, capsys, data) == model_and_classify_output(tmp_path, capsys, crlf)
+
+
+def test_inputs_with_a_byte_order_mark_read_like_plain(tmp_path, capsys):
+    data = generate(tmp_path)
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for name in ("taxonomy.tsv", "corpus.tsv"):
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (data / name).read_bytes())
+    assert model_and_classify_output(tmp_path, capsys, data) == model_and_classify_output(tmp_path, capsys, bom)
 
 
 def test_mismatched_calibration_rejected(tmp_path, capsys):

@@ -27,6 +27,11 @@ def test_load_corpus_ok(t0):
     assert docs == [Document("d1", "A1", "cat cat dog")]
 
 
+def test_load_corpus_drops_a_leading_byte_order_mark(t0):
+    docs = load_corpus("\ufeffd1\tA1\tx\nd2\tB1\ty\n", t0)
+    assert [d.doc_id for d in docs] == ["d1", "d2"]
+
+
 def test_load_corpus_comments_and_order(t0):
     docs = load_corpus("# hdr\nd1\tA1\tx\n\nd2\tB1\ty\n", t0)
     assert [d.doc_id for d in docs] == ["d1", "d2"]

@@ -90,7 +90,7 @@ def test_decode_requires_children():
     from routecat.taxonomy import Taxonomy
 
     bare = CentroidModel(
-        taxonomy=Taxonomy(root="R", parent_of={}, children_of={"R": ()}),
+        taxonomy=Taxonomy(root="R", children_of={"R": ()}),
         vocabulary=Vocabulary(index={}, doc_frequency={}, n_docs=1),
         mode=Mode.POSITIVE_ONLY,
         policy=None,
@@ -479,6 +479,13 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("eer_gap", math.nan, "eer_gap must be a finite float"),
         ("validation_size", 3.7, "validation_size must be an integer"),
         ("validation_size", True, "validation_size must be an integer"),
+        # values build_calibration never writes: weights and the gap are rates, the size counts documents
+        ("level_weights", {"1": 5.0}, r"level weight 1 must lie in \[0, 1\]"),
+        ("level_weights", {"1": -3.0}, r"level weight 1 must lie in \[0, 1\]"),
+        ("eer_gap", -7.5, r"eer_gap must lie in \[0, 1\]"),
+        ("eer_gap", 1.5, r"eer_gap must lie in \[0, 1\]"),
+        ("validation_size", -2, "validation_size must be at least 1"),
+        ("validation_size", 0, "validation_size must be at least 1"),
         ("model_identity", None, "no field 'model_identity'"),
         ("model_identity", 7, "must be strings"),
     ],

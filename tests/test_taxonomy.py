@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import LINE_SEPARATORS, T0_TEXT, random_taxonomy
-from routecat.taxonomy import TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy, tsv_lines
+from conftest import LINE_SEPARATORS, T0_TEXT, random_edges, random_taxonomy
+from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy, tsv_lines
 
 
 def test_parse_t0(t0):
@@ -28,6 +28,17 @@ def test_tsv_lines_grammar():
         (5, "x\u2028y\tz", ["x\u2028y", "z"]),
         (7, "last", ["last"]),
     ]
+
+
+def test_tsv_lines_drops_one_leading_byte_order_mark():
+    assert list(tsv_lines("\ufeff\ufeffa\tb\n\ufeffc\td")) == [
+        (1, "\ufeffa\tb", ["\ufeffa", "b"]),
+        (2, "\ufeffc\td", ["\ufeffc", "d"]),
+    ]
+
+
+def test_parse_ignores_a_leading_byte_order_mark():
+    assert parse_taxonomy("\ufeff" + T0_TEXT) == parse_taxonomy(T0_TEXT)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -142,3 +153,47 @@ def test_sibling_group_partition(seed):
         assert node not in t.siblings(node)
         group = t.siblings(node) | {node}
         assert group == set(t.children(t.parent(node)))
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_walk_matches_the_edge_list(seed):
+    edges = random_edges(random.Random(seed))
+    t = random_taxonomy(random.Random(seed))
+    parent_of = {child: parent for parent, child in edges}
+    children_of = {}
+    for parent, child in edges:
+        children_of.setdefault(parent, []).append(child)
+
+    def chain(node):
+        out = [node]
+        while out[-1] in parent_of:
+            out.append(parent_of[out[-1]])
+        return out[::-1]  # root first
+
+    def preorder(node):
+        yield node
+        for child in children_of.get(node, []):
+            yield from preorder(child)
+
+    assert t.root == "n0"
+    assert t.nodes == tuple(preorder("n0"))
+    for node in t.nodes:
+        assert t.path(node) == tuple(chain(node)[1:])
+        assert t.depth(node) == len(chain(node)) - 1
+        assert t.ancestors(node) == set(chain(node)[:-1])
+        if node != t.root:
+            assert t.parent(node) == parent_of[node]
+
+
+@pytest.mark.parametrize(
+    "children_of, message",
+    [
+        ({"R": ("A", "B"), "A": ("X",), "B": ("X",), "X": ()}, "'X' is reached twice"),
+        ({"R": ("A",), "A": ("R",)}, "'R' is reached twice"),
+        ({"R": ("A",), "A": (), "B": ("C",), "C": ("B",)}, "cycle detected at node 'B'"),
+    ],
+    ids=["two-parents", "root-as-child", "unreachable"],
+)
+def test_constructor_refuses_what_one_walk_cannot_reach_once(children_of, message):
+    with pytest.raises(TaxonomyError, match=message):
+        Taxonomy("R", children_of)
