@@ -8,10 +8,12 @@ against a negative centroid in binary mode.
 
 from __future__ import annotations
 
+import base64
 import enum
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -19,7 +21,7 @@ from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vo
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 T = TypeVar("T")
 
@@ -240,14 +242,29 @@ def dumps_model(model: CentroidModel) -> str:
         },
         "vocabulary_digest": vocabulary_digest(vocab),
         "training_digest": model.training_digest,
-        "centroids": {node: vec.entries for node, vec in model.centroid_of.items()},
+        "centroids": {node: _packed(vec) for node, vec in model.centroid_of.items()},
         "negative_centroids": (
-            {node: vec.entries for node, vec in model.negative_centroid_of.items()}
+            {node: _packed(vec) for node, vec in model.negative_centroid_of.items()}
             if model.negative_centroid_of is not None
             else None
         ),
     }
     return dumps_artifact("model", MODEL_FORMAT_VERSION, fields)
+
+
+def _packed(vec: SparseVector) -> list[str]:
+    """A centroid as ``model.json`` stores it: ``[indices, weights]``, two standard base64 strings.
+
+    ``indices`` packs the term indices as little-endian uint32 and ``weights``
+    the weights as little-endian IEEE-754 float64, so the bytes do not depend
+    on the platform and every weight loads back bit for bit.
+    """
+    n = len(vec.entries)
+    indices, weights = zip(*vec.entries) if n else ((), ())
+    return [
+        base64.b64encode(struct.pack(f"<{n}I", *indices)).decode("ascii"),
+        base64.b64encode(struct.pack(f"<{n}d", *weights)).decode("ascii"),
+    ]
 
 
 def loads_model(text: str) -> CentroidModel:
@@ -256,13 +273,13 @@ def loads_model(text: str) -> CentroidModel:
     Unknown formats and versions, missing or wrongly typed fields, a
     vocabulary whose indices are not its positions 0..n-1 or whose terms
     repeat, ``n_docs`` below 1 or a document frequency outside 1..``n_docs``,
-    centroid entries whose term indices are not integers increasing below
-    the vocabulary size or whose weights are not finite nonnegative floats,
-    centroids keyed by anything but exactly the non-root nodes, a binary
-    model without a policy and a negative centroid per node, a positive-only
-    model with either, and a stored ``vocabulary_digest`` that is not the
-    vocabulary's own raise :class:`ModelFormatError`.  Values are checked as
-    JSON typed them, never converted.
+    a centroid that is not two base64 strings of n term indices increasing
+    below the vocabulary size and n finite nonnegative weights (see
+    :func:`_packed`), centroids keyed by anything but exactly the non-root
+    nodes, a binary model without a policy and a negative centroid per node,
+    a positive-only model with either, and a stored ``vocabulary_digest``
+    that is not the vocabulary's own raise :class:`ModelFormatError`.
+    Vocabulary values are checked as JSON typed them, never converted.
     """
     model = loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
     t = model.taxonomy
@@ -304,24 +321,35 @@ def _model_from_payload(payload: dict) -> CentroidModel:
         raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
     n_terms = len(vocabulary)
 
-    def vector(node: NodeId, entries: list) -> SparseVector:
+    def vector(node: NodeId, value: object) -> SparseVector:
+        if type(value) is not list or len(value) != 2 or not all(type(s) is str for s in value):
+            raise ValueError(f"centroid of {node!r}: not a list of two base64 strings")
+        try:
+            packed_indices, packed_weights = (base64.b64decode(s, validate=True) for s in value)
+        except ValueError as exc:  # binascii.Error, or a character outside ASCII
+            raise ValueError(f"centroid of {node!r}: not base64: {exc}") from exc
+        n = len(packed_indices) // 4
+        if len(packed_indices) != 4 * n or len(packed_weights) != 8 * n:
+            raise ValueError(
+                f"centroid of {node!r}: {len(packed_indices)} index bytes and {len(packed_weights)} weight bytes"
+                " are not 4n and 8n for one n"
+            )
+        indices = struct.unpack(f"<{n}I", packed_indices)
+        weights = struct.unpack(f"<{n}d", packed_weights)
         # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices
-        out = []
-        previous = -1
-        for i, w in entries:
-            if type(i) is not int or not previous < i < n_terms:
+        for previous, i in zip((-1, *indices), indices):
+            if not previous < i < n_terms:
                 raise ValueError(
-                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i!r} after {previous}"
+                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
                 )
-            # vectors are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1]
-            if type(w) is not float or not 0.0 <= w < math.inf:
-                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not a float, not finite or negative")
-            out.append((i, w))
-            previous = i
-        return SparseVector(tuple(out))
+        # vectors are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1]
+        for i, w in zip(indices, weights):
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not finite or negative")
+        return SparseVector(tuple(zip(indices, weights)))
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
-        return {node: vector(node, entries) for node, entries in mapping.items()}
+        return {node: vector(node, value) for node, value in mapping.items()}
 
     digest = payload["training_digest"]
     if not isinstance(digest, str):

@@ -45,7 +45,8 @@ class Taxonomy:
         """Every node's path (see :meth:`path`), in depth-first pre-order, children in file order.
 
         One walk from the root: a node reached twice (a second parent, or a
-        cycle through the root) or never reached (a cycle apart from it) is refused.
+        cycle through the root), never reached (a cycle apart from it) or
+        reached without an entry of its own in ``children_of`` is refused.
         """
         path_of: dict[NodeId, tuple[NodeId, ...]] = {}
         stack: list[tuple[NodeId, tuple[NodeId, ...]]] = [(self.root, ())]
@@ -54,7 +55,11 @@ class Taxonomy:
             if node in path_of:
                 raise TaxonomyError(f"node {node!r} is reached twice from the root")
             path_of[node] = path
-            stack.extend((child, path + (child,)) for child in reversed(self.children_of[node]))
+            try:
+                children = self.children_of[node]
+            except KeyError:
+                raise TaxonomyError(f"node {node!r} has no entry in children_of") from None
+            stack.extend((child, path + (child,)) for child in reversed(children))
         for node in self.children_of:
             if node not in path_of:
                 raise TaxonomyError(f"cycle detected at node {node!r}")

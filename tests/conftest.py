@@ -1,9 +1,11 @@
-"""Shared fixtures: the toy taxonomy, random instances and sparse vectors, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
+"""Shared fixtures: the toy taxonomy, random instances and sparse vectors, hand-packed model centroids, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
 
 from __future__ import annotations
 
+import base64
 import importlib
 import random
+import struct
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -31,6 +33,15 @@ weights = st.one_of(
 sparse_vectors = st.dictionaries(st.integers(0, 24), weights, max_size=10).map(
     lambda m: SparseVector(tuple(sorted(m.items())))
 )
+
+
+def packed_centroid(*entries: tuple[int, float]) -> list[str]:
+    """A model.json centroid made by hand: base64 of the indices as little-endian uint32 and of the weights as float64."""
+    n = len(entries)
+    return [
+        base64.b64encode(struct.pack(f"<{n}I", *(i for i, _ in entries))).decode("ascii"),
+        base64.b64encode(struct.pack(f"<{n}d", *(w for _, w in entries))).decode("ascii"),
+    ]
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import SMALLEST_NORMAL, sparse_vectors
+from conftest import SMALLEST_NORMAL, T0_TEXT, packed_centroid, sparse_vectors
 from routecat.centroid import (
     CentroidModel,
     Mode,
@@ -189,17 +190,71 @@ def test_model_round_trip(t0, t0_docs):
         assert dumps_model(loaded) == text
 
 
+def vocabulary_of_size(n):
+    terms = [f"t{k}" for k in range(n)]
+    return Vocabulary(index={t: k for k, t in enumerate(terms)}, doc_frequency=dict.fromkeys(terms, 1), n_docs=1)
+
+
+# every finite nonnegative weight, the extremes included, and empty vectors
+any_weight_vectors = st.dictionaries(
+    st.integers(0, 24), st.floats(min_value=0.0, allow_infinity=False), max_size=10
+).map(lambda m: SparseVector(tuple(sorted(m.items()))))
+
+
+@given(
+    st.lists(st.tuples(any_weight_vectors, any_weight_vectors), min_size=5, max_size=5),
+    st.sampled_from([None, *PolicyKind]),
+)
+@example([(vec((0, 0.0), (1, 5e-324), (24, sys.float_info.max)), SparseVector())] * 5, None)
+@example([(SparseVector(), vec((0, 0.0), (1, 5e-324), (24, sys.float_info.max)))] * 5, PolicyKind.SIBLINGS)
+def test_model_centroids_load_back_bit_for_bit(pairs, policy):
+    t = parse_taxonomy(T0_TEXT)
+    nodes = [n for n in t.nodes if n != t.root]
+    positives, negatives = zip(*pairs)
+    model = CentroidModel(
+        taxonomy=t,
+        vocabulary=vocabulary_of_size(25),
+        mode=Mode.POSITIVE_ONLY if policy is None else Mode.BINARY,
+        policy=policy,
+        centroid_of=dict(zip(nodes, positives)),
+        negative_centroid_of=None if policy is None else dict(zip(nodes, negatives)),
+    )
+    text = dumps_model(model)
+    loaded = loads_model(text)
+    assert loaded.centroid_of == model.centroid_of
+    assert loaded.negative_centroid_of == model.negative_centroid_of
+    assert dumps_model(loaded) == text
+
+
+def test_model_centroid_encoding_is_pinned():
+    # index 258 packs to 02 01 00 00 only little-endian; 0.01 and 0.07 need both '+' and '/' of the standard alphabet
+    model = CentroidModel(
+        taxonomy=parse_taxonomy("R\tA\n"),
+        vocabulary=vocabulary_of_size(259),
+        mode=Mode.POSITIVE_ONLY,
+        policy=None,
+        centroid_of={"A": vec((1, 0.01), (258, 0.07))},
+    )
+    text = dumps_model(model)
+    assert json.loads(text)["centroids"] == {"A": ["AQAAAAIBAAA=", "exSuR+F6hD/sUbgeheuxPw=="]}
+    assert loads_model(text).centroid_of == model.centroid_of
+
+
 def test_model_version_check(t0, t0_docs):
     text = dumps_model(_toy_model(t0, t0_docs))
-    tampered = text.replace('"format_version":2', '"format_version":99')
+    tampered = text.replace('"format_version":3', '"format_version":99')
     with pytest.raises(ModelFormatError, match="version"):
         loads_model(tampered)
     with pytest.raises(ModelFormatError):
         loads_model('{"format":"something-else"}')
     with pytest.raises(ModelFormatError):
         loads_model("not json at all")
-    with pytest.raises(ModelFormatError, match="unsupported model format version 1, expected 2"):
-        loads_model(text.replace('"format_version":2', '"format_version":1'))
+    for old in (1, 2):
+        with pytest.raises(ModelFormatError, match=f"unsupported model format version {old}, expected 3"):
+            loads_model(text.replace('"format_version":3', f'"format_version":{old}'))
+
+
+EMPTY = packed_centroid()  # ["", ""]
 
 
 @pytest.mark.parametrize(
@@ -211,7 +266,7 @@ def test_model_version_check(t0, t0_docs):
         ("vocabulary", {"n_docs": "many", "terms": []}, "malformed"),
         ("vocabulary", {"n_docs": 1, "terms": [["x"]]}, "malformed"),
         ("centroids", [], "malformed"),
-        ("centroids", {"A": []}, "no centroid for node"),
+        ("centroids", {"A": EMPTY}, "no centroid for node"),
         ("negative_centroids", None, "negative centroid"),
         ("vocabulary", {"n_docs": 4.0, "terms": []}, "n_docs must be an integer, not 4.0"),
         ("vocabulary", {"n_docs": True, "terms": []}, "n_docs must be an integer, not True"),
@@ -223,8 +278,8 @@ def test_model_version_check(t0, t0_docs):
         ("policy", None, "no field 'policy'"),
         # a positive-only model carrying the binary model's policy and negatives
         ("mode", "positive-only", "positive-only model file must have no policy and no negative centroids"),
-        ("centroids", {n: [] for n in ("ROOT", "A", "B", "A1", "A2", "B1")}, "centroid for 'ROOT', which is the root"),
-        ("centroids", {n: [] for n in ("A", "B", "A1", "A2", "B1", "Z")}, "centroid for 'Z', which is the root or not in"),
+        ("centroids", {n: EMPTY for n in ("ROOT", "A", "B", "A1", "A2", "B1")}, "centroid for 'ROOT', which is the root"),
+        ("centroids", {n: EMPTY for n in ("A", "B", "A1", "A2", "B1", "Z")}, "centroid for 'Z', which is the root or not in"),
     ],
 )
 def test_model_fields_are_validated(t0, t0_docs, field, value, message):
@@ -250,17 +305,21 @@ def test_positive_only_model_file_with_a_policy_or_negatives_is_refused(t0, t0_d
     "entries, message",
     [
         # a repeated index: d = [[0, 1.0]] scored 0.25 by SparseVector.dot but 0.75 by InvertedIndex
-        ([[0, 0.5], [0, 0.25], [1, 1.0]], "must increase"),
-        ([[1, 0.5], [0, 0.25]], "must increase"),
-        ([[-1, 0.5]], "must increase"),
-        ([[6, 0.5]], "must increase below 6, got 6 after -1"),
-        ([[0, float("nan")]], "not finite"),
-        ([[0, 0.5], [1, float("-inf")]], "not finite"),
-        # JSON has typed these values already: a float or bool index and a string weight are refused, not converted
-        ([[0.9, 0.5], [1.5, 0.2]], "must increase below 6, got 0.9 after -1"),
-        ([[True, 0.5]], "must increase below 6, got True after -1"),
-        ([[0, "0.5"]], "not a float"),
-        ([[0, 0.5], [1, -0.25]], "negative"),
+        (packed_centroid((0, 0.5), (0, 0.25), (1, 1.0)), "must increase"),
+        (packed_centroid((1, 0.5), (0, 0.25)), "must increase"),
+        (packed_centroid((2**32 - 1, 0.5)), "must increase"),  # -1 as a uint32
+        (packed_centroid((6, 0.5)), "must increase below 6, got 6 after -1"),
+        (packed_centroid((0, float("nan"))), "not finite"),
+        (packed_centroid((0, 0.5), (1, float("-inf"))), "not finite"),
+        ([[0, 0.5]], "not a list of two base64 strings"),  # a format-2 centroid
+        ([EMPTY[0], "AAAA*AAA"], "not base64"),
+        (["AAAA", packed_centroid((0, 0.5))[1]], "3 index bytes and 8 weight bytes are not 4n and 8n"),
+        (packed_centroid((0, 0.5), (1, -0.25)), "negative"),
+        ([packed_centroid((0, 0.5))[0], "AAAAAAAAAAAAAAAA"], "4 index bytes and 12 weight bytes are not 4n and 8n"),
+        ([packed_centroid((0, 0.5), (1, 0.5))[0], packed_centroid((0, 0.5))[1]], "8 index bytes and 8 weight bytes"),
+        (EMPTY[:1], "not a list of two base64 strings"),
+        ([EMPTY[0], 0.5], "not a list of two base64 strings"),
+        ([EMPTY[0], "\u00e9"], "not base64"),
     ],
 )
 def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, message):

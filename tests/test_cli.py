@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import refuse_json_constant
+from conftest import packed_centroid, refuse_json_constant
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
 from routecat.corpus import Document, Vocabulary, build_vocabulary
@@ -374,6 +374,16 @@ def test_calibration_format_1_is_refused(tmp_path, capsys):
     assert "unsupported calibration format version 1, expected 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+def test_model_format_2_is_refused(tmp_path, command):
+    inputs = command_inputs(tmp_path, command)
+    model = tmp_path / "run" / "model.json"
+    model.write_text(model.read_text().replace('"format_version":3', '"format_version":2'))
+    result = run_subprocess(command, *inputs)
+    assert_one_line_error(result, "unsupported model format version 2, expected 3")
+    assert str(model) in result.stderr
+
+
 def test_classify_hashes_the_vocabulary_once(tmp_path, monkeypatch):
     from types import SimpleNamespace
 
@@ -433,7 +443,7 @@ def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
     calibration = build_calibration(model, docs, ACCEPT_ALL)
     payload = json.loads(dumps_model(model))
     # loaded, B scored -0.274 against A's 0.549 and "alpha beta delta" got a step confidence of 2.0
-    payload["centroids"]["B"] = [[i, -w / 2] for i, w in payload["centroids"]["B"]]
+    payload["centroids"]["B"] = packed_centroid(*((i, -w / 2) for i, w in model.centroid_of["B"].entries))
     (tmp_path / "model.json").write_text(json.dumps(payload), encoding="utf-8")
     (tmp_path / "calibration.json").write_text(
         dumps_calibration(calibration, vocabulary_digest(model.vocabulary)), encoding="utf-8"
@@ -608,7 +618,7 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
     artifact = tmp_path / f"bad-{bad}.json"
-    version = {"model": 2, "calibration": 2}[bad]
+    version = {"model": 3, "calibration": 2}[bad]
     artifact.write_text(f'{{"format":"routecat-{bad}","format_version":{version}}}')
     paths = {"model": run / "model.json", "calibration": run / "calibration.json", bad: artifact}
     result = run_subprocess(

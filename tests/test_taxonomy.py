@@ -191,8 +191,10 @@ def test_walk_matches_the_edge_list(seed):
         ({"R": ("A", "B"), "A": ("X",), "B": ("X",), "X": ()}, "'X' is reached twice"),
         ({"R": ("A",), "A": ("R",)}, "'R' is reached twice"),
         ({"R": ("A",), "A": (), "B": ("C",), "C": ("B",)}, "cycle detected at node 'B'"),
+        ({"R": ("A",)}, "node 'A' has no entry in children_of"),
+        ({}, "node 'R' has no entry in children_of"),
     ],
-    ids=["two-parents", "root-as-child", "unreachable"],
+    ids=["two-parents", "root-as-child", "unreachable", "child-without-entry", "root-without-entry"],
 )
 def test_constructor_refuses_what_one_walk_cannot_reach_once(children_of, message):
     with pytest.raises(TaxonomyError, match=message):
