@@ -58,6 +58,39 @@ class CentroidModel:
     training_digest: str = ""
     group_tables: dict[NodeId, TermTable | InvertedIndex] = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        """Refuse every shape top-down routing cannot use.
+
+        That is a root without children, a policy or negative centroids that
+        do not fit the mode, and centroids or negative centroids not keyed by
+        exactly the non-root nodes.
+        """
+        _check_mode_and_policy(self.mode, self.policy)
+        t = self.taxonomy
+        if not t.children(t.root):
+            raise TaxonomyError("taxonomy root has no children")
+        binary = self.mode is Mode.BINARY
+        if (self.negative_centroid_of is not None) != binary:
+            kind = "a binary model needs" if binary else "a positive-only model takes no"
+            raise ValueError(f"{kind} negative centroids")
+        for what, vectors in (("centroid", self.centroid_of), ("negative centroid", self.negative_centroid_of)):
+            if vectors is None:  # a positive-only model's negatives
+                continue
+            missing = [node for node in t.nodes if node != t.root and node not in vectors]
+            if missing:
+                raise ValueError(f"no {what} for node {missing[0]!r}")
+            extra = [node for node in vectors if node == t.root or node not in t]
+            if extra:
+                raise ValueError(f"a {what} for {extra[0]!r}, which is the root or not in the taxonomy")
+
+
+def _check_mode_and_policy(mode: Mode, policy: PolicyKind | None) -> None:
+    """Refuse a binary mode without a training policy and a policy in positive-only mode."""
+    if mode is Mode.BINARY and policy is None:
+        raise ValueError("binary mode requires a training policy")
+    if mode is Mode.POSITIVE_ONLY and policy is not None:
+        raise ValueError(f"policy {policy.value!r} applies only in binary mode")
+
 
 def mean_vector(doc_ids: frozenset[str], vectors: Mapping[str, SparseVector]) -> SparseVector:
     """Coordinate-wise mean of the selected vectors.
@@ -92,10 +125,7 @@ def train(
     """
     if not train_docs:
         raise ValueError("empty training set")
-    if mode is Mode.BINARY and policy is None:
-        raise ValueError("binary mode requires a training policy")
-    if mode is Mode.POSITIVE_ONLY and policy is not None:
-        raise ValueError(f"policy {policy.value!r} applies only in binary mode")
+    _check_mode_and_policy(mode, policy)
     vectors = {d.doc_id: vectorize(d, vocabulary) for d in train_docs}
     centroids: dict[NodeId, SparseVector] = {}
     negatives: dict[NodeId, SparseVector] = {}
@@ -144,9 +174,6 @@ def group_scores(model: CentroidModel, d: SparseVector, parent: NodeId) -> list[
     table = model.group_tables.get(parent)
     if table is None:
         group = model.taxonomy.children(parent)
-        missing = [node for node in group if node not in model.centroid_of]
-        if missing:
-            raise UnknownNodeError(f"no classifier for node {missing[0]!r}")
         vectors = [model.centroid_of[node] for node in group]
         if model.mode is Mode.BINARY:
             vectors += [model.negative_centroid_of[node] for node in group]
@@ -221,13 +248,6 @@ def checked_int(value: object, what: str) -> int:
     return value
 
 
-def checked_float(value: object, what: str) -> float:
-    """``value`` if JSON read it as a finite float, as the writers always write weights."""
-    if type(value) is not float or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite float, not {value!r}")
-    return value
-
-
 def dumps_model(model: CentroidModel) -> str:
     """Serialize a model to canonical standard JSON (see :func:`dumps_artifact`)."""
     vocab = model.vocabulary
@@ -273,30 +293,14 @@ def loads_model(text: str) -> CentroidModel:
     Unknown formats and versions, missing or wrongly typed fields, a
     vocabulary whose indices are not its positions 0..n-1 or whose terms
     repeat, ``n_docs`` below 1 or a document frequency outside 1..``n_docs``,
-    a centroid that is not two base64 strings of n term indices increasing
+    a stored ``vocabulary_digest`` that is not the vocabulary's own, a
+    centroid that is not two base64 strings of n term indices increasing
     below the vocabulary size and n finite nonnegative weights (see
-    :func:`_packed`), centroids keyed by anything but exactly the non-root
-    nodes, a binary model without a policy and a negative centroid per node,
-    a positive-only model with either, and a stored ``vocabulary_digest``
-    that is not the vocabulary's own raise :class:`ModelFormatError`.
-    Vocabulary values are checked as JSON typed them, never converted.
+    :func:`_packed`), and any shape :class:`CentroidModel` refuses raise
+    :class:`ModelFormatError`.  Vocabulary values are checked as JSON typed
+    them, never converted.
     """
-    model = loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
-    t = model.taxonomy
-    missing = [node for node in t.nodes if node != t.root and node not in model.centroid_of]
-    if missing:
-        raise ModelFormatError(f"model file has no centroid for node {missing[0]!r}")
-    extra = [node for node in model.centroid_of if node == t.root or node not in t]
-    if extra:
-        raise ModelFormatError(f"model file has a centroid for {extra[0]!r}, which is the root or not in the taxonomy")
-    negatives = model.negative_centroid_of
-    if model.mode is Mode.BINARY and (
-        model.policy is None or negatives is None or negatives.keys() != model.centroid_of.keys()
-    ):
-        raise ModelFormatError("binary model file needs a policy and a negative centroid per node")
-    if model.mode is Mode.POSITIVE_ONLY and (model.policy is not None or negatives is not None):
-        raise ModelFormatError("positive-only model file must have no policy and no negative centroids")
-    return model
+    return loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
 
 
 def _model_from_payload(payload: dict) -> CentroidModel:

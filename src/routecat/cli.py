@@ -100,17 +100,17 @@ def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _load_calibration_file(path: Path, model: CentroidModel) -> Calibration:
-    def parse(text: str) -> Calibration:
+def _load_model_and_calibration(args: argparse.Namespace) -> tuple[CentroidModel, Calibration]:
+    """Load ``--model`` and its paired ``--calibration``, then apply ``--threshold``/``--accept-all`` if given."""
+    model = _load(Path(args.model), "model", loads_model)
+
+    def paired(text: str) -> Calibration:
         calibration, digest = loads_calibration(text)
         check_pairing(model, calibration, digest)
         return calibration
 
-    return _load(path, "calibration", parse)
-
-
-def _apply_threshold_flags(calibration: Calibration, args: argparse.Namespace) -> Calibration:
-    return calibration if args.threshold is None else with_threshold(calibration, args.threshold)
+    calibration = _load(Path(args.calibration), "calibration", paired)
+    return model, calibration if args.threshold is None else with_threshold(calibration, args.threshold)
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
@@ -173,9 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    model = _load(Path(args.model), "model", loads_model)
-    calibration = _load_calibration_file(Path(args.calibration), model)
-    calibration = _apply_threshold_flags(calibration, args)
+    model, calibration = _load_model_and_calibration(args)
     text = _read_text(Path(args.input), "input")
     for lineno, _, parts in tsv_lines(text):
         if len(parts) not in (2, 3):
@@ -189,9 +187,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model = _load(Path(args.model), "model", loads_model)
-    calibration = _load_calibration_file(Path(args.calibration), model)
-    calibration = _apply_threshold_flags(calibration, args)
+    model, calibration = _load_model_and_calibration(args)
     docs = _load(Path(args.corpus), "corpus", lambda text: load_corpus(text, model.taxonomy))
     split = split_corpus(docs, args.val_fraction, args.test_fraction, args.seed)
     if documents_digest(split.train) != model.training_digest:

@@ -60,14 +60,10 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.index)
 
-    def idf(self, term: str) -> float:
-        """Smoothed inverse document frequency ln((N + 1) / (df + 1))."""
-        return math.log((self.n_docs + 1) / (self.doc_frequency[term] + 1))
-
     @cached_property
     def idf_of(self) -> dict[str, float]:
-        """:meth:`idf` of every term, computed once for all the documents :func:`vectorize` reads."""
-        return {term: self.idf(term) for term in self.index}
+        """Each term's smoothed inverse document frequency ln((N + 1) / (df + 1)), computed once."""
+        return {term: math.log((self.n_docs + 1) / (self.doc_frequency[term] + 1)) for term in self.index}
 
     @cached_property
     def digest(self) -> str:

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 from routecat.centroid import (
     CentroidModel,
-    checked_float,
     checked_int,
     dumps_artifact,
     group_scores,
@@ -27,7 +26,7 @@ from routecat.centroid import (
     vocabulary_digest,
 )
 from routecat.corpus import Document, SparseVector, vectorize
-from routecat.taxonomy import NodeId, TaxonomyError
+from routecat.taxonomy import NodeId
 
 CALIBRATION_FORMAT_VERSION = 2
 
@@ -114,13 +113,12 @@ def decode(model: CentroidModel, d: SparseVector) -> RouteTrace:
     Every step records the full sibling group's scores, which
     :func:`~routecat.centroid.group_scores` computes in one pass over the
     document's terms; prediction never stops early, so the route always
-    ends at a leaf.
+    ends at a leaf, and :class:`~routecat.centroid.CentroidModel` refuses a
+    root without children, so it has at least one step.
     """
     t = model.taxonomy
     parent = t.root
     group = t.children(parent)
-    if not group:
-        raise TaxonomyError("taxonomy root has no children")
     route: list[NodeId] = []
     steps: list[LevelStep] = []
     while group:
@@ -326,10 +324,11 @@ def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
 
 def _checked_rate(value: object, what: str) -> float:
     """``value`` if JSON read it as a float in [0, 1], as every level weight and EER gap is written."""
-    rate = checked_float(value, what)
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1], not {rate!r}")
-    return rate
+    if type(value) is not float or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite float, not {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1], not {value!r}")
+    return value
 
 
 def check_matching_vocabulary(model: CentroidModel, calibration_digest: str) -> None:

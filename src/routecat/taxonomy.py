@@ -100,10 +100,6 @@ class Taxonomy:
         self._require(node)
         return self.children_of[node]
 
-    def depth(self, node: NodeId) -> int:
-        """Edge distance from the root (root itself is at depth 0)."""
-        return len(self.path(node))
-
     def path(self, node: NodeId) -> tuple[NodeId, ...]:
         """Path from a child of the root down to ``node``, root excluded."""
         self._require(node)

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import SMALLEST_NORMAL, T0_TEXT, packed_centroid, sparse_vectors
+from conftest import SMALLEST_NORMAL, T0_TEXT, packed_centroid, random_taxonomy, sparse_vectors
 from routecat.centroid import (
     CentroidModel,
     Mode,
@@ -20,7 +21,7 @@ from routecat.centroid import (
 )
 from routecat.corpus import SparseVector, Vocabulary, build_vocabulary
 from routecat.policies import PolicyKind
-from routecat.taxonomy import UnknownNodeError, parse_taxonomy
+from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, parse_taxonomy
 
 
 def vec(*pairs):
@@ -125,15 +126,14 @@ def test_binary_mode_clamps_at_zero(t0, t0_docs):
 
 
 def test_binary_score_is_contrast_of_similarities(t0):
-    from routecat.centroid import CentroidModel
-
+    leaves = dict.fromkeys(("A1", "A2", "B1"), SparseVector())
     model = CentroidModel(
         taxonomy=t0,
         vocabulary=Vocabulary(index={}, doc_frequency={}, n_docs=1),
         mode=Mode.BINARY,
         policy=PolicyKind.EXCLUSIVE,
-        centroid_of={"A": vec((0, 0.4)), "B": vec((0, 0.9))},
-        negative_centroid_of={"A": vec((0, 0.7)), "B": vec((0, 0.1))},
+        centroid_of={"A": vec((0, 0.4)), "B": vec((0, 0.9))} | leaves,
+        negative_centroid_of={"A": vec((0, 0.7)), "B": vec((0, 0.1))} | leaves,
     )
     d = vec((0, 1.0))
     assert node_score(model, d, "A") == 0.0  # 0.4 - 0.7 clamps to zero
@@ -226,6 +226,123 @@ def test_model_centroids_load_back_bit_for_bit(pairs, policy):
     assert dumps_model(loaded) == text
 
 
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([None, *PolicyKind]), st.data())
+def test_every_model_the_constructor_accepts_loads_back(seed, policy, data):
+    t = random_taxonomy(random.Random(seed))
+    nodes = [n for n in t.nodes if n != t.root]
+
+    def vectors():
+        return dict(zip(nodes, data.draw(st.lists(sparse_vectors, min_size=len(nodes), max_size=len(nodes)))))
+
+    model = CentroidModel(
+        taxonomy=t,
+        vocabulary=vocabulary_of_size(25),
+        mode=Mode.POSITIVE_ONLY if policy is None else Mode.BINARY,
+        policy=policy,
+        centroid_of=vectors(),
+        negative_centroid_of=None if policy is None else vectors(),
+    )
+    loaded = loads_model(dumps_model(model))
+    assert loaded.taxonomy == model.taxonomy
+    assert loaded.mode is model.mode
+    assert loaded.policy is model.policy
+    assert loaded.centroid_of == model.centroid_of
+    assert loaded.negative_centroid_of == model.negative_centroid_of
+
+
+T0_NODES = ("A", "B", "A1", "A2", "B1")
+
+
+def empty_vectors(*nodes):
+    return dict.fromkeys(nodes, SparseVector())
+
+
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        pytest.param(
+            {"mode": Mode.POSITIVE_ONLY, "negative_centroid_of": None},
+            ValueError,
+            "policy 'siblings' applies only in binary mode",
+            id="policy-in-positive-only-mode",
+        ),
+        pytest.param(
+            {"policy": None}, ValueError, "binary mode requires a training policy", id="binary-without-policy"
+        ),
+        pytest.param(
+            {"mode": Mode.POSITIVE_ONLY, "policy": None},
+            ValueError,
+            "a positive-only model takes no negative centroids",
+            id="positive-only-with-negatives",
+        ),
+        # decode ended in "TypeError: 'NoneType' object is not subscriptable"
+        pytest.param(
+            {"negative_centroid_of": None},
+            ValueError,
+            "a binary model needs negative centroids",
+            id="binary-without-negatives",
+        ),
+        # decode routed "alpha one" without error, and loads_model refused what dumps_model wrote
+        pytest.param(
+            {"centroid_of": empty_vectors("A", "B", "A1", "A2")},
+            ValueError,
+            "no centroid for node 'B1'",
+            id="missing-centroid",
+        ),
+        # decode ended in a bare KeyError: 'A'
+        pytest.param(
+            {"negative_centroid_of": empty_vectors("B", "A1", "A2", "B1")},
+            ValueError,
+            "no negative centroid for node 'A'",
+            id="missing-negative-centroid",
+        ),
+        pytest.param(
+            {"centroid_of": empty_vectors("ROOT", *T0_NODES)},
+            ValueError,
+            "a centroid for 'ROOT', which is the root",
+            id="centroid-of-the-root",
+        ),
+        # decode routed "alpha one" without error, and loads_model refused what dumps_model wrote
+        pytest.param(
+            {"centroid_of": empty_vectors(*T0_NODES, "Z")},
+            ValueError,
+            "a centroid for 'Z', which is the root or not in the taxonomy",
+            id="centroid-of-an-unknown-node",
+        ),
+        pytest.param(
+            {"negative_centroid_of": empty_vectors("ROOT", *T0_NODES)},
+            ValueError,
+            "a negative centroid for 'ROOT', which is the root",
+            id="negative-centroid-of-the-root",
+        ),
+        pytest.param(
+            {"negative_centroid_of": empty_vectors(*T0_NODES, "Z")},
+            ValueError,
+            "a negative centroid for 'Z', which is the root or not in the taxonomy",
+            id="negative-centroid-of-an-unknown-node",
+        ),
+        pytest.param(
+            {"taxonomy": Taxonomy(root="R", children_of={"R": ()}), "centroid_of": {}, "negative_centroid_of": {}},
+            TaxonomyError,
+            "taxonomy root has no children",
+            id="childless-root",
+        ),
+    ],
+)
+def test_a_model_of_the_wrong_shape_is_refused_when_built(t0, changes, error, message):
+    fields = dict(
+        taxonomy=t0,
+        vocabulary=vocabulary_of_size(1),
+        mode=Mode.BINARY,
+        policy=PolicyKind.SIBLINGS,
+        centroid_of=empty_vectors(*T0_NODES),
+        negative_centroid_of=empty_vectors(*T0_NODES),
+    )
+    CentroidModel(**fields)
+    with pytest.raises(error, match=message):
+        CentroidModel(**(fields | changes))
+
+
 def test_model_centroid_encoding_is_pinned():
     # index 258 packs to 02 01 00 00 only little-endian; 0.01 and 0.07 need both '+' and '/' of the standard alphabet
     model = CentroidModel(
@@ -277,7 +394,7 @@ EMPTY = packed_centroid()  # ["", ""]
         ("training_digest", 7, "training_digest must be a string"),
         ("policy", None, "no field 'policy'"),
         # a positive-only model carrying the binary model's policy and negatives
-        ("mode", "positive-only", "positive-only model file must have no policy and no negative centroids"),
+        ("mode", "positive-only", "malformed model file: policy 'siblings' applies only in binary mode"),
         ("centroids", {n: EMPTY for n in ("ROOT", "A", "B", "A1", "A2", "B1")}, "centroid for 'ROOT', which is the root"),
         ("centroids", {n: EMPTY for n in ("A", "B", "A1", "A2", "B1", "Z")}, "centroid for 'Z', which is the root or not in"),
     ],
@@ -296,7 +413,11 @@ def test_model_fields_are_validated(t0, t0_docs, field, value, message):
 def test_positive_only_model_file_with_a_policy_or_negatives_is_refused(t0, t0_docs, field):
     payload = json.loads(dumps_model(_toy_model(t0, t0_docs)))
     payload[field] = {"policy": "siblings", "negative_centroids": payload["centroids"]}[field]
-    with pytest.raises(ModelFormatError, match="positive-only model file must have no policy and no negative centroids"):
+    message = {
+        "policy": "policy 'siblings' applies only in binary mode",
+        "negative_centroids": "a positive-only model takes no negative centroids",
+    }[field]
+    with pytest.raises(ModelFormatError, match=f"malformed model file: {message}"):
         loads_model(json.dumps(payload))
 
 
@@ -404,19 +525,6 @@ def test_group_scores_equal_node_score_bit_for_bit(d, children, mode):
 def test_group_scores_clamp_binary_contrast_at_zero():
     model = group_model(Mode.BINARY, [vec((0, 0.25)), vec((0, 0.5))], [vec((0, 0.5)), vec((0, 0.25))])
     assert group_scores(model, vec((0, 1.0)), "R") == [0.0, 0.25]
-
-
-def test_group_scores_need_a_centroid_for_every_child():
-    model = group_model(Mode.POSITIVE_ONLY, [vec((0, 1.0)), vec((0, 0.5))], [])
-    lacking = CentroidModel(
-        taxonomy=model.taxonomy,
-        vocabulary=model.vocabulary,
-        mode=model.mode,
-        policy=None,
-        centroid_of={"c0": model.centroid_of["c0"]},
-    )
-    with pytest.raises(UnknownNodeError, match="no classifier for node 'c1'"):
-        group_scores(lacking, vec((0, 1.0)), "R")
 
 
 def test_model_with_another_vocabulary_digest_is_refused(t0, t0_docs):

@@ -117,9 +117,9 @@ def test_unknown_node(t0):
 
 
 def test_depths(t0):
-    assert t0.depth("ROOT") == 0
-    assert t0.depth("A") == 1
-    assert t0.depth("A1") == 2
+    assert len(t0.path("ROOT")) == 0
+    assert len(t0.path("A")) == 1
+    assert len(t0.path("A1")) == 2
     assert t0.max_depth == 2
 
 
@@ -179,7 +179,6 @@ def test_walk_matches_the_edge_list(seed):
     assert t.nodes == tuple(preorder("n0"))
     for node in t.nodes:
         assert t.path(node) == tuple(chain(node)[1:])
-        assert t.depth(node) == len(chain(node)) - 1
         assert t.ancestors(node) == set(chain(node)[:-1])
         if node != t.root:
             assert t.parent(node) == parent_of[node]
