@@ -527,6 +527,19 @@ def test_group_scores_clamp_binary_contrast_at_zero():
     assert group_scores(model, vec((0, 1.0)), "R") == [0.0, 0.25]
 
 
+def test_group_scores_need_a_centroid_for_every_child():
+    model = group_model(Mode.POSITIVE_ONLY, [vec((0, 1.0)), vec((0, 0.5))], [])
+    # the constructor refuses the model, so no group can be scored without c1's centroid
+    with pytest.raises(ValueError, match="no centroid for node 'c1'"):
+        CentroidModel(
+            taxonomy=model.taxonomy,
+            vocabulary=model.vocabulary,
+            mode=model.mode,
+            policy=None,
+            centroid_of={"c0": model.centroid_of["c0"]},
+        )
+
+
 def test_model_with_another_vocabulary_digest_is_refused(t0, t0_docs):
     payload = json.loads(dumps_model(_toy_model(t0, t0_docs)))
     payload["vocabulary_digest"] = "0" * 64

@@ -178,6 +178,19 @@ def test_decode_builds_each_group_table_once_per_model(monkeypatch):
     assert model.taxonomy.root in model.group_tables
 
 
+def test_decode_refuses_a_model_lacking_a_centroid():
+    model = model_with_scores("R\ta\nR\tb\na\ta1\n", {"a": vec((0, 1.0))})
+    # a node below the root group is missing too: the constructor refuses it before decode runs
+    with pytest.raises(ValueError, match="no centroid for node 'a1'"):
+        CentroidModel(
+            taxonomy=model.taxonomy,
+            vocabulary=model.vocabulary,
+            mode=model.mode,
+            policy=None,
+            centroid_of={node: c for node, c in model.centroid_of.items() if node != "a1"},
+        )
+
+
 # vocabulary whose idf is positive for every term, so single-term documents
 # vectorize to a unit coordinate vector
 CAL_VOCAB = Vocabulary(
