@@ -13,8 +13,11 @@ import enum
 import hashlib
 import json
 import math
-import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import lt, truediv
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, scorer, vectorize
@@ -61,9 +64,9 @@ class CentroidModel:
     def __post_init__(self) -> None:
         """Refuse every shape top-down routing cannot use.
 
-        That is a root without children, a policy or negative centroids that
-        do not fit the mode, and centroids or negative centroids not keyed by
-        exactly the non-root nodes.
+        That is a mode or policy of the wrong type, a root without children, a
+        policy or negative centroids that do not fit the mode, and centroids or
+        negative centroids not keyed by exactly the non-root nodes.
         """
         _check_mode_and_policy(self.mode, self.policy)
         t = self.taxonomy
@@ -85,7 +88,14 @@ class CentroidModel:
 
 
 def _check_mode_and_policy(mode: Mode, policy: PolicyKind | None) -> None:
-    """Refuse a binary mode without a training policy and a policy in positive-only mode."""
+    """Refuse a mode or policy of the wrong type, a binary mode without a training policy and a policy in positive-only mode.
+
+    A plain string such as ``"binary"`` is not read as the member of that value.
+    """
+    if not isinstance(mode, Mode):
+        raise TypeError(f"mode must be a Mode, not {mode!r}")
+    if policy is not None and not isinstance(policy, PolicyKind):
+        raise TypeError(f"policy must be a PolicyKind or None, not {policy!r}")
     if mode is Mode.BINARY and policy is None:
         raise ValueError("binary mode requires a training policy")
     if mode is Mode.POSITIVE_ONLY and policy is not None:
@@ -103,10 +113,12 @@ def mean_vector(doc_ids: frozenset[str], vectors: Mapping[str, SparseVector]) ->
         return SparseVector()
     acc: dict[int, list[float]] = {}
     for doc_id in doc_ids:
-        for idx, w in vectors[doc_id].entries:
+        vec = vectors[doc_id]
+        for idx, w in zip(vec.indices, vec.weights):
             acc.setdefault(idx, []).append(w)
-    k = len(doc_ids)
-    return SparseVector(tuple((idx, math.fsum(acc[idx]) / k) for idx in sorted(acc)))
+    indices = array("I", sorted(acc))
+    sums = map(math.fsum, map(acc.__getitem__, indices))
+    return SparseVector(indices, array("d", map(truediv, sums, repeat(len(doc_ids)))))
 
 
 def train(
@@ -279,12 +291,23 @@ def _packed(vec: SparseVector) -> list[str]:
     the weights as little-endian IEEE-754 float64, so the bytes do not depend
     on the platform and every weight loads back bit for bit.
     """
-    n = len(vec.entries)
-    indices, weights = zip(*vec.entries) if n else ((), ())
-    return [
-        base64.b64encode(struct.pack(f"<{n}I", *indices)).decode("ascii"),
-        base64.b64encode(struct.pack(f"<{n}d", *weights)).decode("ascii"),
-    ]
+    return [base64.b64encode(_little_endian(a)).decode("ascii") for a in (vec.indices, vec.weights)]
+
+
+def _little_endian(a: array) -> bytes:
+    """The items of ``a`` as little-endian bytes, on a host of either byte order."""
+    if sys.byteorder == "big":
+        a = array(a.typecode, a)
+        a.byteswap()
+    return a.tobytes()
+
+
+def _from_little_endian(typecode: str, data: bytes) -> array:
+    """Inverse of :func:`_little_endian`: an array of ``typecode`` items from their little-endian bytes."""
+    a = array(typecode, data)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
 
 
 def loads_model(text: str) -> CentroidModel:
@@ -338,19 +361,26 @@ def _model_from_payload(payload: dict) -> CentroidModel:
                 f"centroid of {node!r}: {len(packed_indices)} index bytes and {len(packed_weights)} weight bytes"
                 " are not 4n and 8n for one n"
             )
-        indices = struct.unpack(f"<{n}I", packed_indices)
-        weights = struct.unpack(f"<{n}d", packed_weights)
-        # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices
-        for previous, i in zip((-1, *indices), indices):
-            if not previous < i < n_terms:
-                raise ValueError(
-                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
-                )
-        # vectors are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1]
-        for i, w in zip(indices, weights):
-            if not 0.0 <= w < math.inf:
-                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not finite or negative")
-        return SparseVector(tuple(zip(indices, weights)))
+        indices = _from_little_endian("I", packed_indices)
+        weights = _from_little_endian("d", packed_weights)
+        # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices, and vectors
+        # are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1].  The
+        # checks run in C; the loops below run only to name the first entry that fails them.
+        if not (
+            all(map(lt, indices, islice(indices, 1, None)))
+            and (not indices or indices[-1] < n_terms)
+            and all(map(math.isfinite, weights))
+            and (not weights or min(weights) >= 0.0)
+        ):
+            for previous, i in zip((-1, *indices), indices):
+                if not previous < i < n_terms:
+                    raise ValueError(
+                        f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
+                    )
+            for i, w in zip(indices, weights):
+                if not 0.0 <= w < math.inf:
+                    raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not finite or negative")
+        return SparseVector(indices, weights)
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
         return {node: vector(node, value) for node, value in mapping.items()}

@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
-from operator import mul
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import mul, truediv
 from typing import Mapping, Sequence
 
 from routecat.prng import SplitMix64
@@ -91,22 +92,27 @@ def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Sparse nonnegative vector as (index, weight) pairs sorted by index."""
+    """Sparse nonnegative vector as two parallel packed arrays: increasing term indices and their weights.
 
-    entries: tuple[tuple[int, float], ...] = ()
+    ``indices`` holds C unsigned ints and ``weights`` C doubles, 12 bytes an
+    entry, where a tuple of ``(index, weight)`` pairs costs about 116.
+    """
+
+    indices: array = field(default_factory=partial(array, "I"))
+    weights: array = field(default_factory=partial(array, "d"))
 
     @cached_property
     def _lookup(self) -> dict[int, float]:
-        return dict(self.entries)
+        return dict(zip(self.indices, self.weights))
 
     def dot(self, other: SparseVector) -> float:
         """Inner product over matching indices.
 
         fsum makes the result independent of which operand drives the loop.
         """
-        small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
+        small, big = (self, other) if len(self.indices) <= len(other.indices) else (other, self)
         lookup = big._lookup
-        return math.fsum(w * lookup[i] for i, w in small.entries if i in lookup)
+        return math.fsum(w * lookup[i] for i, w in zip(small.indices, small.weights) if i in lookup)
 
 
 class InvertedIndex:
@@ -127,7 +133,7 @@ class InvertedIndex:
     def __init__(self, vectors: Sequence[SparseVector]) -> None:
         postings: dict[int, tuple[list[int], list[float]]] = {}
         for position, vec in enumerate(vectors):
-            for i, w in vec.entries:
+            for i, w in zip(vec.indices, vec.weights):
                 positions, weights = postings.setdefault(i, ([], []))
                 positions.append(position)
                 weights.append(w)
@@ -138,7 +144,7 @@ class InvertedIndex:
         """``[d.dot(v) for v in vectors]``, with the same floats."""
         acc: list[list[float]] = [[] for _ in range(self._size)]
         postings = self._postings
-        for i, w in d.entries:
+        for i, w in zip(d.indices, d.weights):
             if i in postings:
                 positions, weights = postings[i]
                 # C-level loop: append w * weight to acc[position] for each posting
@@ -163,7 +169,7 @@ class TermTable:
     def __init__(self, vectors: Sequence[SparseVector]) -> None:
         rows: dict[int, list[float]] = {}
         for column, vec in enumerate(vectors):
-            for i, w in vec.entries:
+            for i, w in zip(vec.indices, vec.weights):
                 if i not in rows:
                     rows[i] = [0.0] * len(vectors)
                 rows[i][column] = w
@@ -172,10 +178,10 @@ class TermTable:
 
     def dots(self, d: SparseVector) -> list[float]:
         """``[d.dot(v) for v in vectors]``, with the same floats."""
-        if not d.entries:
+        if not d.indices:
             return list(self._zero_row)
-        indices, weights = zip(*d.entries)
-        columns = zip(*map(self._rows.get, indices, repeat(self._zero_row)))
+        columns = zip(*map(self._rows.get, d.indices, repeat(self._zero_row)))
+        weights = d.weights.tolist()  # boxed once, not once per column
         return [math.fsum(map(mul, weights, column)) for column in columns]
 
 
@@ -194,10 +200,10 @@ def table_fill(vectors: Sequence[SparseVector]) -> float:
 
     0.0 when the vectors have no entries at all.
     """
-    entries = sum(len(vec.entries) for vec in vectors)
+    entries = sum(len(vec.indices) for vec in vectors)
     if not entries:
         return 0.0
-    terms = len({i for vec in vectors for i, _ in vec.entries})
+    terms = len(set(chain.from_iterable(vec.indices for vec in vectors)))
     return entries / (terms * len(vectors))
 
 
@@ -223,10 +229,12 @@ def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:
     """
     idf_of = vocab.idf_of
     counts = Counter(t for t in tokenize(doc.text) if t in idf_of)
-    # one (index, tf * idf) entry per term of positive weight; indices are distinct, so they alone sort
-    entries = sorted((vocab.index[t], w) for t, tf in counts.items() if (w := tf * idf_of[t]) > 0.0)
-    norm = math.sqrt(math.fsum(w * w for _, w in entries))
-    return SparseVector(tuple((i, w / norm) for i, w in entries))
+    # tf * idf of each term of positive weight, by term index
+    weight_of = {vocab.index[t]: w for t, tf in counts.items() if (w := tf * idf_of[t]) > 0.0}
+    indices = sorted(weight_of)
+    weights = list(map(weight_of.__getitem__, indices))
+    norm = math.sqrt(math.fsum(map(mul, weights, weights)))
+    return SparseVector(array("I", indices), array("d", map(truediv, weights, repeat(norm))))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the toy taxonomy, random instances and sparse vectors, hand-packed model centroids, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
+"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, hand-packed model centroids, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import importlib
 import random
 import struct
 import sys
+from array import array
 from pathlib import Path
 from types import ModuleType
 
@@ -29,10 +30,20 @@ weights = st.one_of(
     st.floats(min_value=0.0, max_value=1e3),
     st.floats(min_value=0.0, max_value=SMALLEST_NORMAL),
 )
+
+
+def vec(*pairs: tuple[int, float]) -> SparseVector:
+    """The sparse vector of the given ``(index, weight)`` pairs, in the order given."""
+    return SparseVector(array("I", [i for i, _ in pairs]), array("d", [w for _, w in pairs]))
+
+
+def entries(v: SparseVector) -> tuple[tuple[int, float], ...]:
+    """The ``(index, weight)`` pairs of ``v``, in index order."""
+    return tuple(zip(v.indices, v.weights))
+
+
 # A small index space, so supports often overlap and sometimes are disjoint or empty.
-sparse_vectors = st.dictionaries(st.integers(0, 24), weights, max_size=10).map(
-    lambda m: SparseVector(tuple(sorted(m.items())))
-)
+sparse_vectors = st.dictionaries(st.integers(0, 24), weights, max_size=10).map(lambda m: vec(*sorted(m.items())))
 
 
 def packed_centroid(*entries: tuple[int, float]) -> list[str]:

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import SMALLEST_NORMAL, T0_TEXT, packed_centroid, random_taxonomy, sparse_vectors
+from conftest import SMALLEST_NORMAL, T0_TEXT, entries, packed_centroid, random_taxonomy, sparse_vectors, vec
 from routecat.centroid import (
     CentroidModel,
     Mode,
@@ -22,10 +22,6 @@ from routecat.centroid import (
 from routecat.corpus import SparseVector, Vocabulary, build_vocabulary
 from routecat.policies import PolicyKind
 from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, parse_taxonomy
-
-
-def vec(*pairs):
-    return SparseVector(tuple(pairs))
 
 
 def test_mean_of_two_unit_axes():
@@ -54,7 +50,7 @@ def test_mean_of_identical_copies_near_exact_otherwise(k):
     v = vec((0, 0.3), (2, 0.7))
     vectors = {f"d{i}": v for i in range(k)}
     mean = mean_vector(frozenset(vectors), vectors)
-    for (i, w), (j, u) in zip(mean.entries, v.entries):
+    for (i, w), (j, u) in zip(entries(mean), entries(v)):
         assert i == j
         assert w == pytest.approx(u, rel=1e-15)
 
@@ -77,7 +73,7 @@ def test_similarity_symmetric_exactly():
 def test_similarity_scales_linearly(factor):
     a = vec((0, 0.5), (1, 0.5))
     b = vec((0, 0.25), (1, 0.75))
-    scaled = vec(*((i, w * factor) for i, w in b.entries))
+    scaled = vec(*((i, w * factor) for i, w in entries(b)))
     assert a.dot(scaled) == pytest.approx(factor * a.dot(b), rel=1e-12)
 
 
@@ -198,7 +194,7 @@ def vocabulary_of_size(n):
 # every finite nonnegative weight, the extremes included, and empty vectors
 any_weight_vectors = st.dictionaries(
     st.integers(0, 24), st.floats(min_value=0.0, allow_infinity=False), max_size=10
-).map(lambda m: SparseVector(tuple(sorted(m.items()))))
+).map(lambda m: vec(*sorted(m.items())))
 
 
 @given(
@@ -327,6 +323,20 @@ def empty_vectors(*nodes):
             "taxonomy root has no children",
             id="childless-root",
         ),
+        # built, scored as positive-only, and dumps_model ended in "AttributeError: 'str' object has no attribute 'value'"
+        pytest.param(
+            {"mode": "binary", "policy": None, "negative_centroid_of": None},
+            TypeError,
+            "mode must be a Mode, not 'binary'",
+            id="mode-as-a-string",
+        ),
+        # the constructor itself ended in "AttributeError: 'str' object has no attribute 'value'"
+        pytest.param(
+            {"mode": Mode.POSITIVE_ONLY, "policy": "siblings", "negative_centroid_of": None},
+            TypeError,
+            "policy must be a PolicyKind or None, not 'siblings'",
+            id="policy-as-a-string",
+        ),
     ],
 )
 def test_a_model_of_the_wrong_shape_is_refused_when_built(t0, changes, error, message):
@@ -441,6 +451,11 @@ def test_positive_only_model_file_with_a_policy_or_negatives_is_refused(t0, t0_d
         (EMPTY[:1], "not a list of two base64 strings"),
         ([EMPTY[0], 0.5], "not a list of two base64 strings"),
         ([EMPTY[0], "\u00e9"], "not base64"),
+        # the bad entry after a good one: min and max skip a NaN or not depending on where it sits
+        (packed_centroid((0, 0.5), (1, float("nan"))), "not finite"),
+        (packed_centroid((0, 0.5), (1, float("inf"))), "not finite"),
+        (packed_centroid((0, 0.5), (6, 0.5)), "got 6 after 0"),
+        (packed_centroid((0, 0.5), (1, 0.5), (1, 0.5)), "must increase"),
     ],
 )
 def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, message):

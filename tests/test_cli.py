@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import packed_centroid, refuse_json_constant
+from conftest import entries, packed_centroid, refuse_json_constant
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
 from routecat.corpus import Document, Vocabulary, build_vocabulary
@@ -162,6 +163,52 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, mode):
                                       report / "summary.csv", report / "comparison.csv")]
         )
     assert outputs[0] == outputs[1]
+
+
+# sha256 of every artifact of the CI spec (generate --depth 2 --branching 3 --docs-per-leaf 20
+# --tokens-per-doc 8 --noise 0.6 --seed 0, then train, evaluate and classify at --seed 0).  A
+# refactor of the vector layout, the scoring kernels or the model format must leave them all alone.
+PINNED_ARTIFACTS = {
+    "positive-only": {
+        "model.json": "b949bc9f415ea7dcc24dccabf922a6ad5944f946baef65a770a3b022a65f2405",
+        "calibration.json": "be8d1b9dfc195ac9bb44f5555aec6149cb9e1d0b7c385ed7e2aab745fdad94b3",
+        "summary.csv": "b9b311422bfa4c5d8bf28ea87ec0f48f27fe23c458585a518205883ee625ac06",
+        "comparison.csv": "4e7acec0541dedc2d8fbf93f9e436f0ecaf7b1cce61bd62026dfc625e4a57a25",
+        "classify": "c537873665ffa458ec75c31e3feed67e84cb0597e66e503363f84917c7d70785",
+    },
+    "binary-siblings": {
+        "model.json": "2b55ae0aeb9da34190faa5143bd5d8dc7c870b54c64d76158f3e0d9ffa3a987f",
+        "calibration.json": "e97422618e12b91643f25032dfec7022533dc9c942c148d2514722e8180282d1",
+        "summary.csv": "bdf9f9706d2a83d551a403c8eb1b04ddf6d67bf57232f6e8cd8b4b0737f3a153",
+        "comparison.csv": "3da5c71d6801ed025fefc35fbf95b165fa0699916162df4022983987102c00e2",
+        "classify": "65669f0691e97fd12a7696c2c50c793b044db9d8c41fcd788ea5f81c9cc1a8d6",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, mode", [("positive-only", ()), ("binary-siblings", ("--mode", "binary", "--policy", "siblings"))]
+)
+def test_ci_spec_artifacts_keep_their_bytes(tmp_path, capsys, name, mode):
+    data, run, report = (tmp_path / part for part in ("data", "run", "report"))
+    model, calibration = str(run / "model.json"), str(run / "calibration.json")
+    assert run_cli("generate", "--depth", "2", "--branching", "3", "--docs-per-leaf", "20", "--tokens-per-doc", "8",
+                   "--noise", "0.6", "--seed", "0", "--out-dir", str(data)) == 0
+    corpus = str(data / "corpus.tsv")
+    assert run_cli("train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", corpus, "--seed", "0", *mode,
+                   "--out-dir", str(run)) == 0
+    assert run_cli("evaluate", "--model", model, "--calibration", calibration, "--corpus", corpus, "--seed", "0",
+                   "--out-dir", str(report)) == 0
+    capsys.readouterr()
+    assert run_cli("classify", "--model", model, "--calibration", calibration, "--input", corpus) == 0
+    artifacts = {
+        "model.json": (run / "model.json").read_bytes(),
+        "calibration.json": (run / "calibration.json").read_bytes(),
+        "summary.csv": (report / "summary.csv").read_bytes(),
+        "comparison.csv": (report / "comparison.csv").read_bytes(),
+        "classify": capsys.readouterr().out.encode("utf-8"),
+    }
+    assert {key: hashlib.sha256(value).hexdigest() for key, value in artifacts.items()} == PINNED_ARTIFACTS[name]
 
 
 def test_train_missing_corpus(tmp_path, capsys):
@@ -443,7 +490,7 @@ def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
     calibration = build_calibration(model, docs, ACCEPT_ALL)
     payload = json.loads(dumps_model(model))
     # loaded, B scored -0.274 against A's 0.549 and "alpha beta delta" got a step confidence of 2.0
-    payload["centroids"]["B"] = packed_centroid(*((i, -w / 2) for i, w in model.centroid_of["B"].entries))
+    payload["centroids"]["B"] = packed_centroid(*((i, -w / 2) for i, w in entries(model.centroid_of["B"])))
     (tmp_path / "model.json").write_text(json.dumps(payload), encoding="utf-8")
     (tmp_path / "calibration.json").write_text(
         dumps_calibration(calibration, vocabulary_digest(model.vocabulary)), encoding="utf-8"

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import LINE_SEPARATORS, SMALLEST_NORMAL, sparse_vectors
+from conftest import LINE_SEPARATORS, SMALLEST_NORMAL, entries, sparse_vectors, vec
 from routecat.corpus import (
     DENSE_MIN_FILL,
     CorpusError,
@@ -132,7 +132,7 @@ def test_vectorize_term_in_every_doc_vanishes():
 def test_vectorize_single_term_normalizes_to_one():
     v = _vocab_two_docs()
     vec = vectorize(Document("q", "A1", "dog dog"), v)
-    assert vec.entries == ((v.index["dog"], 1.0),)
+    assert entries(vec) == ((v.index["dog"], 1.0),)
 
 
 def test_vectorize_out_of_vocabulary():
@@ -151,7 +151,7 @@ def test_vectorize_weights_match_hand_computation():
     w_dog = math.log(4 / 3)
     w_fish = 2 * math.log(4 / 3)
     norm = math.sqrt(w_dog**2 + w_fish**2)
-    entries = dict(vec.entries)
+    entries = dict(zip(vec.indices, vec.weights))
     # "cat" sits in every training doc, so its idf is 0 and it drops out
     assert set(entries) == {v.index["dog"], v.index["fish"]}
     assert entries[v.index["dog"]] == pytest.approx(w_dog / norm, abs=1e-12)
@@ -167,8 +167,8 @@ def test_vectorize_norm_is_unit_or_empty(train_texts, query):
     train = [Document(f"d{i}", "A1", t) for i, t in enumerate(train_texts)]
     v = build_vocabulary(train)
     vec = vectorize(Document("q", "A1", query), v)
-    if vec.entries:
-        assert abs(math.sqrt(math.fsum(w * w for _, w in vec.entries)) - 1.0) <= 1e-9
+    if vec.indices:
+        assert abs(math.sqrt(math.fsum(w * w for w in vec.weights)) - 1.0) <= 1e-9
 
 
 def vectorize_by_the_formula(doc, vocab):
@@ -183,7 +183,7 @@ def vectorize_by_the_formula(doc, vocab):
         if w > 0.0:
             weights[vocab.index[term]] = w
     norm = math.sqrt(math.fsum(w * w for w in weights.values()))
-    return SparseVector(tuple((i, weights[i] / norm) for i in sorted(weights)))
+    return vec(*((i, weights[i] / norm) for i in sorted(weights)))
 
 
 @given(st.lists(texts, min_size=1, max_size=8), texts)
@@ -265,16 +265,16 @@ def dot_examples(test):
     """The explicit (document, vectors) cases every dot kernel must score as ``SparseVector.dot`` does."""
     cases = [
         # an empty document, and an empty vector
-        (SparseVector(), [SparseVector(), SparseVector(((0, 1.0),))]),
+        (SparseVector(), [SparseVector(), vec((0, 1.0))]),
         # no shared term
-        (SparseVector(((0, 1.0),)), [SparseVector(((1, 1.0),)), SparseVector()]),
+        (vec((0, 1.0)), [vec((1, 1.0)), SparseVector()]),
         # subnormal weights and products that underflow
         (
-            SparseVector(((0, 5e-324), (1, 0.1), (2, 1e3))),
-            [SparseVector(((0, SMALLEST_NORMAL), (1, 0.7), (2, 1e-3))), SparseVector(((0, 5e-324), (2, 5e-324)))],
+            vec((0, 5e-324), (1, 0.1), (2, 1e3)),
+            [vec((0, SMALLEST_NORMAL), (1, 0.7), (2, 1e-3)), vec((0, 5e-324), (2, 5e-324))],
         ),
         # a plain left-to-right sum gives 1.0 here; the correctly rounded sum is 1.0000000000000002
-        (SparseVector(((0, 1.0), (1, 1.0), (2, 1.0))), [SparseVector(((0, 1.0), (1, 1e-16), (2, 1e-16)))]),
+        (vec((0, 1.0), (1, 1.0), (2, 1.0)), [vec((0, 1.0), (1, 1e-16), (2, 1e-16))]),
     ]
     for d, vectors in cases:
         test = example(d, vectors)(test)
@@ -302,11 +302,11 @@ def test_term_table_scores_equal_dot_bit_for_bit(d, vectors):
 def test_scorer_gives_dense_rows_from_the_threshold_fill():
     # one entry in one term: the table is 1 / len(vectors) full
     n = round(1 / DENSE_MIN_FILL)
-    one_entry = [SparseVector(((7, 0.5),))]
+    one_entry = [vec((7, 0.5))]
     assert table_fill(one_entry + [SparseVector()] * (n - 1)) == DENSE_MIN_FILL
     assert type(scorer(one_entry + [SparseVector()] * (n - 1))) is TermTable
     assert type(scorer(one_entry + [SparseVector()] * n)) is InvertedIndex
-    assert table_fill([SparseVector(((0, 0.5), (1, 0.5))), SparseVector(((1, 0.5),))]) == 0.75
+    assert table_fill([vec((0, 0.5), (1, 0.5)), vec((1, 0.5))]) == 0.75
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -315,4 +315,4 @@ def test_scorer_gives_a_set_with_no_rows_postings(n):
     index = scorer([SparseVector()] * n)
     assert table_fill([SparseVector()] * n) == 0.0
     assert type(index) is InvertedIndex
-    assert index.dots(SparseVector(((0, 0.6), (4, 0.8)))) == [0.0] * n
+    assert index.dots(vec((0, 0.6), (4, 0.8))) == [0.0] * n

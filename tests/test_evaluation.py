@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_labeled_docs, random_taxonomy, synthetic_run
+from conftest import random_labeled_docs, random_taxonomy, synthetic_run, vec
 from routecat import evaluation
 from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary, vectorize
 from routecat.centroid import Mode, train
@@ -236,8 +236,8 @@ def test_flat_argmax_returns_the_first_of_tied_leaves():
     docs = [Document("d1", "b", "xx yy"), Document("d2", "a", "xx zz"), Document("d3", "c", "zz ww")]
     vocab = build_vocabulary(docs)
     xx, yy, zz, ww = (vocab.index[t] for t in ("xx", "yy", "zz", "ww"))
-    same = SparseVector(((xx, 0.5), (zz, 0.25)))
-    centroids = {"b": same, "a": same, "c": SparseVector(((ww, 1.0),))}
+    same = vec((xx, 0.5), (zz, 0.25))
+    centroids = {"b": same, "a": same, "c": vec((ww, 1.0))}
     queries = [Document("q1", "b", "xx"), Document("q2", "b", "yy"), Document("q3", "c", "ww zz")]
     # q1 ties b and a, q2 scores 0 everywhere, q3 prefers c (1.0 + 0.25 against 0.25)
     assert flat_predictions(centroids, [vectorize(q, vocab) for q in queries], tax) == ["b", "b", "c"]

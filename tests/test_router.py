@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import import_perfbench, refuse_json_constant, synthetic_run
+from conftest import import_perfbench, refuse_json_constant, synthetic_run, vec
 from routecat import centroid
 from routecat.centroid import CentroidModel, Mode, group_scores, model_identity, node_score, vocabulary_digest
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, load_corpus, scorer, vectorize
@@ -30,10 +30,6 @@ from routecat.router import (
     with_threshold,
 )
 from routecat.taxonomy import parse_taxonomy
-
-
-def vec(*pairs):
-    return SparseVector(tuple(pairs))
 
 
 def model_with_scores(taxonomy_text, centroids, vocab=None):
