@@ -16,8 +16,8 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import lt, truediv
+from itertools import repeat
+from operator import truediv
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, scorer, vectorize
@@ -363,23 +363,16 @@ def _model_from_payload(payload: dict) -> CentroidModel:
             )
         indices = _from_little_endian("I", packed_indices)
         weights = _from_little_endian("d", packed_weights)
-        # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices, and vectors
-        # are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1].  The
-        # checks run in C; the loops below run only to name the first entry that fails them.
-        if not (
-            all(map(lt, indices, islice(indices, 1, None)))
-            and (not indices or indices[-1] < n_terms)
-            and all(map(math.isfinite, weights))
-            and (not weights or min(weights) >= 0.0)
-        ):
-            for previous, i in zip((-1, *indices), indices):
-                if not previous < i < n_terms:
-                    raise ValueError(
-                        f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
-                    )
-            for i, w in zip(indices, weights):
-                if not 0.0 <= w < math.inf:
-                    raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not finite or negative")
+        # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices
+        for previous, i in zip((-1, *indices), indices):
+            if not previous < i < n_terms:
+                raise ValueError(
+                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
+                )
+        # vectors are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1]
+        for i, w in zip(indices, weights):
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not finite or negative")
         return SparseVector(indices, weights)
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:

@@ -96,6 +96,12 @@ class SparseVector:
 
     ``indices`` holds C unsigned ints and ``weights`` C doubles, 12 bytes an
     entry, where a tuple of ``(index, weight)`` pairs costs about 116.
+
+    The arrays must not be changed once the vector is built: ``frozen`` stops
+    only rebinding them, and the cached ``_lookup``, the checks of
+    ``loads_model`` and the scoring tables a ``CentroidModel`` caches in
+    ``group_tables`` all keep what the arrays held when they were read.
+    Arrays are unhashable, so a ``SparseVector`` is too.
     """
 
     indices: array = field(default_factory=partial(array, "I"))
