@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 
+from routecat.cli import add_corpus_flags, corpus_spec, fraction, positive_int, run
 from routecat.corpus import load_corpus
 from routecat.evaluation import (
     SyntheticSpec,
@@ -30,39 +31,16 @@ def run_one(spec: SyntheticSpec, val_fraction: float, test_fraction: float):
     taxonomy_text, corpus_text = generate_synthetic(spec)
     taxonomy = parse_taxonomy(taxonomy_text)
     docs = load_corpus(corpus_text, taxonomy)
-    run = train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed)
-    summary_rows, comparison_rows = report_rows(f"seed{spec.seed}", run.model, run.calibration, run.split)
-    return summary_rows[0], comparison_rows[0], run.calibration
+    trained = train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed)
+    summary_rows, comparison_rows = report_rows(f"seed{spec.seed}", trained.model, trained.calibration, trained.split)
+    return summary_rows[0], comparison_rows[0], trained.calibration
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--depth", type=int, default=3)
-    parser.add_argument("--branching", type=int, default=3)
-    parser.add_argument("--docs-per-leaf", type=int, default=50)
-    parser.add_argument("--vocab-per-topic", type=int, default=35)
-    parser.add_argument("--noise-vocab", type=int, default=150)
-    parser.add_argument("--tokens-per-doc", type=int, default=13)
-    parser.add_argument("--noise", type=float, default=0.45)
-    parser.add_argument("--val-fraction", type=float, default=0.30)
-    parser.add_argument("--test-fraction", type=float, default=0.30)
-    parser.add_argument("--seeds", type=int, default=10, help="run seeds 0..N-1")
-    args = parser.parse_args()
-
+def experiment(args: argparse.Namespace) -> int:
     print(f"{'seed':>4} {'overall':>9} {'boosted':>9} {'boost(pp)':>10} {'rejected':>9} {'EER gap':>9}")
     summary_rows, comparison_rows = [], []
     for seed in range(args.seeds):
-        spec = SyntheticSpec(
-            depth=args.depth,
-            branching=args.branching,
-            docs_per_leaf=args.docs_per_leaf,
-            vocab_per_topic=args.vocab_per_topic,
-            noise_vocab_size=args.noise_vocab,
-            noise_fraction=args.noise,
-            tokens_per_doc=args.tokens_per_doc,
-            seed=seed,
-        )
-        summary_row, comparison_row, calibration = run_one(spec, args.val_fraction, args.test_fraction)
+        summary_row, comparison_row, calibration = run_one(corpus_spec(args, seed), args.val_fraction, args.test_fraction)
         summary_rows.append(summary_row)
         comparison_rows.append(comparison_row)
         summary = summary_row.summary
@@ -85,6 +63,16 @@ def main() -> int:
     print()
     print(render_report(summary_rows[-1:], comparison_rows[-1:]), end="")
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    add_corpus_flags(parser)
+    parser.set_defaults(depth=3, docs_per_leaf=50, vocab_per_topic=35, tokens_per_doc=13, noise=0.45)
+    parser.add_argument("--val-fraction", type=fraction, default=0.30)
+    parser.add_argument("--test-fraction", type=fraction, default=0.30)
+    parser.add_argument("--seeds", type=positive_int, default=10, help="run seeds 0..N-1")
+    return run(experiment, parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -62,34 +62,24 @@ def _write_text(path: Path, content: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _fraction(value: str) -> float:
-    try:
-        f = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from exc
-    if not 0.0 <= f < 1.0:
-        raise argparse.ArgumentTypeError(f"fraction must lie in [0, 1): {value}")
-    return f
+def _reader(convert: Callable[[str], T], kind: str, rule: str, holds: Callable[[T], bool]) -> Callable[[str], T]:
+    """An argparse ``type`` that converts a flag's value and checks it: ``not <kind>`` or ``<rule>`` on failure."""
+
+    def read(value: str) -> T:
+        try:
+            x = convert(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not {kind}: {value!r}") from exc
+        if not holds(x):
+            raise argparse.ArgumentTypeError(f"{rule}: {value}")
+        return x
+
+    return read
 
 
-def _threshold(value: str) -> float:
-    try:
-        f = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from exc
-    if math.isnan(f):
-        raise argparse.ArgumentTypeError(f"threshold must not be NaN: {value}")
-    return f
-
-
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from exc
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
-    return n
+fraction = _reader(float, "a number", "fraction must lie in [0, 1)", lambda f: 0.0 <= f < 1.0)
+_threshold = _reader(float, "a number", "threshold must not be NaN", lambda f: not math.isnan(f))
+positive_int = _reader(int, "an integer", "must be >= 1", lambda n: n >= 1)
 
 
 def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
@@ -123,8 +113,20 @@ def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    spec = evaluation.SyntheticSpec(
+def add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    """``generate``'s flags for the shape of a synthetic corpus, with its defaults; :func:`corpus_spec` reads them."""
+    p.add_argument("--depth", type=positive_int, default=2)
+    p.add_argument("--branching", type=positive_int, default=3)
+    p.add_argument("--docs-per-leaf", type=positive_int, default=40)
+    p.add_argument("--vocab-per-topic", type=positive_int, default=30)
+    p.add_argument("--noise-vocab", type=positive_int, default=150)
+    p.add_argument("--tokens-per-doc", type=positive_int, default=40)
+    p.add_argument("--noise", type=fraction, default=0.0)
+
+
+def corpus_spec(args: argparse.Namespace, seed: int) -> evaluation.SyntheticSpec:
+    """The synthetic corpus of the flags :func:`add_corpus_flags` added, generated under ``seed``."""
+    return evaluation.SyntheticSpec(
         depth=args.depth,
         branching=args.branching,
         docs_per_leaf=args.docs_per_leaf,
@@ -132,9 +134,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         noise_vocab_size=args.noise_vocab,
         noise_fraction=args.noise,
         tokens_per_doc=args.tokens_per_doc,
-        seed=args.seed,
+        seed=seed,
     )
-    taxonomy_text, corpus_text = evaluation.generate_synthetic(spec)
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    taxonomy_text, corpus_text = evaluation.generate_synthetic(corpus_spec(args, args.seed))
     out = Path(args.out_dir)
     _write_text(out / "taxonomy.tsv", taxonomy_text)
     _write_text(out / "corpus.tsv", corpus_text)
@@ -211,13 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a seeded synthetic taxonomy and corpus")
-    p.add_argument("--depth", type=_positive_int, default=2)
-    p.add_argument("--branching", type=_positive_int, default=3)
-    p.add_argument("--docs-per-leaf", type=_positive_int, default=40)
-    p.add_argument("--vocab-per-topic", type=_positive_int, default=30)
-    p.add_argument("--noise-vocab", type=_positive_int, default=150)
-    p.add_argument("--tokens-per-doc", type=_positive_int, default=40)
-    p.add_argument("--noise", type=_fraction, default=0.0)
+    add_corpus_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_generate)
@@ -225,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train centroids and calibrate the acceptance threshold")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--val-fraction", type=_fraction, default=0.2)
-    p.add_argument("--test-fraction", type=_fraction, default=0.2)
+    p.add_argument("--val-fraction", type=fraction, default=0.2)
+    p.add_argument("--test-fraction", type=fraction, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.POSITIVE_ONLY.value)
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
@@ -245,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--val-fraction", type=_fraction, default=0.2)
-    p.add_argument("--test-fraction", type=_fraction, default=0.2)
+    p.add_argument("--val-fraction", type=fraction, default=0.2)
+    p.add_argument("--test-fraction", type=fraction, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     _add_threshold_flags(p)
     p.add_argument("--problem", default="synthetic", help="problem name for report rows")
@@ -255,21 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
+    """``command(args)`` under the CLI's error policy; returns its exit status.
+
+    A library error prints one ``error:`` line to stderr and gives status 1;
+    a closed stdout (``routecat classify ... | head``) gives status 1 quietly.
+    """
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()  # a closed pipe must fail here, not in the flush at exit
         return code
     except (CliError, TaxonomyError, CorpusError, ModelFormatError, CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # the reader of stdout is gone (``routecat classify ... | head``); send what is left to devnull
+        # the reader of stdout is gone; send what is left to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

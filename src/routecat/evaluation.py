@@ -139,6 +139,8 @@ def flat_accuracy(
     taxonomy: Taxonomy,
 ) -> float:
     """Exact-label accuracy of the flat nearest-centroid classifier over the given leaf centroids."""
+    if not test:
+        raise ValueError("empty test set")
     predictions = flat_predictions(centroid_of, vectors, taxonomy)
     return sum(p == doc.label for p, doc in zip(predictions, test)) / len(test)
 
@@ -191,49 +193,36 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:
     root = "root"
     taxonomy_lines: list[str] = []
     level = [root]
-    node_index: dict[str, int] = {}
-    for depth in range(1, spec.depth + 1):
+    # each non-root node's private terms, numbered by the order the nodes are made in
+    terms_of: dict[str, list[str]] = {}
+    for _ in range(spec.depth):
         next_level: list[str] = []
         for parent in level:
             for j in range(spec.branching):
                 child = f"c{j}" if parent == root else f"{parent}.{j}"
                 taxonomy_lines.append(f"{parent}\t{child}")
-                node_index[child] = len(node_index)
+                terms_of[child] = [f"w{len(terms_of)}x{k}" for k in range(spec.vocab_per_topic)]
                 next_level.append(child)
         level = next_level
     taxonomy_text = "\n".join(taxonomy_lines) + "\n"
     t = parse_taxonomy(taxonomy_text)
 
-    def topic_terms(node: str) -> list[str]:
-        idx = node_index[node]
-        return [f"w{idx}x{j}" for j in range(spec.vocab_per_topic)]
-
     noise_terms = [f"z{j}" for j in range(spec.noise_vocab_size)]
     rng = SplitMix64(spec.seed)
     corpus_lines: list[str] = []
-    counter = 0
     for leaf in t.leaves:
-        chain = [topic_terms(node) for node in t.path(leaf)]
-        # cumulative 2**(level-1) weights for picking which chain topic a token comes from
-        cumulative: list[int] = []
-        total = 0
-        for level in range(len(chain)):
-            total += 1 << level
-            cumulative.append(total)
+        chain = [terms_of[node] for node in t.path(leaf)]
+        # chain level k has weight 2**k, so a pick p below 2**len(chain) - 1 lands on level (p + 1).bit_length() - 1
+        picks = (1 << len(chain)) - 1
         for _ in range(spec.docs_per_leaf):
             tokens = []
             for _ in range(spec.tokens_per_doc):
                 if rng.random() < spec.noise_fraction:
                     tokens.append(noise_terms[rng.randrange(len(noise_terms))])
                 else:
-                    pick = rng.randrange(total)
-                    level = 0
-                    while pick >= cumulative[level]:
-                        level += 1
-                    terms = chain[level]
+                    terms = chain[(rng.randrange(picks) + 1).bit_length() - 1]
                     tokens.append(terms[rng.randrange(len(terms))])
-            corpus_lines.append(f"d{counter:06d}\t{leaf}\t{' '.join(tokens)}")
-            counter += 1
+            corpus_lines.append(f"d{len(corpus_lines):06d}\t{leaf}\t{' '.join(tokens)}")
     return taxonomy_text, "\n".join(corpus_lines) + "\n"
 
 

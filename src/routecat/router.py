@@ -290,8 +290,8 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
 
     Unknown formats and versions, missing or wrongly typed fields (weights
     and the gap must be floats in [0, 1], the size an integer of at least 1,
-    each weight key a depth written as a plain integer), and a NaN threshold
-    raise :class:`CalibrationError`.
+    each weight key a depth of at least 1 written as a plain integer), and a
+    NaN threshold raise :class:`CalibrationError`.
     """
     return loads_artifact(
         text, "calibration", CALIBRATION_FORMAT_VERSION, CalibrationError, _calibration_from_payload
@@ -302,7 +302,7 @@ def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
     level_weights = {}
     for key, weight in payload["level_weights"].items():
         depth = int(key)
-        if str(depth) != key:
+        if str(depth) != key or depth < 1:
             raise ValueError(f"level weight key {key!r} is not a depth")
         level_weights[depth] = _checked_rate(weight, f"level weight {key}")
     validation_size = checked_int(payload["validation_size"], "validation_size")

@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from conftest import random_labeled_docs, random_taxonomy, synthetic_run, vec
+from conftest import import_perfbench, random_labeled_docs, random_taxonomy, synthetic_run, vec
 from routecat import evaluation
 from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary, vectorize
 from routecat.centroid import Mode, train
@@ -191,6 +192,12 @@ def test_flat_baseline_single_leaf():
     assert flat_baseline(docs, docs, tax, vocab) == 1.0
 
 
+def test_flat_baseline_refuses_an_empty_test_set():
+    run = synthetic_run(SyntheticSpec(depth=1, branching=2, docs_per_leaf=5, seed=0), 0.2, 0.2)
+    with pytest.raises(ValueError, match="empty test set"):
+        flat_baseline(run.split.train, [], run.model.taxonomy, run.model.vocabulary)
+
+
 def test_flat_baseline_matches_lcn_on_flat_taxonomy():
     run = synthetic_run(SyntheticSpec(depth=1, branching=4, docs_per_leaf=15, noise_fraction=0.2, seed=9), 0.2, 0.3)
     flat = flat_baseline(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
@@ -219,6 +226,60 @@ def test_generate_synthetic_validates():
         generate_synthetic(SyntheticSpec(depth=0, branching=2, docs_per_leaf=5))
     with pytest.raises(ValueError):
         generate_synthetic(SyntheticSpec(depth=1, branching=2, docs_per_leaf=5, noise_fraction=1.0))
+
+
+BENCH = import_perfbench("workloads")
+# every benchmark workload's corpus at seeds 0 and 1, and a depth-4 spec with odd sizes, whose chains are four topics long
+GENERATOR_SPECS = {
+    **{
+        f"{name}-{seed}": SyntheticSpec(
+            depth=w.depth, branching=w.branching, docs_per_leaf=w.docs_per_leaf, tokens_per_doc=w.tokens_per_doc,
+            noise_fraction=w.noise, seed=seed,
+        )
+        for name, w in BENCH.WORKLOADS.items()
+        for seed in (0, 1)
+    },
+    "depth-4": SyntheticSpec(
+        depth=4, branching=3, docs_per_leaf=5, vocab_per_topic=7, noise_fraction=0.3, tokens_per_doc=9, seed=9
+    ),
+}
+# sha256 of (taxonomy text, corpus text)
+GENERATED_BYTES = {
+    "docs-heavy-0": (
+        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
+        "d682069e44d1820bdbc29c7984695758777e4e88305c614ac4da683b7fe9e9f6",
+    ),
+    "docs-heavy-1": (
+        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
+        "a617bf002c61acf159923e7f38d7a5998e14b89ad73b5c05f8fa2894f11a214b",
+    ),
+    "node-heavy-0": (
+        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
+        "76351102ad0fa0ce9e45db60f9f7e439291dfeaed8588c150ffa6e106e272f39",
+    ),
+    "node-heavy-1": (
+        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
+        "a7f9e496e2a4ad3feec73ae0c7f677ddb49d21f2cbc315d21c4cce97885a1066",
+    ),
+    "binary-siblings-0": (
+        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
+        "4ff0e0870a9d53fa9e8a6f1e5f5f9a3152ad4ebddb958449c97dc494fdf746f0",
+    ),
+    "binary-siblings-1": (
+        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
+        "1700b3ed09475044fbd9164c9c50dad34a5624d5807416b86df14f5c8960ed57",
+    ),
+    "depth-4": (
+        "bc8bbc33c5369c04d4f5218a4137f95349235c2166729287bdbcf74683a2fe4f",
+        "529657be65c925cd78b33f8ba70a8be48a1d892bd5914af919eefd00c7c6c7d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SPECS))
+def test_generated_corpora_keep_their_bytes(name):
+    texts = generate_synthetic(GENERATOR_SPECS[name])
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == GENERATED_BYTES[name]
 
 
 def test_noise_free_flat_accuracy_is_perfect():

@@ -470,6 +470,9 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("validation_size", 0, "validation_size must be at least 1"),
         ("model_identity", None, "no field 'model_identity'"),
         ("model_identity", 7, "must be strings"),
+        # depths start at 1
+        ("level_weights", {"1": 1.0, "0": 0.5}, "'0' is not a depth"),
+        ("level_weights", {"1": 1.0, "-3": 0.25}, "'-3' is not a depth"),
     ],
 )
 def test_calibration_fields_are_validated(field, value, message):
