@@ -239,7 +239,7 @@ def loads_artifact(text: str, kind: str, version: int, error: type[Exception], b
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a number of too many digits, or nesting too deep
         raise error(f"{kind} file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != f"routecat-{kind}":
         raise error(f"not a {kind} file")
@@ -318,7 +318,7 @@ def loads_model(text: str) -> CentroidModel:
     repeat, ``n_docs`` below 1 or a document frequency outside 1..``n_docs``,
     a stored ``vocabulary_digest`` that is not the vocabulary's own, a
     centroid that is not two base64 strings of n term indices increasing
-    below the vocabulary size and n finite nonnegative weights (see
+    below the vocabulary size and n weights in [0, 1] (see
     :func:`_packed`), and any shape :class:`CentroidModel` refuses raise
     :class:`ModelFormatError`.  Vocabulary values are checked as JSON typed
     them, never converted.
@@ -369,10 +369,11 @@ def _model_from_payload(payload: dict) -> CentroidModel:
                 raise ValueError(
                     f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
                 )
-        # vectors are nonnegative: a negative weight breaks TermTable's zero padding and confidence in (0, 1]
+        # a trained weight is a mean of coordinates of unit nonnegative vectors, so it lies in [0, 1]: a negative
+        # one breaks TermTable's zero padding and confidence in (0, 1], and a huge one overflows the exact sums
         for i, w in zip(indices, weights):
-            if not 0.0 <= w < math.inf:
-                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is not finite or negative")
+            if not 0.0 <= w <= 1.0:
+                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is negative, above 1 or not finite")
         return SparseVector(indices, weights)
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:

@@ -80,6 +80,7 @@ def _reader(convert: Callable[[str], T], kind: str, rule: str, holds: Callable[[
 fraction = _reader(float, "a number", "fraction must lie in [0, 1)", lambda f: 0.0 <= f < 1.0)
 _threshold = _reader(float, "a number", "threshold must not be NaN", lambda f: not math.isnan(f))
 positive_int = _reader(int, "an integer", "must be >= 1", lambda n: n >= 1)
+_seed = _reader(int, "an integer", "seed must lie in 0..2**64-1", lambda n: 0 <= n < 2**64)
 
 
 def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
@@ -111,6 +112,13 @@ def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
         "--accept-all", dest="threshold", action="store_const", const=ACCEPT_ALL,
         help="same as --threshold=-inf: accept everything",
     )
+
+
+def _add_split_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that fix the corpus split; ``evaluate`` must be given the values ``train`` was given."""
+    p.add_argument("--val-fraction", type=fraction, default=0.2)
+    p.add_argument("--test-fraction", type=fraction, default=0.2)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -217,16 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a seeded synthetic taxonomy and corpus")
     add_corpus_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train centroids and calibrate the acceptance threshold")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--val-fraction", type=fraction, default=0.2)
-    p.add_argument("--test-fraction", type=fraction, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    _add_split_flags(p)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.POSITIVE_ONLY.value)
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
     _add_threshold_flags(p)
@@ -244,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--val-fraction", type=fraction, default=0.2)
-    p.add_argument("--test-fraction", type=fraction, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    _add_split_flags(p)
     _add_threshold_flags(p)
     p.add_argument("--problem", default="synthetic", help="problem name for report rows")
     p.add_argument("--out-dir", required=True)

@@ -1,8 +1,7 @@
 """The train/calibrate/report pipeline, metrics, the flat baseline, and synthetic corpora.
 
 A document counts as correctly routed when its true label lies on the
-decoded route, which reduces to exact leaf match for leaf-labeled
-documents and to route coverage for documents labeled at internal nodes.
+decoded route (:func:`~routecat.router.routed_correctly`).
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from routecat.corpus import (
 )
 from routecat.policies import PolicyKind, most_specific_examples
 from routecat.prng import SplitMix64
-from routecat.router import Calibration, build_calibration, classify_with_reject
-from routecat.taxonomy import NodeId, Taxonomy, parse_taxonomy
+from routecat.router import Calibration, build_calibration, classify_with_reject, routed_correctly
+from routecat.taxonomy import NodeId, Taxonomy
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,10 @@ def _evaluate_vectors(
     """:func:`evaluate` over the test documents' vectors, made once by the caller."""
     if not test:
         raise ValueError("empty test set")
-    t = model.taxonomy
     outcomes = []
     for doc, d in zip(test, vectors):
         decision = classify_with_reject(model, calibration, d)
-        outcomes.append((doc.label in t.path(decision.leaf), decision.accepted))
+        outcomes.append((routed_correctly(model.taxonomy, doc.label, decision.leaf), decision.accepted))
     return summarize(outcomes)
 
 
@@ -192,26 +190,24 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:
     spec.validate()
     root = "root"
     taxonomy_lines: list[str] = []
-    level = [root]
-    # each non-root node's private terms, numbered by the order the nodes are made in
-    terms_of: dict[str, list[str]] = {}
+    # each node with the private term lists of the nodes on its path, the root's being empty
+    level: list[tuple[str, list[list[str]]]] = [(root, [])]
     for _ in range(spec.depth):
-        next_level: list[str] = []
-        for parent in level:
+        next_level = []
+        for parent, chain in level:
             for j in range(spec.branching):
                 child = f"c{j}" if parent == root else f"{parent}.{j}"
+                # terms are numbered by the order the nodes are made in: one edge line per node made before
+                terms = [f"w{len(taxonomy_lines)}x{k}" for k in range(spec.vocab_per_topic)]
                 taxonomy_lines.append(f"{parent}\t{child}")
-                terms_of[child] = [f"w{len(terms_of)}x{k}" for k in range(spec.vocab_per_topic)]
-                next_level.append(child)
+                next_level.append((child, [*chain, terms]))
         level = next_level
-    taxonomy_text = "\n".join(taxonomy_lines) + "\n"
-    t = parse_taxonomy(taxonomy_text)
 
     noise_terms = [f"z{j}" for j in range(spec.noise_vocab_size)]
     rng = SplitMix64(spec.seed)
     corpus_lines: list[str] = []
-    for leaf in t.leaves:
-        chain = [terms_of[node] for node in t.path(leaf)]
+    # every leaf lies at the last level, which lists them in the taxonomy's depth-first order
+    for leaf, chain in level:
         # chain level k has weight 2**k, so a pick p below 2**len(chain) - 1 lands on level (p + 1).bit_length() - 1
         picks = (1 << len(chain)) - 1
         for _ in range(spec.docs_per_leaf):
@@ -223,7 +219,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:
                     terms = chain[(rng.randrange(picks) + 1).bit_length() - 1]
                     tokens.append(terms[rng.randrange(len(terms))])
             corpus_lines.append(f"d{len(corpus_lines):06d}\t{leaf}\t{' '.join(tokens)}")
-    return taxonomy_text, "\n".join(corpus_lines) + "\n"
+    return "\n".join(taxonomy_lines) + "\n", "\n".join(corpus_lines) + "\n"
 
 
 @dataclass(frozen=True)

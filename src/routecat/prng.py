@@ -17,7 +17,10 @@ class SplitMix64:
     """splitmix64: 64-bit state, golden-gamma increment, two xor-shift mixes."""
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        # masking would give seeds equal modulo 2**64, such as -1 and 2**64 - 1, one stream
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must lie in 0..2**64-1, not {seed}")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64

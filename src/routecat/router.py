@@ -26,7 +26,7 @@ from routecat.centroid import (
     vocabulary_digest,
 )
 from routecat.corpus import Document, SparseVector, vectorize
-from routecat.taxonomy import NodeId
+from routecat.taxonomy import NodeId, Taxonomy
 
 CALIBRATION_FORMAT_VERSION = 2
 
@@ -49,14 +49,6 @@ class LevelStep:
     chosen: NodeId
     group_scores: Mapping[NodeId, float]
     confidence: float
-
-
-@dataclass(frozen=True)
-class RouteTrace:
-    """Decoded route with per-level steps."""
-
-    route: tuple[NodeId, ...]
-    steps: tuple[LevelStep, ...]
 
 
 @dataclass(frozen=True)
@@ -107,29 +99,33 @@ def confidence_score(group_scores: Mapping[NodeId, float], chosen: NodeId) -> fl
     return group_scores[chosen] / total
 
 
-def decode(model: CentroidModel, d: SparseVector) -> RouteTrace:
-    """Route a document vector from the root's children down to a leaf.
+def decode(model: CentroidModel, d: SparseVector) -> tuple[LevelStep, ...]:
+    """Route a document vector from the root's children down to a leaf, one step per level.
 
     Every step records the full sibling group's scores, which
     :func:`~routecat.centroid.group_scores` computes in one pass over the
-    document's terms; prediction never stops early, so the route always
-    ends at a leaf, and :class:`~routecat.centroid.CentroidModel` refuses a
-    root without children, so it has at least one step.
+    document's terms; prediction never stops early, so the last step
+    chooses a leaf, and :class:`~routecat.centroid.CentroidModel` refuses a
+    root without children, so there is at least one step.  The chosen
+    nodes are the leaf's :meth:`~routecat.taxonomy.Taxonomy.path`.
     """
     t = model.taxonomy
     parent = t.root
     group = t.children(parent)
-    route: list[NodeId] = []
     steps: list[LevelStep] = []
     while group:
         values = group_scores(model, d, parent)
         chosen = group[values.index(max(values))]  # the first of tied children
         scores = dict(zip(group, values))
-        route.append(chosen)
         steps.append(LevelStep(chosen=chosen, group_scores=scores, confidence=confidence_score(scores, chosen)))
         parent = chosen
         group = t.children(parent)
-    return RouteTrace(route=tuple(route), steps=tuple(steps))
+    return tuple(steps)
+
+
+def routed_correctly(taxonomy: Taxonomy, label: NodeId, leaf: NodeId) -> bool:
+    """Whether a document labeled ``label`` and decoded to ``leaf`` was routed right: the label lies on the leaf's path."""
+    return label in taxonomy.path(leaf)
 
 
 def reliability(steps: Sequence[LevelStep], level_weights: Mapping[int, float]) -> float:
@@ -187,9 +183,9 @@ def eer_threshold(scores: Iterable[tuple[float, bool]]) -> tuple[float, float]:
 
 def classify_with_reject(model: CentroidModel, calibration: Calibration, d: SparseVector) -> Decision:
     """Decode, score reliability, and accept only when strictly above the threshold."""
-    trace = decode(model, d)
-    rel = reliability(trace.steps, calibration.level_weights)
-    return Decision(accepted=rel > calibration.threshold, leaf=trace.route[-1], reliability=rel)
+    steps = decode(model, d)
+    rel = reliability(steps, calibration.level_weights)
+    return Decision(accepted=rel > calibration.threshold, leaf=steps[-1].chosen, reliability=rel)
 
 
 def _override_source(threshold: float) -> str:
@@ -219,13 +215,15 @@ def build_calibration(
     correct = [0] * (t.max_depth + 1)
     decoded = []
     for doc in validation:
-        true_path = t.path(doc.label)
-        trace = decode(model, vectorize(doc, model.vocabulary))
-        for depth, node in enumerate(true_path, start=1):
+        steps = decode(model, vectorize(doc, model.vocabulary))
+        leaf = steps[-1].chosen
+        route = t.path(leaf)
+        for depth, node in enumerate(t.path(doc.label), start=1):
             eligible[depth] += 1
-            if depth <= len(trace.route) and trace.route[depth - 1] == node:
+            # a label can lie deeper than the decoded leaf in an uneven tree
+            if depth <= len(route) and route[depth - 1] == node:
                 correct[depth] += 1
-        decoded.append((trace.steps, true_path[-1] in trace.route))
+        decoded.append((steps, routed_correctly(t, doc.label, leaf)))
     weights = {
         depth: (correct[depth] / eligible[depth] if eligible[depth] else 0.0)
         for depth in range(1, t.max_depth + 1)

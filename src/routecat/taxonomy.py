@@ -65,11 +65,6 @@ class Taxonomy:
                 raise TaxonomyError(f"cycle detected at node {node!r}")
         return path_of
 
-    @cached_property
-    def parent_of(self) -> dict[NodeId, NodeId]:
-        """Each non-root node's parent."""
-        return {child: node for node, kids in self.children_of.items() for child in kids}
-
     def __contains__(self, node: NodeId) -> bool:
         return node in self.children_of
 
@@ -94,7 +89,8 @@ class Taxonomy:
         self._require(node)
         if node == self.root:
             raise TaxonomyError("root has no parent")
-        return self.parent_of[node]
+        path = self._path_of[node]
+        return path[-2] if len(path) > 1 else self.root
 
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
         self._require(node)
@@ -127,8 +123,7 @@ class Taxonomy:
         self._require(node)
         if node == self.root:
             raise TaxonomyError("root has no siblings")
-        group = self.children_of[self.parent_of[node]]
-        return frozenset(n for n in group if n != node)
+        return frozenset(n for n in self.children_of[self.parent(node)] if n != node)
 
 
 def tsv_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:

@@ -138,8 +138,7 @@ def test_criterion_5_depth_one_equivalence():
         vectors = [vectorize(doc, vocab) for doc in run.split.test]
         flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), vectors, t)
         for d, flat_leaf in zip(vectors, flats):
-            trace = decode(run.model, d)
-            disagreements += trace.route[-1] != flat_leaf
+            disagreements += decode(run.model, d)[-1].chosen != flat_leaf
             checked += 1
     verdict(
         5,

@@ -1,10 +1,9 @@
 import hashlib
 import json
 import random
-import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SMALLEST_NORMAL, T0_TEXT, entries, packed_centroid, random_taxonomy, sparse_vectors, vec
 from routecat.centroid import (
@@ -19,7 +18,8 @@ from routecat.centroid import (
     node_score,
     train,
 )
-from routecat.corpus import SparseVector, Vocabulary, build_vocabulary
+from routecat.corpus import SparseVector, Vocabulary, build_vocabulary, load_corpus
+from routecat.evaluation import SyntheticSpec, generate_synthetic
 from routecat.policies import PolicyKind
 from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, parse_taxonomy
 
@@ -191,18 +191,19 @@ def vocabulary_of_size(n):
     return Vocabulary(index={t: k for k, t in enumerate(terms)}, doc_frequency=dict.fromkeys(terms, 1), n_docs=1)
 
 
-# every finite nonnegative weight, the extremes included, and empty vectors
-any_weight_vectors = st.dictionaries(
-    st.integers(0, 24), st.floats(min_value=0.0, allow_infinity=False), max_size=10
+# every weight a trained model holds, which lies in [0, 1] (loads_model refuses any other), the extremes included,
+# and empty vectors
+unit_weight_vectors = st.dictionaries(
+    st.integers(0, 24), st.floats(min_value=0.0, max_value=1.0), max_size=10
 ).map(lambda m: vec(*sorted(m.items())))
 
 
 @given(
-    st.lists(st.tuples(any_weight_vectors, any_weight_vectors), min_size=5, max_size=5),
+    st.lists(st.tuples(unit_weight_vectors, unit_weight_vectors), min_size=5, max_size=5),
     st.sampled_from([None, *PolicyKind]),
 )
-@example([(vec((0, 0.0), (1, 5e-324), (24, sys.float_info.max)), SparseVector())] * 5, None)
-@example([(SparseVector(), vec((0, 0.0), (1, 5e-324), (24, sys.float_info.max)))] * 5, PolicyKind.SIBLINGS)
+@example([(vec((0, 0.0), (1, 5e-324), (24, 1.0)), SparseVector())] * 5, None)
+@example([(SparseVector(), vec((0, 0.0), (1, 5e-324), (24, 1.0)))] * 5, PolicyKind.SIBLINGS)
 def test_model_centroids_load_back_bit_for_bit(pairs, policy):
     t = parse_taxonomy(T0_TEXT)
     nodes = [n for n in t.nodes if n != t.root]
@@ -228,7 +229,7 @@ def test_every_model_the_constructor_accepts_loads_back(seed, policy, data):
     nodes = [n for n in t.nodes if n != t.root]
 
     def vectors():
-        return dict(zip(nodes, data.draw(st.lists(sparse_vectors, min_size=len(nodes), max_size=len(nodes)))))
+        return dict(zip(nodes, data.draw(st.lists(unit_weight_vectors, min_size=len(nodes), max_size=len(nodes)))))
 
     model = CentroidModel(
         taxonomy=t,
@@ -242,6 +243,34 @@ def test_every_model_the_constructor_accepts_loads_back(seed, policy, data):
     assert loaded.taxonomy == model.taxonomy
     assert loaded.mode is model.mode
     assert loaded.policy is model.policy
+    assert loaded.centroid_of == model.centroid_of
+    assert loaded.negative_centroid_of == model.negative_centroid_of
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.builds(
+        SyntheticSpec,
+        depth=st.integers(1, 3),
+        branching=st.integers(1, 3),
+        docs_per_leaf=st.integers(1, 3),
+        vocab_per_topic=st.integers(1, 5),
+        noise_vocab_size=st.integers(1, 5),
+        noise_fraction=st.sampled_from([0.0, 0.5, 0.9]),
+        tokens_per_doc=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+    ),
+    st.sampled_from([None, *PolicyKind]),
+)
+# one single-term document per leaf: each leaf centroid is a unit coordinate, weight exactly 1.0
+@example(SyntheticSpec(depth=1, branching=2, docs_per_leaf=1, tokens_per_doc=1), None)
+def test_every_model_train_builds_loads_back(spec, policy):
+    taxonomy_text, corpus_text = generate_synthetic(spec)
+    taxonomy = parse_taxonomy(taxonomy_text)
+    docs = load_corpus(corpus_text, taxonomy)
+    mode = Mode.POSITIVE_ONLY if policy is None else Mode.BINARY
+    model = train(docs, taxonomy, build_vocabulary(docs), mode=mode, policy=policy)
+    loaded = loads_model(dumps_model(model))
     assert loaded.centroid_of == model.centroid_of
     assert loaded.negative_centroid_of == model.negative_centroid_of
 
@@ -456,6 +485,9 @@ def test_positive_only_model_file_with_a_policy_or_negatives_is_refused(t0, t0_d
         (packed_centroid((0, 0.5), (1, float("inf"))), "not finite"),
         (packed_centroid((0, 0.5), (6, 0.5)), "got 6 after 0"),
         (packed_centroid((0, 0.5), (1, 0.5), (1, 0.5)), "must increase"),
+        # a trained weight lies in [0, 1]; 1.7e308 loaded, and classify overflowed in the exact sums
+        (packed_centroid((0, 0.5), (1, 1.0000000000000002)), "weight 1.0000000000000002 of term 1 is negative, above 1"),
+        (packed_centroid((0, 1.7e308)), "above 1"),
     ],
 )
 def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, message):

@@ -1,8 +1,10 @@
+import base64
 import csv
 import hashlib
 import json
 import os
 import subprocess
+import struct
 import sys
 
 import pytest
@@ -246,8 +248,8 @@ def test_classify_rejects_at_exact_threshold(tmp_path, capsys):
     model = loads_model((run / "model.json").read_text())
     calibration, _ = loads_calibration((run / "calibration.json").read_text())
     doc_id, label, body = first.split("\t")
-    trace = decode(model, vectorize(Document(doc_id, label, body), model.vocabulary))
-    exact = reliability(trace.steps, calibration.level_weights)
+    steps = decode(model, vectorize(Document(doc_id, label, body), model.vocabulary))
+    exact = reliability(steps, calibration.level_weights)
 
     assert run_cli(
         "classify",
@@ -673,6 +675,63 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
         "--input", str(data / "corpus.tsv"),
     )
     assert_one_line_error(result, "has no field")
+
+
+@pytest.mark.parametrize("bad", ["model", "calibration"])
+def test_json_nested_too_deep_is_a_one_line_error_naming_the_file(tmp_path, bad):
+    inputs = command_inputs(tmp_path, "classify")
+    artifact = tmp_path / "run" / f"{bad}.json"
+    artifact.write_text("[" * 200_000)  # json.loads raised RecursionError
+    result = run_subprocess("classify", *inputs)
+    assert_one_line_error(result, f"{artifact}: {bad} file is not valid JSON: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="integers of any length parse")
+def test_json_number_of_too_many_digits_is_a_one_line_error_naming_the_file(tmp_path):
+    inputs = command_inputs(tmp_path, "classify")
+    calibration = tmp_path / "run" / "calibration.json"
+    payload = json.loads(calibration.read_text())
+    text = calibration.read_text().replace(f'"validation_size":{payload["validation_size"]}', '"validation_size":' + "9" * 5000)
+    calibration.write_text(text)
+    result = run_subprocess("classify", *inputs)
+    # json.loads refuses the 5,000-digit integer with a ValueError, which was printed without the file's path
+    assert_one_line_error(result, f"{calibration}: calibration file is not valid JSON: ")
+
+
+def test_classify_refuses_a_model_weight_above_one(tmp_path):
+    inputs = command_inputs(tmp_path, "classify")
+    model = tmp_path / "run" / "model.json"
+    payload = json.loads(model.read_text())
+    indices = payload["centroids"]["c0"][0]
+    n = len(base64.b64decode(indices)) // 4
+    # identity and digests still pair the model with its calibration; classify overflowed in the exact sums
+    payload["centroids"]["c0"] = [indices, base64.b64encode(struct.pack(f"<{n}d", *[1.7e308] * n)).decode("ascii")]
+    model.write_text(json.dumps(payload))
+    result = run_subprocess("classify", *inputs)
+    assert_one_line_error(result, f"{model}: malformed model file: centroid of 'c0': weight 1.7e+308 of term ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, command, seed):
+    # seeds equal modulo 2**64 gave the same corpus and split; parsing stops before any file is read
+    files = {
+        "generate": [],
+        "train": ["--taxonomy", "t.tsv", "--corpus", "c.tsv"],
+        "evaluate": ["--model", "m.json", "--calibration", "c.json", "--corpus", "c.tsv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *files, "--seed", seed, "--out-dir", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert f"seed must lie in 0..2**64-1: {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    data = generate(tmp_path, **{"--seed": str(2**64 - 1)})
+    train_into(tmp_path, data, "--seed", str(2**64 - 1))
 
 
 @pytest.mark.parametrize("command", ["classify", "evaluate"])

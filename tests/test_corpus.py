@@ -249,6 +249,14 @@ def test_split_partitions_corpus():
     assert len(set(ids)) == len(ids)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_split_seed_must_fit_64_bits(seed):
+    # masked to 64 bits, -1 and 2**64 - 1 shuffled alike
+    with pytest.raises(ValueError, match=r"seed must lie in 0\.\.2\*\*64-1"):
+        split_corpus(_docs(10), 0.2, 0.2, seed)
+    assert split_corpus(_docs(10), 0.2, 0.2, 2**64 - 1) != split_corpus(_docs(10), 0.2, 0.2, 0)
+
+
 @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=40))
 def test_split_deterministic_and_seed_sensitive(seed, n):
     docs = _docs(n)

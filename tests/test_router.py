@@ -16,7 +16,6 @@ from routecat.router import (
     CalibrationError,
     EerUndefinedError,
     LevelStep,
-    RouteTrace,
     build_calibration,
     check_matching_vocabulary,
     check_pairing,
@@ -56,19 +55,18 @@ def test_decode_worked_example(t0):
         "ROOT\tA\nROOT\tB\nA\tA1\nA\tA2\nB\tB1\n",
         {"A": vec((0, 0.6)), "B": vec((0, 0.2)), "A1": vec((0, 0.5))},
     )
-    trace = decode(model, vec((0, 1.0)))
-    assert trace.route == ("A", "A1")
-    assert [s.confidence for s in trace.steps] == [pytest.approx(0.75), pytest.approx(1.0)]
-    assert trace.steps[0].group_scores == {"A": 0.6, "B": 0.2}
-    assert trace.steps[1].group_scores == {"A1": 0.5, "A2": 0.0}
-    assert [s.chosen for s in trace.steps] == list(trace.route)
+    steps = decode(model, vec((0, 1.0)))
+    assert tuple(s.chosen for s in steps) == ("A", "A1") == model.taxonomy.path("A1")
+    assert [s.confidence for s in steps] == [pytest.approx(0.75), pytest.approx(1.0)]
+    assert steps[0].group_scores == {"A": 0.6, "B": 0.2}
+    assert steps[1].group_scores == {"A1": 0.5, "A2": 0.0}
 
 
 def test_decode_zero_scores_fall_back_to_first_child():
     model = model_with_scores("R\ta\nR\tb\nR\tc\nR\td\n", {})
-    trace = decode(model, vec((0, 1.0)))
-    assert trace.route == ("a",)
-    assert trace.steps[0].confidence == 0.25
+    steps = decode(model, vec((0, 1.0)))
+    assert [s.chosen for s in steps] == ["a"]
+    assert steps[0].confidence == 0.25
 
 
 def test_decode_depth_one_equals_flat_argmax():
@@ -77,26 +75,25 @@ def test_decode_depth_one_equals_flat_argmax():
     vectors = [vectorize(doc, vocab) for doc in run.split.test]
     flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), vectors, t)
     for d, flat_leaf in zip(vectors, flats):
-        trace = decode(run.model, d)
-        assert len(trace.route) == 1
-        assert trace.route[-1] == flat_leaf
+        steps = decode(run.model, d)
+        assert len(steps) == 1
+        assert steps[-1].chosen == flat_leaf
 
 
 def node_score_decode(model, d):
     """The specification of :func:`decode`: every group member scored by its own ``node_score`` call."""
     t = model.taxonomy
     group = t.children(t.root)
-    route, steps = [], []
+    steps = []
     while group:
         scores = {node: node_score(model, d, node) for node in group}
         chosen = group[0]
         for node in group[1:]:
             if scores[node] > scores[chosen]:
                 chosen = node
-        route.append(chosen)
         steps.append(LevelStep(chosen=chosen, group_scores=scores, confidence=confidence_score(scores, chosen)))
         group = t.children(chosen)
-    return RouteTrace(route=tuple(route), steps=tuple(steps))
+    return tuple(steps)
 
 
 BINARY_SIBLINGS_SPEC = SyntheticSpec(depth=2, branching=4, docs_per_leaf=6, tokens_per_doc=12, noise_fraction=0.75, seed=5)
@@ -108,9 +105,8 @@ def test_decode_equals_the_node_score_reference_on_a_binary_siblings_corpus():
     docs = load_corpus(corpus_text, run.model.taxonomy)
     for doc in docs:
         d = vectorize(doc, run.model.vocabulary)
-        trace = decode(run.model, d)
-        # traces hold every group score and confidence, so == compares each float
-        assert trace == node_score_decode(run.model, d)
+        # steps hold every group score and confidence, so == compares each float
+        assert decode(run.model, d) == node_score_decode(run.model, d)
 
 
 BENCH = import_perfbench("workloads")
@@ -144,12 +140,13 @@ def test_decode_over_a_wide_sparse_group_on_postings_equals_the_reference_and_th
     run = synthetic_run(SyntheticSpec(depth=1, branching=240, docs_per_leaf=3, tokens_per_doc=8, noise_fraction=0.6, seed=2), 0.2, 0.2)
     model, t = run.model, run.model.taxonomy
     vectors = [vectorize(doc, model.vocabulary) for doc in run.split.validation + run.split.test]
-    traces = [decode(model, d) for d in vectors]
+    decoded = [decode(model, d) for d in vectors]
     assert type(model.group_tables[t.root]) is InvertedIndex
-    # traces hold every group score and confidence, so == compares each float
-    assert traces == [node_score_decode(model, d) for d in vectors]
+    # steps hold every group score and confidence, so == compares each float
+    assert decoded == [node_score_decode(model, d) for d in vectors]
     flats = flat_predictions(leaf_centroids(run.split.train, t, model.vocabulary), vectors, t)
-    assert [trace.route[-1] for trace in traces] == flats
+    assert [steps[-1].chosen for steps in decoded] == flats
+    assert all(tuple(s.chosen for s in steps) == t.path(steps[-1].chosen) for steps in decoded)
 
 
 def test_decode_builds_each_group_table_once_per_model(monkeypatch):
@@ -227,6 +224,20 @@ def test_calibrate_weights_examples():
     assert set(weights) == {1, 2, 3}
 
 
+def test_calibrate_weights_on_an_uneven_tree():
+    # A1a lies a level deeper than the leaf A2, so a document labeled A1a can be routed to a leaf above its depth
+    model = calibration_model()
+    validation = [
+        Document("v1", "A1a", "ta t1"),  # routed A, A1, A1a
+        Document("v2", "A1a", "ta t2"),  # routed A, A2: its route stops at depth 2
+        Document("v3", "A2", "ta t2"),
+    ]
+    weights = build_calibration(model, validation).level_weights
+    assert weights[1] == 1.0
+    assert weights[2] == 2 / 3
+    assert weights[3] == 0.5  # A1a is reached by v1 only, the decoded leaf A2 of v2 has no depth 3
+
+
 def test_calibrate_weights_empty():
     with pytest.raises(ValueError, match="empty validation set"):
         build_calibration(calibration_model(), []).level_weights
@@ -236,7 +247,7 @@ def test_reliability_examples():
     steps = decode(
         model_with_scores("R\ta\nR\tb\na\tc\na\td\n", {"a": vec((0, 0.6)), "c": vec((0, 0.5))}),
         vec((0, 1.0)),
-    ).steps
+    )
     # confidences are (0.6/0.6, 0.5/0.5) = (1.0, 1.0); use crafted weights instead
     assert reliability(steps, {1: 1.0, 2: 0.8}) == pytest.approx(1.8)
     assert reliability(steps, {1: 0.0, 2: 0.0}) == 0.0
