@@ -16,7 +16,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import truediv
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -62,12 +62,16 @@ class CentroidModel:
     group_tables: dict[NodeId, TermTable | InvertedIndex] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Refuse every shape top-down routing cannot use.
+        """Refuse every model top-down routing cannot use.
 
-        That is a mode or policy of the wrong type, a root without children, a
-        policy or negative centroids that do not fit the mode, and centroids or
-        negative centroids not keyed by exactly the non-root nodes.
+        That is a mode, policy or ``training_digest`` of the wrong type, a root
+        without children, a policy or negative centroids that do not fit the
+        mode, centroids or negative centroids not keyed by exactly the non-root
+        nodes, and a centroid whose term indices do not increase below the
+        vocabulary size or whose weights leave [0, 1], as no trained one does.
         """
+        if not isinstance(self.training_digest, str):  # model_identity hashes its length and text
+            raise TypeError(f"training_digest must be a string, not {self.training_digest!r}")
         _check_mode_and_policy(self.mode, self.policy)
         t = self.taxonomy
         if not t.children(t.root):
@@ -76,6 +80,7 @@ class CentroidModel:
         if (self.negative_centroid_of is not None) != binary:
             kind = "a binary model needs" if binary else "a positive-only model takes no"
             raise ValueError(f"{kind} negative centroids")
+        n_terms = len(self.vocabulary)
         for what, vectors in (("centroid", self.centroid_of), ("negative centroid", self.negative_centroid_of)):
             if vectors is None:  # a positive-only model's negatives
                 continue
@@ -85,6 +90,19 @@ class CentroidModel:
             extra = [node for node in vectors if node == t.root or node not in t]
             if extra:
                 raise ValueError(f"a {what} for {extra[0]!r}, which is the root or not in the taxonomy")
+            for node, vec in vectors.items():
+                # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices.  A trained
+                # weight is a mean of coordinates of unit nonnegative vectors, so it lies in [0, 1]: a negative one
+                # breaks TermTable's zero padding and confidence in (0, 1], and a huge one overflows the exact sums
+                for previous, i, w in zip(chain((-1,), vec.indices), vec.indices, vec.weights):
+                    if not previous < i < n_terms:
+                        raise ValueError(
+                            f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
+                        )
+                    if not 0.0 <= w <= 1.0:
+                        raise ValueError(
+                            f"centroid of {node!r}: weight {w!r} of term {i} is negative, above 1 or not finite"
+                        )
 
 
 def _check_mode_and_policy(mode: Mode, policy: PolicyKind | None) -> None:
@@ -317,11 +335,10 @@ def loads_model(text: str) -> CentroidModel:
     vocabulary whose indices are not its positions 0..n-1 or whose terms
     repeat, ``n_docs`` below 1 or a document frequency outside 1..``n_docs``,
     a stored ``vocabulary_digest`` that is not the vocabulary's own, a
-    centroid that is not two base64 strings of n term indices increasing
-    below the vocabulary size and n weights in [0, 1] (see
-    :func:`_packed`), and any shape :class:`CentroidModel` refuses raise
-    :class:`ModelFormatError`.  Vocabulary values are checked as JSON typed
-    them, never converted.
+    centroid that is not two base64 strings of n term indices and n weights
+    (see :func:`_packed`), and any model :class:`CentroidModel` refuses (it
+    holds the centroid entry rule) raise :class:`ModelFormatError`.
+    Vocabulary values are checked as JSON typed them, never converted.
     """
     return loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
 
@@ -346,7 +363,6 @@ def _model_from_payload(payload: dict) -> CentroidModel:
     vocabulary = Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=n_docs)
     if payload["vocabulary_digest"] != vocabulary.digest:
         raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
-    n_terms = len(vocabulary)
 
     def vector(node: NodeId, value: object) -> SparseVector:
         if type(value) is not list or len(value) != 2 or not all(type(s) is str for s in value):
@@ -361,27 +377,11 @@ def _model_from_payload(payload: dict) -> CentroidModel:
                 f"centroid of {node!r}: {len(packed_indices)} index bytes and {len(packed_weights)} weight bytes"
                 " are not 4n and 8n for one n"
             )
-        indices = _from_little_endian("I", packed_indices)
-        weights = _from_little_endian("d", packed_weights)
-        # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices
-        for previous, i in zip((-1, *indices), indices):
-            if not previous < i < n_terms:
-                raise ValueError(
-                    f"centroid of {node!r}: term indices must increase below {n_terms}, got {i} after {previous}"
-                )
-        # a trained weight is a mean of coordinates of unit nonnegative vectors, so it lies in [0, 1]: a negative
-        # one breaks TermTable's zero padding and confidence in (0, 1], and a huge one overflows the exact sums
-        for i, w in zip(indices, weights):
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"centroid of {node!r}: weight {w!r} of term {i} is negative, above 1 or not finite")
-        return SparseVector(indices, weights)
+        return SparseVector(_from_little_endian("I", packed_indices), _from_little_endian("d", packed_weights))
 
     def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
         return {node: vector(node, value) for node, value in mapping.items()}
 
-    digest = payload["training_digest"]
-    if not isinstance(digest, str):
-        raise TypeError(f"training_digest must be a string, not {digest!r}")
     policy = payload["policy"]
     negative = payload["negative_centroids"]
     return CentroidModel(
@@ -391,5 +391,5 @@ def _model_from_payload(payload: dict) -> CentroidModel:
         policy=PolicyKind(policy) if policy is not None else None,
         centroid_of=vectors(payload["centroids"]),
         negative_centroid_of=vectors(negative) if negative is not None else None,
-        training_digest=digest,
+        training_digest=payload["training_digest"],
     )

@@ -189,7 +189,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     model, calibration = _load_model_and_calibration(args)
     text = _read_text(Path(args.input), "input")
     for lineno, _, parts in tsv_lines(text):
-        if len(parts) not in (2, 3):
+        if len(parts) not in (2, 3) or not parts[0]:
             raise CliError(f"{args.input}: line {lineno}: expected doc_id<TAB>[label<TAB>]text")
         doc_id, body = parts[0], parts[-1]
         vec = vectorize(Document(doc_id=doc_id, label="", text=body), model.vocabulary)

@@ -98,9 +98,9 @@ class SparseVector:
     entry, where a tuple of ``(index, weight)`` pairs costs about 116.
 
     The arrays must not be changed once the vector is built: ``frozen`` stops
-    only rebinding them, and the cached ``_lookup``, the checks of
-    ``loads_model`` and the scoring tables a ``CentroidModel`` caches in
-    ``group_tables`` all keep what the arrays held when they were read.
+    only rebinding them, and the cached ``_lookup``, the entry rule a
+    ``CentroidModel`` checks when it is built and the scoring tables it
+    caches in ``group_tables`` all keep what the arrays held when read.
     Arrays are unhashable, so a ``SparseVector`` is too.
     """
 

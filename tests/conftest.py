@@ -1,4 +1,4 @@
-"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, hand-packed model centroids, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
+"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, vocabularies of any size, hand-packed model centroids, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from types import ModuleType
 import pytest
 from hypothesis import strategies as st
 
-from routecat.corpus import Document, SparseVector, load_corpus
+from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus
 from routecat.evaluation import SyntheticSpec, TrainedRun, generate_synthetic, train_and_calibrate
 from routecat.policies import PolicyKind
 from routecat.taxonomy import Taxonomy, parse_taxonomy
@@ -44,6 +44,12 @@ def entries(v: SparseVector) -> tuple[tuple[int, float], ...]:
 
 # A small index space, so supports often overlap and sometimes are disjoint or empty.
 sparse_vectors = st.dictionaries(st.integers(0, 24), weights, max_size=10).map(lambda m: vec(*sorted(m.items())))
+
+
+def vocabulary_of_size(n: int) -> Vocabulary:
+    """The n terms t0, t1, ... in one document: a vocabulary for centroids of term indices 0..n-1."""
+    terms = [f"t{k}" for k in range(n)]
+    return Vocabulary(index={t: k for k, t in enumerate(terms)}, doc_frequency=dict.fromkeys(terms, 1), n_docs=1)
 
 
 def packed_centroid(*entries: tuple[int, float]) -> list[str]:

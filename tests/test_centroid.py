@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -5,7 +6,16 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import SMALLEST_NORMAL, T0_TEXT, entries, packed_centroid, random_taxonomy, sparse_vectors, vec
+from conftest import (
+    SMALLEST_NORMAL,
+    T0_TEXT,
+    entries,
+    packed_centroid,
+    random_taxonomy,
+    sparse_vectors,
+    vec,
+    vocabulary_of_size,
+)
 from routecat.centroid import (
     CentroidModel,
     Mode,
@@ -125,7 +135,7 @@ def test_binary_score_is_contrast_of_similarities(t0):
     leaves = dict.fromkeys(("A1", "A2", "B1"), SparseVector())
     model = CentroidModel(
         taxonomy=t0,
-        vocabulary=Vocabulary(index={}, doc_frequency={}, n_docs=1),
+        vocabulary=vocabulary_of_size(1),
         mode=Mode.BINARY,
         policy=PolicyKind.EXCLUSIVE,
         centroid_of={"A": vec((0, 0.4)), "B": vec((0, 0.9))} | leaves,
@@ -186,16 +196,20 @@ def test_model_round_trip(t0, t0_docs):
         assert dumps_model(loaded) == text
 
 
-def vocabulary_of_size(n):
-    terms = [f"t{k}" for k in range(n)]
-    return Vocabulary(index={t: k for k, t in enumerate(terms)}, doc_frequency=dict.fromkeys(terms, 1), n_docs=1)
-
-
-# every weight a trained model holds, which lies in [0, 1] (loads_model refuses any other), the extremes included,
+# every weight a trained model holds, which lies in [0, 1] (CentroidModel refuses any other), the extremes included,
 # and empty vectors
 unit_weight_vectors = st.dictionaries(
     st.integers(0, 24), st.floats(min_value=0.0, max_value=1.0), max_size=10
 ).map(lambda m: vec(*sorted(m.items())))
+# entries in any order, repeated or not, some beyond a 25-term vocabulary, with any float as weight
+any_entry_vectors = st.lists(st.tuples(st.integers(0, 30), st.floats()), max_size=10).map(lambda pairs: vec(*pairs))
+
+
+def keeps_entry_rule(v, n_terms):
+    """Whether ``v``'s term indices increase below ``n_terms`` and its weights lie in [0, 1]."""
+    indices = list(v.indices)
+    increasing = indices == sorted(set(indices)) and all(i < n_terms for i in indices)
+    return increasing and all(0.0 <= w <= 1.0 for w in v.weights)
 
 
 @given(
@@ -227,11 +241,13 @@ def test_model_centroids_load_back_bit_for_bit(pairs, policy):
 def test_every_model_the_constructor_accepts_loads_back(seed, policy, data):
     t = random_taxonomy(random.Random(seed))
     nodes = [n for n in t.nodes if n != t.root]
+    # half the models keep the entry rule throughout; in the others any centroid may break it
+    drawn = data.draw(st.sampled_from([unit_weight_vectors, st.one_of(unit_weight_vectors, any_entry_vectors)]))
 
     def vectors():
-        return dict(zip(nodes, data.draw(st.lists(unit_weight_vectors, min_size=len(nodes), max_size=len(nodes)))))
+        return dict(zip(nodes, data.draw(st.lists(drawn, min_size=len(nodes), max_size=len(nodes)))))
 
-    model = CentroidModel(
+    fields = dict(
         taxonomy=t,
         vocabulary=vocabulary_of_size(25),
         mode=Mode.POSITIVE_ONLY if policy is None else Mode.BINARY,
@@ -239,6 +255,12 @@ def test_every_model_the_constructor_accepts_loads_back(seed, policy, data):
         centroid_of=vectors(),
         negative_centroid_of=None if policy is None else vectors(),
     )
+    every_vector = [*fields["centroid_of"].values(), *(fields["negative_centroid_of"] or {}).values()]
+    if not all(keeps_entry_rule(v, 25) for v in every_vector):
+        with pytest.raises(ValueError, match="^centroid of "):
+            CentroidModel(**fields)
+        return
+    model = CentroidModel(**fields)
     loaded = loads_model(dumps_model(model))
     assert loaded.taxonomy == model.taxonomy
     assert loaded.mode is model.mode
@@ -460,42 +482,58 @@ def test_positive_only_model_file_with_a_policy_or_negatives_is_refused(t0, t0_d
         loads_model(json.dumps(payload))
 
 
+# a centroid that decodes to arrays is given as its vector, which the constructor sees too; the others as JSON values
+CENTROID_ENTRY_ROWS = [
+    # a repeated index: d = [[0, 1.0]] scored 0.25 by SparseVector.dot but 0.75 by InvertedIndex
+    (vec((0, 0.5), (0, 0.25), (1, 1.0)), "must increase"),
+    (vec((1, 0.5), (0, 0.25)), "must increase"),
+    (vec((2**32 - 1, 0.5)), "must increase"),  # -1 as a uint32
+    (vec((6, 0.5)), "must increase below 6, got 6 after -1"),
+    (vec((0, float("nan"))), "not finite"),
+    (vec((0, 0.5), (1, float("-inf"))), "not finite"),
+    ([[0, 0.5]], "not a list of two base64 strings"),  # a format-2 centroid
+    ([EMPTY[0], "AAAA*AAA"], "not base64"),
+    (["AAAA", packed_centroid((0, 0.5))[1]], "3 index bytes and 8 weight bytes are not 4n and 8n"),
+    (vec((0, 0.5), (1, -0.25)), "negative"),
+    ([packed_centroid((0, 0.5))[0], "AAAAAAAAAAAAAAAA"], "4 index bytes and 12 weight bytes are not 4n and 8n"),
+    ([packed_centroid((0, 0.5), (1, 0.5))[0], packed_centroid((0, 0.5))[1]], "8 index bytes and 8 weight bytes"),
+    (EMPTY[:1], "not a list of two base64 strings"),
+    ([EMPTY[0], 0.5], "not a list of two base64 strings"),
+    ([EMPTY[0], "\u00e9"], "not base64"),
+    # the bad entry after a good one: min and max skip a NaN or not depending on where it sits
+    (vec((0, 0.5), (1, float("nan"))), "not finite"),
+    (vec((0, 0.5), (1, float("inf"))), "not finite"),
+    (vec((0, 0.5), (6, 0.5)), "got 6 after 0"),
+    (vec((0, 0.5), (1, 0.5), (1, 0.5)), "must increase"),
+    # a trained weight lies in [0, 1]; 1.7e308 loaded, and classify overflowed in the exact sums
+    (vec((0, 0.5), (1, 1.0000000000000002)), "weight 1.0000000000000002 of term 1 is negative, above 1"),
+    (vec((0, 1.7e308)), "above 1"),
+    # built by hand, this centroid constructed, and decode ended in "OverflowError: intermediate overflow in fsum"
+    (vec((0, 1.7e308), (1, 1.7e308)), r"weight 1\.7e\+308 of term 0"),
+    # built by hand, decreasing indices constructed too
+    (vec((0, 0.5), (2, 0.5), (1, 0.5)), "got 1 after 2"),
+]
+
+
 @pytest.mark.parametrize("field", ["centroids", "negative_centroids"])
-@pytest.mark.parametrize(
-    "entries, message",
-    [
-        # a repeated index: d = [[0, 1.0]] scored 0.25 by SparseVector.dot but 0.75 by InvertedIndex
-        (packed_centroid((0, 0.5), (0, 0.25), (1, 1.0)), "must increase"),
-        (packed_centroid((1, 0.5), (0, 0.25)), "must increase"),
-        (packed_centroid((2**32 - 1, 0.5)), "must increase"),  # -1 as a uint32
-        (packed_centroid((6, 0.5)), "must increase below 6, got 6 after -1"),
-        (packed_centroid((0, float("nan"))), "not finite"),
-        (packed_centroid((0, 0.5), (1, float("-inf"))), "not finite"),
-        ([[0, 0.5]], "not a list of two base64 strings"),  # a format-2 centroid
-        ([EMPTY[0], "AAAA*AAA"], "not base64"),
-        (["AAAA", packed_centroid((0, 0.5))[1]], "3 index bytes and 8 weight bytes are not 4n and 8n"),
-        (packed_centroid((0, 0.5), (1, -0.25)), "negative"),
-        ([packed_centroid((0, 0.5))[0], "AAAAAAAAAAAAAAAA"], "4 index bytes and 12 weight bytes are not 4n and 8n"),
-        ([packed_centroid((0, 0.5), (1, 0.5))[0], packed_centroid((0, 0.5))[1]], "8 index bytes and 8 weight bytes"),
-        (EMPTY[:1], "not a list of two base64 strings"),
-        ([EMPTY[0], 0.5], "not a list of two base64 strings"),
-        ([EMPTY[0], "\u00e9"], "not base64"),
-        # the bad entry after a good one: min and max skip a NaN or not depending on where it sits
-        (packed_centroid((0, 0.5), (1, float("nan"))), "not finite"),
-        (packed_centroid((0, 0.5), (1, float("inf"))), "not finite"),
-        (packed_centroid((0, 0.5), (6, 0.5)), "got 6 after 0"),
-        (packed_centroid((0, 0.5), (1, 0.5), (1, 0.5)), "must increase"),
-        # a trained weight lies in [0, 1]; 1.7e308 loaded, and classify overflowed in the exact sums
-        (packed_centroid((0, 0.5), (1, 1.0000000000000002)), "weight 1.0000000000000002 of term 1 is negative, above 1"),
-        (packed_centroid((0, 1.7e308)), "above 1"),
-    ],
-)
+@pytest.mark.parametrize("entries, message", CENTROID_ENTRY_ROWS)
 def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, message):
     payload = json.loads(dumps_model(_toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)))
     assert len(payload["vocabulary"]["terms"]) == 6
+    if isinstance(entries, SparseVector):
+        entries = packed_centroid(*zip(entries.indices, entries.weights))
     payload[field]["A1"] = entries
     with pytest.raises(ModelFormatError, match=f"malformed model file: centroid of 'A1': .*{message}"):
         loads_model(json.dumps(payload))
+
+
+@pytest.mark.parametrize("field", ["centroid_of", "negative_centroid_of"])
+@pytest.mark.parametrize("vector, message", [row for row in CENTROID_ENTRY_ROWS if isinstance(row[0], SparseVector)])
+def test_model_centroid_entries_are_refused_when_built(t0, t0_docs, field, vector, message):
+    model = _toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
+    assert len(model.vocabulary) == 6
+    with pytest.raises(ValueError, match=f"^centroid of 'A1': .*{message}"):
+        dataclasses.replace(model, **{field: getattr(model, field) | {"A1": vector}})
 
 
 @pytest.mark.parametrize(
@@ -539,7 +577,7 @@ def group_model(mode, centroids, negatives):
     children = [f"c{k}" for k in range(len(centroids))]
     return CentroidModel(
         taxonomy=parse_taxonomy("".join(f"R\t{c}\n" for c in children)),
-        vocabulary=Vocabulary(index={}, doc_frequency={}, n_docs=1),
+        vocabulary=vocabulary_of_size(25),
         mode=mode,
         policy=PolicyKind.SIBLINGS if mode is Mode.BINARY else None,
         centroid_of=dict(zip(children, centroids)),
@@ -549,7 +587,7 @@ def group_model(mode, centroids, negatives):
 
 @given(
     sparse_vectors,
-    st.lists(st.tuples(sparse_vectors, sparse_vectors), min_size=1, max_size=6),
+    st.lists(st.tuples(unit_weight_vectors, unit_weight_vectors), min_size=1, max_size=6),
     st.sampled_from(Mode),
 )
 @example(SparseVector(), [(vec((0, 1.0)), vec((1, 1.0))), (SparseVector(), SparseVector())], Mode.BINARY)

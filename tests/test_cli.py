@@ -291,6 +291,25 @@ def test_classify_accepts_unlabeled_lines(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("q1\t")
 
 
+def test_classify_refuses_an_empty_doc_id(tmp_path, capsys):
+    # "\tw0x1 w0x2" printed "\tc0\t1.000000\tACCEPT" with status 0; load_corpus refuses an empty doc_id as well
+    data = generate(tmp_path)
+    run = train_into(tmp_path, data)
+    body = (data / "corpus.tsv").read_text().splitlines()[0].split("\t")[2]
+    queries = tmp_path / "queries.tsv"
+    queries.write_text(f"q1\t{body}\n\t{body}\nq3\t{body}\n")
+    capsys.readouterr()
+    assert run_cli(
+        "classify",
+        "--model", str(run / "model.json"),
+        "--calibration", str(run / "calibration.json"),
+        "--input", str(queries),
+    ) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("q1\t") and out.count("\n") == 1
+    assert err == f"error: {queries}: line 2: expected doc_id<TAB>[label<TAB>]text\n"
+
+
 def test_classify_keeps_unicode_line_separators_in_text(tmp_path, capsys):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)

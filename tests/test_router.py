@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import import_perfbench, refuse_json_constant, synthetic_run, vec
+from conftest import import_perfbench, refuse_json_constant, synthetic_run, vec, vocabulary_of_size
 from routecat import centroid
 from routecat.centroid import CentroidModel, Mode, group_scores, model_identity, node_score, vocabulary_digest
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, load_corpus, scorer, vectorize
@@ -35,7 +35,7 @@ def model_with_scores(taxonomy_text, centroids, vocab=None):
     """Hand-built model whose node scores are fully controlled by the test."""
     t = parse_taxonomy(taxonomy_text)
     if vocab is None:
-        vocab = Vocabulary(index={}, doc_frequency={}, n_docs=1)
+        vocab = vocabulary_of_size(1)
     full = {node: centroids.get(node, SparseVector()) for node in t.nodes if node != t.root}
     return CentroidModel(
         taxonomy=t, vocabulary=vocab, mode=Mode.POSITIVE_ONLY, policy=None, centroid_of=full
