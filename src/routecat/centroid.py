@@ -16,12 +16,13 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import truediv
-from typing import Callable, Mapping, Sequence, TypeVar
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import add, mul, sub, truediv
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, scorer, vectorize
-from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
+from routecat.policies import PolicyKind, build_training_set
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
 MODEL_FORMAT_VERSION = 3
@@ -67,8 +68,9 @@ class CentroidModel:
         That is a mode, policy or ``training_digest`` of the wrong type, a root
         without children, a policy or negative centroids that do not fit the
         mode, centroids or negative centroids not keyed by exactly the non-root
-        nodes, and a centroid whose term indices do not increase below the
-        vocabulary size or whose weights leave [0, 1], as no trained one does.
+        nodes, and a centroid whose arrays differ in length, whose term indices
+        do not increase below the vocabulary size or whose weights leave
+        [0, 1], as no trained one does.
         """
         if not isinstance(self.training_digest, str):  # model_identity hashes its length and text
             raise TypeError(f"training_digest must be a string, not {self.training_digest!r}")
@@ -91,6 +93,11 @@ class CentroidModel:
             if extra:
                 raise ValueError(f"a {what} for {extra[0]!r}, which is the root or not in the taxonomy")
             for node, vec in vectors.items():
+                if len(vec.indices) != len(vec.weights):  # zip would stop at the shorter array
+                    raise ValueError(
+                        f"centroid of {node!r}: {len(vec.indices)} term indices and {len(vec.weights)} weights"
+                        " differ in number"
+                    )
                 # SparseVector.dot and InvertedIndex give the same scores only for distinct term indices.  A trained
                 # weight is a mean of coordinates of unit nonnegative vectors, so it lies in [0, 1]: a negative one
                 # breaks TermTable's zero padding and confidence in (0, 1], and a huge one overflows the exact sums
@@ -125,7 +132,9 @@ def mean_vector(doc_ids: frozenset[str], vectors: Mapping[str, SparseVector]) ->
 
     Each coordinate is summed with fsum (correctly rounded, so the result is
     independent of accumulation order) and divided by the member count;
-    repeated runs produce bit-identical floats.
+    repeated runs produce bit-identical floats.  :func:`train` reads the
+    same means from :class:`LabelSums`; this is the reference it is tested
+    against.
     """
     if not doc_ids:
         return SparseVector()
@@ -151,32 +160,150 @@ def train(
     In positive-only mode a node averages every document labeled at the node
     or below it.  In binary mode the chosen policy supplies the positive set,
     and the mean of its negative set is stored alongside for contrastive
-    scoring; a policy in positive-only mode is refused, not ignored.
+    scoring; a policy in positive-only mode is refused, not ignored.  Every
+    centroid is read from one table of exact per-label sums
+    (:class:`LabelSums`), and equals :func:`mean_vector` of its documents bit
+    for bit.  Documents must have distinct ids.
     """
     if not train_docs:
         raise ValueError("empty training set")
     _check_mode_and_policy(mode, policy)
-    vectors = {d.doc_id: vectorize(d, vocabulary) for d in train_docs}
-    centroids: dict[NodeId, SparseVector] = {}
-    negatives: dict[NodeId, SparseVector] = {}
-    for node in taxonomy.nodes:
-        if node == taxonomy.root:
-            continue
-        if mode is Mode.POSITIVE_ONLY:
-            centroids[node] = mean_vector(positives_for_centroid(train_docs, taxonomy, node), vectors)
-        else:
+    sums = LabelSums(train_docs, [vectorize(d, vocabulary) for d in train_docs])
+    nodes = [node for node in taxonomy.nodes if node != taxonomy.root]
+    negatives: dict[NodeId, SparseVector] | None = None
+    if mode is Mode.POSITIVE_ONLY:
+        subtree_means = sums.subtree_means(taxonomy)
+        centroids = {node: subtree_means[node] for node in nodes}
+    else:
+        centroids, negatives = {}, {}
+        for node in nodes:
             ts = build_training_set(train_docs, taxonomy, node, policy)
-            centroids[node] = mean_vector(ts.positives, vectors)
-            negatives[node] = mean_vector(ts.negatives, vectors)
+            centroids[node] = sums.mean_of(ts.positives)
+            negatives[node] = sums.mean_of(ts.negatives)
     return CentroidModel(
         taxonomy=taxonomy,
         vocabulary=vocabulary,
         mode=mode,
         policy=policy,
         centroid_of=centroids,
-        negative_centroid_of=negatives if mode is Mode.BINARY else None,
+        negative_centroid_of=negatives,
         training_digest=documents_digest(train_docs),
     )
+
+
+class LabelSums:
+    """Exact sums of the training documents' vectors, one per label; centroids are read from them, rounded once.
+
+    ``vectors[k]`` is the vector of ``train_docs[k]``; its weights must lie
+    in [2**-918, 1], and :func:`~routecat.corpus.vectorize` makes no others
+    (see :data:`MAX_SHIFT`).  With ``shift`` = 53 minus the binary exponent
+    of the smallest weight, every weight is an integer multiple of
+    2**-``shift``, so each is stored as that exact integer and each label
+    keeps one integer sum per term and its document count.  A set of
+    documents that is a union of whole labels then has exact sums in
+    integer arithmetic, and its mean ``(S / 2**shift) / n`` rounds the exact
+    sum once per coordinate, so it equals ``math.fsum(weights) / n``, as
+    :func:`mean_vector` computes it.  Weights are positive, so a term
+    belongs to a set's mean iff its exact sum is.
+    """
+
+    def __init__(self, train_docs: Sequence[Document], vectors: Sequence[SparseVector]) -> None:
+        self.label_of = {d.doc_id: d.label for d in train_docs}
+        if len(self.label_of) != len(train_docs):
+            raise ValueError("training documents must have distinct ids")
+        smallest = min((min(v.weights) for v in vectors if v.weights), default=1.0)
+        self.shift = 53 - math.frexp(smallest)[1]
+        if self.shift > MAX_SHIFT:
+            raise ValueError(f"weight {smallest!r} is below 2**-918, the smallest that is summed exactly")
+        scale = 2.0**self.shift  # a weight of at most 1 times 2.0**shift is an exact, finite integer
+        self.sum_of: dict[NodeId, dict[int, int]] = {}
+        self.count_of: dict[NodeId, int] = {}
+        for d, v in zip(train_docs, vectors):
+            integers = map(float.__trunc__, map(mul, v.weights, repeat(scale)))
+            if d.label in self.sum_of:
+                _add_into(self.sum_of[d.label], v.indices, integers)
+                self.count_of[d.label] += 1
+            else:
+                self.sum_of[d.label] = dict(zip(v.indices, integers))
+                self.count_of[d.label] = 1
+
+    @cached_property
+    def _total(self) -> dict[int, int]:
+        """The sums over every training document."""
+        total: dict[int, int] = {}
+        for sums in self.sum_of.values():
+            _add_into(total, sums, sums.values())
+        return total
+
+    def mean_of(self, doc_ids: frozenset[str]) -> SparseVector:
+        """:func:`mean_vector` of ``doc_ids``, which must hold every training document of each of their labels.
+
+        The labels' sums are added directly, or taken from the total by
+        subtracting the labels outside the set, whichever costs less.  The
+        complement also copies the total and drops its zero sums, which
+        together cost about half as much per term as adding one entry.
+        """
+        labels = set(map(self.label_of.__getitem__, doc_ids))
+        n = sum(map(self.count_of.__getitem__, labels))
+        if n != len(doc_ids):
+            raise ValueError("a training set must hold every document of each of its labels")
+        inside = sum(len(self.sum_of[label]) for label in labels)
+        outside = sum(map(len, self.sum_of.values())) - inside
+        if inside <= outside + len(self._total) // 2:
+            parts = [self.sum_of[label] for label in labels]
+            acc = dict(parts.pop()) if parts else {}
+            for sums in parts:
+                _add_into(acc, sums, sums.values())
+        else:
+            acc = dict(self._total)
+            for label in self.sum_of.keys() - labels:
+                _add_into(acc, self.sum_of[label], self.sum_of[label].values(), sub)
+            acc = dict(compress(acc.items(), acc.values()))  # the terms whose sum is not 0
+        return self._mean(acc, n)
+
+    def subtree_means(self, taxonomy: Taxonomy) -> dict[NodeId, SparseVector]:
+        """Each non-root node's mean over the documents labeled at it or below it.
+
+        A node's sums are its own label's plus its children's, built bottom-up
+        in reverse :attr:`~routecat.taxonomy.Taxonomy.nodes` order and added
+        into the largest part in place.  Each child's sums are dropped once its
+        parent holds them.  This consumes the label sums.
+        """
+        pending: dict[NodeId, tuple[dict[int, int], int]] = {}
+        means: dict[NodeId, SparseVector] = {}
+        for node in reversed(taxonomy.nodes):
+            if node == taxonomy.root:
+                continue
+            parts = [pending.pop(child) for child in taxonomy.children_of[node]]
+            parts.append((self.sum_of.pop(node, {}), self.count_of.get(node, 0)))
+            acc = max((sums for sums, _ in parts), key=len)
+            for sums, _ in parts:
+                if sums is not acc:
+                    _add_into(acc, sums, sums.values())
+            n = sum(count for _, count in parts)
+            means[node] = self._mean(acc, n)
+            pending[node] = acc, n
+        return means
+
+    def _mean(self, acc: dict[int, int], n: int) -> SparseVector:
+        """The mean of ``n`` documents whose exact sums are ``acc``: each sum over 2**shift, then over n."""
+        indices = sorted(acc)
+        # S < n * 2**shift converts to a finite float, correctly rounded, and S / 2**shift is at least the smallest
+        # weight, a normal float, so scaling by 2.0**-shift is exact: the two steps round S / 2**shift once
+        sums = map(mul, map(acc.__getitem__, indices), repeat(2.0**-self.shift))
+        return SparseVector(array("I", indices), array("d", map(truediv, sums, repeat(n))))
+
+
+# The largest shift LabelSums takes, a smallest weight of 2**-918: weights and sums are scaled by float powers of two,
+# and a sum below n * 2**970 converts to a finite float for any n below 2**54.  vectorize makes no smaller weight: one
+# is at least 1 / ((n + 1) * L * log(n + 1)) for n training documents and a document of L tokens, so a smaller one
+# needs n * L above 10**270.
+MAX_SHIFT = 970
+
+
+def _add_into(acc: dict[int, int], terms: Iterable[int], values: Iterable[int], op: Callable = add) -> None:
+    """``acc[t] = op(acc.get(t, 0), v)`` for each term and value, in C: the terms must be distinct."""
+    acc.update(zip(terms, map(op, map(acc.get, terms, repeat(0)), values)))
 
 
 def node_score(model: CentroidModel, d: SparseVector, node: NodeId) -> float:
@@ -271,13 +398,6 @@ def loads_artifact(text: str, kind: str, version: int, error: type[Exception], b
         raise error(f"malformed {kind} file: {exc}") from exc
 
 
-def checked_int(value: object, what: str) -> int:
-    """``value`` if JSON read it as an integer (true and false load as bool, a subclass of int)."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
 def dumps_model(model: CentroidModel) -> str:
     """Serialize a model to canonical standard JSON (see :func:`dumps_artifact`)."""
     vocab = model.vocabulary
@@ -332,35 +452,27 @@ def loads_model(text: str) -> CentroidModel:
     """Inverse of :func:`dumps_model`.
 
     Unknown formats and versions, missing or wrongly typed fields, a
-    vocabulary whose indices are not its positions 0..n-1 or whose terms
-    repeat, ``n_docs`` below 1 or a document frequency outside 1..``n_docs``,
-    a stored ``vocabulary_digest`` that is not the vocabulary's own, a
-    centroid that is not two base64 strings of n term indices and n weights
-    (see :func:`_packed`), and any model :class:`CentroidModel` refuses (it
-    holds the centroid entry rule) raise :class:`ModelFormatError`.
-    Vocabulary values are checked as JSON typed them, never converted.
+    vocabulary term that is not a string or repeats, a stored
+    ``vocabulary_digest`` that is not the vocabulary's own, a centroid that
+    is not two base64 strings of n term indices and n weights (see
+    :func:`_packed`), and any vocabulary :class:`~routecat.corpus.Vocabulary`
+    or model :class:`CentroidModel` refuses (they hold the vocabulary and
+    centroid entry rules) raise :class:`ModelFormatError`.  Vocabulary values
+    are checked as JSON typed them, never converted.
     """
     return loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
 
 
 def _model_from_payload(payload: dict) -> CentroidModel:
     vocab_payload = payload["vocabulary"]
-    # build_vocabulary counts at least one document, and each term in 1..n_docs of them; idf needs both
-    n_docs = checked_int(vocab_payload["n_docs"], "n_docs")
-    if n_docs < 1:
-        raise ValueError(f"n_docs must be at least 1, not {n_docs}")
     index: dict[str, int] = {}
     doc_frequency: dict[str, int] = {}
-    for position, (term, idx, df) in enumerate(vocab_payload["terms"]):
-        if not isinstance(term, str) or term in index:
+    for term, idx, df in vocab_payload["terms"]:
+        if not isinstance(term, str) or term in index:  # a dict key: hashable, and a repeat would be lost
             raise ValueError(f"vocabulary term {term!r} is not a string or repeats")
-        if type(idx) is not int or idx != position:
-            raise ValueError(f"vocabulary term {term!r} has index {idx!r} at position {position}")
         index[term] = idx
-        doc_frequency[term] = checked_int(df, f"document frequency of {term!r}")
-        if not 1 <= df <= n_docs:
-            raise ValueError(f"document frequency {df} of {term!r} lies outside 1..{n_docs}")
-    vocabulary = Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=n_docs)
+        doc_frequency[term] = df
+    vocabulary = Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=vocab_payload["n_docs"])
     if payload["vocabulary_digest"] != vocabulary.digest:
         raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
 

@@ -46,6 +46,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def checked_int(value: object, what: str) -> int:
+    """``value`` if it is an integer (true and false, which JSON loads as bool, a subclass of int, are not)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Term index built from training documents only.
@@ -57,6 +64,32 @@ class Vocabulary:
     index: Mapping[str, int]
     doc_frequency: Mapping[str, int]
     n_docs: int
+
+    def __post_init__(self) -> None:
+        """Refuse every vocabulary :func:`build_vocabulary` cannot make, on which idf would fail.
+
+        That is ``n_docs`` that is not an integer of at least 1, a term that
+        is not a string, ``index`` values that are not 0..n-1 in ``index``'s
+        order, and a term whose document frequency is missing or is not an
+        integer in 1..``n_docs``, or one for a term outside ``index``.
+        """
+        n_docs = checked_int(self.n_docs, "n_docs")
+        if n_docs < 1:
+            raise ValueError(f"n_docs must be at least 1, not {n_docs}")
+        doc_frequency = self.doc_frequency
+        for position, (term, idx) in enumerate(self.index.items()):
+            if not isinstance(term, str):
+                raise ValueError(f"vocabulary term {term!r} is not a string or repeats")
+            if type(idx) is not int or idx != position:
+                raise ValueError(f"vocabulary term {term!r} has index {idx!r} at position {position}")
+            if term not in doc_frequency:
+                raise ValueError(f"vocabulary term {term!r} has no document frequency")
+            df = checked_int(doc_frequency[term], f"document frequency of {term!r}")
+            if not 1 <= df <= n_docs:
+                raise ValueError(f"document frequency {df} of {term!r} lies outside 1..{n_docs}")
+        if len(doc_frequency) != len(self.index):
+            extra = next(term for term in doc_frequency if term not in self.index)
+            raise ValueError(f"a document frequency for {extra!r}, which is not a vocabulary term")
 
     def __len__(self) -> int:
         return len(self.index)

@@ -97,7 +97,8 @@ def positives_for_centroid(train: Sequence[Document], t: Taxonomy, node: NodeId)
 
     Membership is read inclusively: a document belongs to its own label and
     to every ancestor of that label, so internal nodes average over their
-    whole subtree.
+    whole subtree.  Training sums these sets bottom-up from per-label sums
+    instead; this is the per-node reference it is tested against.
     """
     _check_node(t, node)
     return _ids_labeled(train, frozenset((node,)) | t.descendants(node))

@@ -18,14 +18,13 @@ from typing import Iterable, Mapping, Sequence
 
 from routecat.centroid import (
     CentroidModel,
-    checked_int,
     dumps_artifact,
     group_scores,
     loads_artifact,
     model_identity,
     vocabulary_digest,
 )
-from routecat.corpus import Document, SparseVector, vectorize
+from routecat.corpus import Document, SparseVector, checked_int, vectorize
 from routecat.taxonomy import NodeId, Taxonomy
 
 CALIBRATION_FORMAT_VERSION = 2
@@ -71,9 +70,22 @@ class Calibration:
     model_identity: str = ""
 
     def __post_init__(self) -> None:
+        """Refuse what :func:`build_calibration` never makes.
+
+        That is a level weight keyed by anything but a depth of at least 1 or
+        not a float in [0, 1], a NaN threshold, an EER gap that is not a float
+        in [0, 1], and a validation size that is not an integer of at least 1.
+        """
+        for depth, weight in self.level_weights.items():
+            if type(depth) is not int or depth < 1:
+                raise ValueError(f"level weight key {str(depth)!r} is not a depth")  # as the file spells the key
+            _checked_rate(weight, f"level weight {depth}")
         # NaN compares false with everything, so it would silently reject every document
         if math.isnan(self.threshold):
             raise ValueError("threshold must not be NaN")
+        _checked_rate(self.eer_gap, "eer_gap")
+        if checked_int(self.validation_size, "validation_size") < 1:
+            raise ValueError(f"validation_size must be at least 1, not {self.validation_size!r}")
 
 
 @dataclass(frozen=True)
@@ -286,10 +298,10 @@ def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
 def loads_calibration(text: str) -> tuple[Calibration, str]:
     """Inverse of :func:`dumps_calibration`; returns the calibration and its digest.
 
-    Unknown formats and versions, missing or wrongly typed fields (weights
-    and the gap must be floats in [0, 1], the size an integer of at least 1,
-    each weight key a depth of at least 1 written as a plain integer), and a
-    NaN threshold raise :class:`CalibrationError`.
+    Unknown formats and versions, missing or wrongly typed fields, a weight
+    key not written as a plain integer, and any calibration
+    :class:`Calibration` refuses (it holds the rules for the weights, the
+    gap and the size) raise :class:`CalibrationError`.
     """
     return loads_artifact(
         text, "calibration", CALIBRATION_FORMAT_VERSION, CalibrationError, _calibration_from_payload
@@ -300,17 +312,14 @@ def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
     level_weights = {}
     for key, weight in payload["level_weights"].items():
         depth = int(key)
-        if str(depth) != key or depth < 1:
+        if str(depth) != key:  # "01" or " 1": a depth is written as a plain integer
             raise ValueError(f"level weight key {key!r} is not a depth")
-        level_weights[depth] = _checked_rate(weight, f"level weight {key}")
-    validation_size = checked_int(payload["validation_size"], "validation_size")
-    if validation_size < 1:
-        raise ValueError(f"validation_size must be at least 1, not {validation_size!r}")
+        level_weights[depth] = weight
     calibration = Calibration(
         level_weights=level_weights,
         threshold=_threshold_from_json(payload["threshold"]),
-        eer_gap=_checked_rate(payload["eer_gap"], "eer_gap"),
-        validation_size=validation_size,
+        eer_gap=payload["eer_gap"],
+        validation_size=payload["validation_size"],
         source=payload["source"],
         model_identity=payload["model_identity"],
     )

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +14,7 @@ from conftest import (
     T0_TEXT,
     entries,
     packed_centroid,
+    random_labeled_docs,
     random_taxonomy,
     sparse_vectors,
     vec,
@@ -18,6 +22,7 @@ from conftest import (
 )
 from routecat.centroid import (
     CentroidModel,
+    LabelSums,
     Mode,
     ModelFormatError,
     documents_digest,
@@ -28,9 +33,9 @@ from routecat.centroid import (
     node_score,
     train,
 )
-from routecat.corpus import SparseVector, Vocabulary, build_vocabulary, load_corpus
+from routecat.corpus import Document, SparseVector, Vocabulary, build_vocabulary, load_corpus, vectorize
 from routecat.evaluation import SyntheticSpec, generate_synthetic
-from routecat.policies import PolicyKind
+from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
 from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, parse_taxonomy
 
 
@@ -106,6 +111,100 @@ def test_train_empty_positive_set_gives_empty_centroid(t0, t0_docs):
     assert model.centroid_of["B"] == SparseVector()
     assert model.centroid_of["B1"] == SparseVector()
     assert node_score(model, vec((0, 1.0)), "B") == 0.0
+
+
+def reference_train(train_docs, taxonomy, vocabulary, mode=Mode.POSITIVE_ONLY, policy=None):
+    """The per-node training loop: :func:`mean_vector` over each node's own document sets, selected per node."""
+    vectors = {d.doc_id: vectorize(d, vocabulary) for d in train_docs}
+    centroids, negatives = {}, {}
+    for node in taxonomy.nodes:
+        if node == taxonomy.root:
+            continue
+        if mode is Mode.POSITIVE_ONLY:
+            centroids[node] = mean_vector(positives_for_centroid(train_docs, taxonomy, node), vectors)
+        else:
+            ts = build_training_set(train_docs, taxonomy, node, policy)
+            centroids[node] = mean_vector(ts.positives, vectors)
+            negatives[node] = mean_vector(ts.negatives, vectors)
+    return CentroidModel(
+        taxonomy=taxonomy,
+        vocabulary=vocabulary,
+        mode=mode,
+        policy=policy,
+        centroid_of=centroids,
+        negative_centroid_of=negatives if mode is Mode.BINARY else None,
+        training_digest=documents_digest(train_docs),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([None, *PolicyKind]))
+def test_train_equals_the_per_node_reference(seed, policy):
+    # uneven trees with documents labeled at internal nodes too; every policy sums some sets directly and
+    # takes others as the total minus the labels outside them
+    rng = random.Random(seed)
+    t = random_taxonomy(rng)
+    docs = random_labeled_docs(rng, t)
+    vocab = build_vocabulary(docs)
+    mode = Mode.POSITIVE_ONLY if policy is None else Mode.BINARY
+    expected = dumps_model(reference_train(docs, t, vocab, mode, policy))
+    assert dumps_model(train(docs, t, vocab, mode, policy)) == expected
+
+
+LABEL_SUM_WEIGHTS = [
+    # weights whose float sums round differently in different orders
+    [0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0, 1e-5, 0.1],
+    # the smallest weight summed (shift 970); weights of 1.0 make sums near n * 2**shift, which a float must hold
+    [2.0**-918, 1.0, 1.0, 1.0, 2.0**-918 * 5, 1.0, 1e-270, 1.0],
+]
+
+
+@pytest.mark.parametrize("weights", LABEL_SUM_WEIGHTS)
+def test_label_sums_are_rounded_once(t0, weights):
+    labels = ["A1", "A2", "B1", "A", "B"]
+    docs = [Document(f"d{k}", labels[k % len(labels)], "") for k in range(len(weights))]
+    # terms 0-4 in every document with the weights in turn, and term 5 in the documents labeled B only: a union of
+    # three or more labels takes the total minus the labels outside it, and term 5's sum is 0 once B is subtracted
+    vectors = [
+        vec(*((j, weights[(k + j) % len(weights)]) for j in range(5)), *[(5, weights[k])] * (d.label == "B"))
+        for k, d in enumerate(docs)
+    ]
+    by_id = {d.doc_id: v for d, v in zip(docs, vectors)}
+    sums = LabelSums(docs, vectors)
+    for r in range(len(labels) + 1):
+        for chosen in itertools.combinations(labels, r):
+            ids = frozenset(d.doc_id for d in docs if d.label in chosen)
+            mean = sums.mean_of(ids)
+            assert mean == mean_vector(ids, by_id)
+            weight_of = dict(zip(mean.indices, mean.weights))
+            assert set(weight_of) == ({*range(5), *[5] * ("B" in chosen)} if ids else set())
+            for term, weight in weight_of.items():
+                members = (v for d, v in zip(docs, vectors) if d.doc_id in ids)
+                ws = [w for v in members for t, w in zip(v.indices, v.weights) if t == term]
+                assert weight == math.fsum(ws) / len(ids)
+    subtree = sums.subtree_means(t0)
+    for node in ("A", "B", "A1", "A2", "B1"):
+        assert subtree[node] == mean_vector(positives_for_centroid(docs, t0, node), by_id)
+
+
+@pytest.mark.parametrize("smallest", [2.0**-919, SMALLEST_NORMAL, 5e-324])
+def test_label_sums_refuse_weights_below_the_exact_range(smallest):
+    docs = [Document("d1", "A1", ""), Document("d2", "A2", "")]
+    with pytest.raises(ValueError, match=r"is below 2\*\*-918"):
+        LabelSums(docs, [vec((0, 1.0)), vec((0, smallest), (1, 1.0))])
+
+
+def test_a_set_that_splits_a_label_is_refused(t0_docs):
+    vocab = build_vocabulary(t0_docs)
+    sums = LabelSums(t0_docs, [vectorize(d, vocab) for d in t0_docs])
+    with pytest.raises(ValueError, match="every document of each of its labels"):
+        sums.mean_of(frozenset({"d1"}))  # d2 is labeled A1 too
+
+
+def test_train_refuses_repeated_document_ids(t0, t0_docs):
+    docs = [*t0_docs, Document("d1", "B1", "beta")]
+    with pytest.raises(ValueError, match="distinct ids"):
+        train(docs, t0, build_vocabulary(docs))
 
 
 def test_train_requires_documents(t0):
@@ -533,6 +632,22 @@ def test_model_centroid_entries_are_refused_when_built(t0, t0_docs, field, vecto
     model = _toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
     assert len(model.vocabulary) == 6
     with pytest.raises(ValueError, match=f"^centroid of 'A1': .*{message}"):
+        dataclasses.replace(model, **{field: getattr(model, field) | {"A1": vector}})
+
+
+@pytest.mark.parametrize("field", ["centroid_of", "negative_centroid_of"])
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        # dot with ((0, 0.6), (1, 0.8)) gave 0.3 and decode routed on it: zip stopped at the shorter array
+        (SparseVector(array("I", [0, 1]), array("d", [0.5])), "2 term indices and 1 weights differ in number"),
+        (SparseVector(array("I", [0]), array("d", [0.5, 0.25])), "1 term indices and 2 weights differ in number"),
+        (SparseVector(array("I"), array("d", [0.5])), "0 term indices and 1 weights differ in number"),
+    ],
+)
+def test_model_refuses_centroid_arrays_of_different_lengths(t0, t0_docs, field, vector, message):
+    model = _toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
+    with pytest.raises(ValueError, match=f"^centroid of 'A1': {message}$"):
         dataclasses.replace(model, **{field: getattr(model, field) | {"A1": vector}})
 
 

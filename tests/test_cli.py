@@ -12,7 +12,7 @@ import pytest
 from conftest import entries, packed_centroid, refuse_json_constant
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
-from routecat.corpus import Document, Vocabulary, build_vocabulary
+from routecat.corpus import Document, build_vocabulary
 from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration
 from routecat.taxonomy import parse_taxonomy
 
@@ -185,11 +185,25 @@ PINNED_ARTIFACTS = {
         "comparison.csv": "3da5c71d6801ed025fefc35fbf95b165fa0699916162df4022983987102c00e2",
         "classify": "65669f0691e97fd12a7696c2c50c793b044db9d8c41fcd788ea5f81c9cc1a8d6",
     },
+    # the model of every other policy, each summing its sets directly or as the total minus the labels outside them
+    "binary-exclusive": {"model.json": "933a69ebf6c5779ef9a5703afed7e1cf03048f70ed93345c7d7fa270e0127ea5"},
+    "binary-less-exclusive": {"model.json": "6ae4f57dca8f8de12355498a9c234b71dce24437e631c4e4953d5d3cb998c9cb"},
+    "binary-less-inclusive": {"model.json": "2d8274c78ea1f3fe0ace7f2779698fdddc0927201157153b0f13cbc0987e6da2"},
+    "binary-inclusive": {"model.json": "d3f7b3dd5879b8aefd93e7b789c39a22531a324f4afb7ed0dfc43ff283dd93f5"},
+    "binary-exclusive-siblings": {"model.json": "ae879603abbcaa67e43b20dc27d1bc4adb4958820972a44d870d4228b3abb7b7"},
 }
 
 
 @pytest.mark.parametrize(
-    "name, mode", [("positive-only", ()), ("binary-siblings", ("--mode", "binary", "--policy", "siblings"))]
+    "name, mode",
+    [
+        ("positive-only", ()),
+        ("binary-siblings", ("--mode", "binary", "--policy", "siblings")),
+        *(
+            (f"binary-{policy}", ("--mode", "binary", "--policy", policy))
+            for policy in ("exclusive", "less-exclusive", "less-inclusive", "inclusive", "exclusive-siblings")
+        ),
+    ],
 )
 def test_ci_spec_artifacts_keep_their_bytes(tmp_path, capsys, name, mode):
     data, run, report = (tmp_path / part for part in ("data", "run", "report"))
@@ -210,7 +224,8 @@ def test_ci_spec_artifacts_keep_their_bytes(tmp_path, capsys, name, mode):
         "comparison.csv": (report / "comparison.csv").read_bytes(),
         "classify": capsys.readouterr().out.encode("utf-8"),
     }
-    assert {key: hashlib.sha256(value).hexdigest() for key, value in artifacts.items()} == PINNED_ARTIFACTS[name]
+    pinned = PINNED_ARTIFACTS[name]
+    assert {key: hashlib.sha256(artifacts[key]).hexdigest() for key in pinned} == pinned
 
 
 def test_train_missing_corpus(tmp_path, capsys):
@@ -757,26 +772,19 @@ def test_largest_seed_is_accepted(tmp_path):
 @pytest.mark.parametrize("field", ["doc_frequency", "n_docs"])
 def test_model_with_an_impossible_document_count_is_a_one_line_error(tmp_path, command, field):
     inputs = command_inputs(tmp_path, command)
-    model, calibration = tmp_path / "run" / "model.json", tmp_path / "run" / "calibration.json"
+    model = tmp_path / "run" / "model.json"
     payload = json.loads(model.read_text())
     vocab = payload["vocabulary"]
     if field == "n_docs":
         vocab["n_docs"] = -1  # idf raised "math domain error", naming no file
+        rule = "n_docs must be at least 1, not -1"
     else:
         vocab["terms"][0][2] = -1  # idf divided by df + 1 = 0 and ended in a traceback
-    # both files carry the digest of the edited vocabulary, so the pair still matches
-    digest = Vocabulary(
-        index={term: idx for term, idx, _ in vocab["terms"]},
-        doc_frequency={term: df for term, _, df in vocab["terms"]},
-        n_docs=vocab["n_docs"],
-    ).digest
-    payload["vocabulary_digest"] = digest
+        rule = f"document frequency -1 of {vocab['terms'][0][0]!r} lies outside 1.."
+    # the stored digests are left as they are: Vocabulary refuses the edit before the loader compares them
     model.write_text(json.dumps(payload))
-    paired = json.loads(calibration.read_text())
-    paired["vocabulary_digest"] = digest
-    calibration.write_text(json.dumps(paired))
     result = run_subprocess(command, *inputs)
-    assert_one_line_error(result, f"{model}: malformed model file: ")
+    assert_one_line_error(result, f"{model}: malformed model file: {rule}")
     assert "Traceback" not in result.stderr
 
 

@@ -12,6 +12,7 @@ from routecat.corpus import (
     InvertedIndex,
     SparseVector,
     TermTable,
+    Vocabulary,
     build_vocabulary,
     load_corpus,
     scorer,
@@ -121,6 +122,47 @@ def test_build_vocabulary():
 def test_build_vocabulary_empty():
     with pytest.raises(ValueError):
         build_vocabulary([])
+
+
+@pytest.mark.parametrize(
+    "index, doc_frequency, n_docs, message",
+    [
+        # each constructed, and vectorize then raised ZeroDivisionError, ValueError and KeyError
+        ({"aa": 0}, {"aa": -1}, 1, "^document frequency -1 of 'aa' lies outside 1..1$"),
+        ({"aa": 0}, {"aa": 1}, -1, "^n_docs must be at least 1, not -1$"),
+        ({"aa": 0}, {}, 1, "^vocabulary term 'aa' has no document frequency$"),
+        # idf would be 0 or negative, or divide by zero
+        ({"aa": 0}, {"aa": 0}, 1, "^document frequency 0 of 'aa' lies outside 1..1$"),
+        ({"aa": 0}, {"aa": 3}, 2, "^document frequency 3 of 'aa' lies outside 1..2$"),
+        ({}, {}, 0, "^n_docs must be at least 1, not 0$"),
+        ({"aa": 0}, {"aa": 1}, 1.0, "^n_docs must be an integer, not 1.0$"),
+        ({"aa": 0}, {"aa": 1}, True, "^n_docs must be an integer, not True$"),
+        ({"aa": 0}, {"aa": 1.0}, 1, "^document frequency of 'aa' must be an integer, not 1.0$"),
+        ({"aa": 0}, {"aa": 1, "bb": 1}, 1, "^a document frequency for 'bb', which is not a vocabulary term$"),
+        # indices are the terms' positions 0..n-1: two terms on one index lose one of them in vectorize
+        ({"aa": 0, "bb": 0}, {"aa": 1, "bb": 1}, 1, "^vocabulary term 'bb' has index 0 at position 1$"),
+        ({"aa": 1}, {"aa": 1}, 1, "^vocabulary term 'aa' has index 1 at position 0$"),
+        ({"aa": True}, {"aa": 1}, 1, "^vocabulary term 'aa' has index True at position 0$"),
+        ({7: 0}, {7: 1}, 1, "^vocabulary term 7 is not a string or repeats$"),
+    ],
+)
+def test_vocabulary_refuses_what_idf_fails_on(index, doc_frequency, n_docs, message):
+    with pytest.raises(ValueError, match=message):
+        Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=n_docs)
+
+
+@given(st.integers(-1, 4), st.lists(st.one_of(st.integers(-1, 5), st.none(), st.just(1.0)), min_size=1, max_size=4))
+def test_every_vocabulary_the_constructor_accepts_vectorizes(n_docs, frequencies):
+    terms = [f"t{k}" for k in range(len(frequencies))]
+    doc_frequency = {term: df for term, df in zip(terms, frequencies) if df is not None}
+    fields = dict(index={term: k for k, term in enumerate(terms)}, doc_frequency=doc_frequency, n_docs=n_docs)
+    keeps_rule = n_docs >= 1 and all(type(df) is int and 1 <= df <= n_docs for df in frequencies)
+    if not keeps_rule:
+        with pytest.raises(ValueError):
+            Vocabulary(**fields)
+        return
+    v = vectorize(Document("q", "A1", " ".join(terms)), Vocabulary(**fields))
+    assert all(0.0 < w <= 1.0 for w in v.weights)
 
 
 def test_vectorize_term_in_every_doc_vanishes():

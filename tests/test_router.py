@@ -496,6 +496,54 @@ def test_calibration_fields_are_validated(field, value, message):
         loads_calibration(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # each constructed and dumped, and loads_calibration refused the file
+        ({"level_weights": {1: 2.0}}, r"^level weight 1 must lie in \[0, 1\], not 2.0$"),
+        ({"validation_size": 0}, "^validation_size must be at least 1, not 0$"),
+        ({"level_weights": {1: -0.5}}, r"^level weight 1 must lie in \[0, 1\], not -0.5$"),
+        ({"level_weights": {1: math.nan}}, "^level weight 1 must be a finite float, not nan$"),
+        ({"level_weights": {1: 1}}, "^level weight 1 must be a finite float, not 1$"),
+        ({"level_weights": {1: 1.0, 0: 0.5}}, "^level weight key '0' is not a depth$"),
+        ({"level_weights": {"1": 0.5}}, "^level weight key '1' is not a depth$"),
+        ({"level_weights": {True: 0.5}}, "^level weight key 'True' is not a depth$"),
+        ({"eer_gap": 1.5}, r"^eer_gap must lie in \[0, 1\], not 1.5$"),
+        ({"eer_gap": 0}, "^eer_gap must be a finite float, not 0$"),
+        ({"validation_size": 2.0}, "^validation_size must be an integer, not 2.0$"),
+        ({"validation_size": True}, "^validation_size must be an integer, not True$"),
+    ],
+)
+def test_calibration_refuses_what_build_calibration_never_makes(changes, message):
+    fields = dict(level_weights={1: 1.0}, threshold=0.5, eer_gap=0.0, validation_size=3)
+    with pytest.raises(ValueError, match=message):
+        Calibration(**{**fields, **changes})
+
+
+@given(
+    st.dictionaries(st.integers(-1, 4), st.one_of(st.floats(), st.integers(0, 1)), max_size=4),
+    st.one_of(st.floats(), st.just(0)),
+    st.one_of(st.integers(-1, 3), st.just(2.0)),
+)
+def test_every_calibration_the_constructor_accepts_loads_back(level_weights, eer_gap, validation_size):
+    def rate(value):
+        return type(value) is float and 0.0 <= value <= 1.0
+
+    fields = dict(level_weights=level_weights, threshold=0.5, eer_gap=eer_gap, validation_size=validation_size)
+    keeps_rules = (
+        all(depth >= 1 and rate(w) for depth, w in level_weights.items())
+        and rate(eer_gap)
+        and type(validation_size) is int
+        and validation_size >= 1
+    )
+    if not keeps_rules:
+        with pytest.raises(ValueError):
+            Calibration(**fields)
+        return
+    calibration = Calibration(**fields)
+    assert loads_calibration(dumps_calibration(calibration, "abc123")) == (calibration, "abc123")
+
+
 def test_calibration_records_the_identity_of_its_model():
     model = calibration_model()
     validation = [Document("v1", "A1", "ta t1"), Document("v2", "B", "tb")]
