@@ -401,14 +401,13 @@ def loads_artifact(text: str, kind: str, version: int, error: type[Exception], b
 def dumps_model(model: CentroidModel) -> str:
     """Serialize a model to canonical standard JSON (see :func:`dumps_artifact`)."""
     vocab = model.vocabulary
-    terms = sorted(vocab.index.items(), key=lambda kv: kv[1])
     fields = {
         "mode": model.mode.value,
         "policy": model.policy.value if model.policy is not None else None,
         "taxonomy": format_taxonomy(model.taxonomy),
         "vocabulary": {
             "n_docs": vocab.n_docs,
-            "terms": [[term, idx, vocab.doc_frequency[term]] for term, idx in terms],
+            "terms": [[term, idx, df] for idx, (term, df) in enumerate(zip(vocab.terms, vocab.doc_frequency))],
         },
         "vocabulary_digest": vocabulary_digest(vocab),
         "training_digest": model.training_digest,
@@ -452,7 +451,7 @@ def loads_model(text: str) -> CentroidModel:
     """Inverse of :func:`dumps_model`.
 
     Unknown formats and versions, missing or wrongly typed fields, a
-    vocabulary term that is not a string or repeats, a stored
+    vocabulary term whose index is not its position, a stored
     ``vocabulary_digest`` that is not the vocabulary's own, a centroid that
     is not two base64 strings of n term indices and n weights (see
     :func:`_packed`), and any vocabulary :class:`~routecat.corpus.Vocabulary`
@@ -465,14 +464,14 @@ def loads_model(text: str) -> CentroidModel:
 
 def _model_from_payload(payload: dict) -> CentroidModel:
     vocab_payload = payload["vocabulary"]
-    index: dict[str, int] = {}
-    doc_frequency: dict[str, int] = {}
-    for term, idx, df in vocab_payload["terms"]:
-        if not isinstance(term, str) or term in index:  # a dict key: hashable, and a repeat would be lost
-            raise ValueError(f"vocabulary term {term!r} is not a string or repeats")
-        index[term] = idx
-        doc_frequency[term] = df
-    vocabulary = Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=vocab_payload["n_docs"])
+    terms: list[str] = []
+    doc_frequency: list[int] = []
+    for position, (term, idx, df) in enumerate(vocab_payload["terms"]):
+        if type(idx) is not int or idx != position:
+            raise ValueError(f"vocabulary term {term!r} has index {idx!r} at position {position}")
+        terms.append(term)
+        doc_frequency.append(df)
+    vocabulary = Vocabulary(terms=tuple(terms), doc_frequency=tuple(doc_frequency), n_docs=vocab_payload["n_docs"])
     if payload["vocabulary_digest"] != vocabulary.digest:
         raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import mul, truediv
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from routecat.prng import SplitMix64
 from routecat.taxonomy import NodeId, Taxonomy, tsv_lines
@@ -57,54 +57,54 @@ def checked_int(value: object, what: str) -> int:
 class Vocabulary:
     """Term index built from training documents only.
 
-    ``index`` maps each term to a contiguous id in first-appearance order;
-    ``doc_frequency`` counts the training documents containing the term.
+    ``terms`` lists each term once, in first-appearance order, so a term's
+    index is its position; ``doc_frequency[k]`` counts the training
+    documents containing ``terms[k]``.
     """
 
-    index: Mapping[str, int]
-    doc_frequency: Mapping[str, int]
+    terms: tuple[str, ...]
+    doc_frequency: tuple[int, ...]
     n_docs: int
 
     def __post_init__(self) -> None:
         """Refuse every vocabulary :func:`build_vocabulary` cannot make, on which idf would fail.
 
-        That is ``n_docs`` that is not an integer of at least 1, a term that
-        is not a string, ``index`` values that are not 0..n-1 in ``index``'s
-        order, and a term whose document frequency is missing or is not an
-        integer in 1..``n_docs``, or one for a term outside ``index``.
+        That is ``n_docs`` that is not an integer of at least 1, ``terms`` and
+        ``doc_frequency`` of different lengths, a term that is not a string or
+        repeats, and a document frequency that is not an integer in 1..``n_docs``.
         """
         n_docs = checked_int(self.n_docs, "n_docs")
         if n_docs < 1:
             raise ValueError(f"n_docs must be at least 1, not {n_docs}")
-        doc_frequency = self.doc_frequency
-        for position, (term, idx) in enumerate(self.index.items()):
-            if not isinstance(term, str):
+        if len(self.terms) != len(self.doc_frequency):
+            raise ValueError(f"{len(self.terms)} terms but {len(self.doc_frequency)} document frequencies")
+        seen: set[str] = set()
+        for term, df in zip(self.terms, self.doc_frequency):
+            if not isinstance(term, str) or term in seen:
                 raise ValueError(f"vocabulary term {term!r} is not a string or repeats")
-            if type(idx) is not int or idx != position:
-                raise ValueError(f"vocabulary term {term!r} has index {idx!r} at position {position}")
-            if term not in doc_frequency:
-                raise ValueError(f"vocabulary term {term!r} has no document frequency")
-            df = checked_int(doc_frequency[term], f"document frequency of {term!r}")
+            seen.add(term)
+            df = checked_int(df, f"document frequency of {term!r}")
             if not 1 <= df <= n_docs:
                 raise ValueError(f"document frequency {df} of {term!r} lies outside 1..{n_docs}")
-        if len(doc_frequency) != len(self.index):
-            extra = next(term for term in doc_frequency if term not in self.index)
-            raise ValueError(f"a document frequency for {extra!r}, which is not a vocabulary term")
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.terms)
 
     @cached_property
-    def idf_of(self) -> dict[str, float]:
-        """Each term's smoothed inverse document frequency ln((N + 1) / (df + 1)), computed once."""
-        return {term: math.log((self.n_docs + 1) / (self.doc_frequency[term] + 1)) for term in self.index}
+    def index_and_idf(self) -> dict[str, tuple[int, float]]:
+        """Each term's index and smoothed idf ln((N + 1) / (df + 1)), computed once; terms of idf 0 are left out."""
+        return {
+            term: (index, idf)
+            for index, (term, df) in enumerate(zip(self.terms, self.doc_frequency))
+            if (idf := math.log((self.n_docs + 1) / (df + 1))) > 0.0
+        }
 
     @cached_property
     def digest(self) -> str:
         """sha256 of the ``term<TAB>index<TAB>df`` lines in index order and the document count, hashed once."""
         h = hashlib.sha256()
-        for term, idx in sorted(self.index.items(), key=lambda kv: kv[1]):
-            h.update(f"{term}\t{idx}\t{self.doc_frequency[term]}\n".encode("utf-8"))
+        for index, (term, df) in enumerate(zip(self.terms, self.doc_frequency)):
+            h.update(f"{term}\t{index}\t{df}\n".encode("utf-8"))
         h.update(str(self.n_docs).encode("utf-8"))
         return h.hexdigest()
 
@@ -113,14 +113,10 @@ def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
     """Index every distinct training token; ids follow first appearance."""
     if not train:
         raise ValueError("cannot build a vocabulary from an empty training set")
-    index: dict[str, int] = {}
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for doc in train:
-        # each distinct term once, in first-appearance order
-        for term in dict.fromkeys(tokenize(doc.text)):
-            index.setdefault(term, len(index))
-            df[term] = df.get(term, 0) + 1
-    return Vocabulary(index=index, doc_frequency=df, n_docs=len(train))
+        df.update(dict.fromkeys(tokenize(doc.text)).keys())  # each distinct term once, in first-appearance order
+    return Vocabulary(terms=tuple(df), doc_frequency=tuple(df.values()), n_docs=len(train))
 
 
 @dataclass(frozen=True)
@@ -266,10 +262,13 @@ def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:
     Out-of-vocabulary terms are dropped, as are terms whose idf is zero
     (terms present in every training document), so the result may be empty.
     """
-    idf_of = vocab.idf_of
-    counts = Counter(t for t in tokenize(doc.text) if t in idf_of)
-    # tf * idf of each term of positive weight, by term index
-    weight_of = {vocab.index[t]: w for t, tf in counts.items() if (w := tf * idf_of[t]) > 0.0}
+    index_and_idf = vocab.index_and_idf
+    # tf * idf of each known term, by term index; each distinct term is looked up once
+    weight_of = {
+        found[0]: tf * found[1]
+        for term, tf in Counter(tokenize(doc.text)).items()
+        if (found := index_and_idf.get(term)) is not None
+    }
     indices = sorted(weight_of)
     weights = list(map(weight_of.__getitem__, indices))
     norm = math.sqrt(math.fsum(map(mul, weights, weights)))

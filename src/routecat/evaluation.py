@@ -88,8 +88,6 @@ def _evaluate_vectors(
     model: CentroidModel, calibration: Calibration, test: Sequence[Document], vectors: Sequence[SparseVector]
 ) -> EvalSummary:
     """:func:`evaluate` over the test documents' vectors, made once by the caller."""
-    if not test:
-        raise ValueError("empty test set")
     outcomes = []
     for doc, d in zip(test, vectors):
         decision = classify_with_reject(model, calibration, d)
@@ -177,7 +175,7 @@ class SyntheticSpec:
     tokens_per_doc: int = 40
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("depth", "branching", "docs_per_leaf", "vocab_per_topic", "noise_vocab_size", "tokens_per_doc"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -187,7 +185,6 @@ class SyntheticSpec:
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:
     """Build (taxonomy text, corpus text) fully determined by the spec's seed."""
-    spec.validate()
     root = "root"
     taxonomy_lines: list[str] = []
     # each node with the private term lists of the nodes on its path, the root's being empty

@@ -74,7 +74,8 @@ class Calibration:
 
         That is a level weight keyed by anything but a depth of at least 1 or
         not a float in [0, 1], a NaN threshold, an EER gap that is not a float
-        in [0, 1], and a validation size that is not an integer of at least 1.
+        in [0, 1], a validation size that is not an integer of at least 1, and
+        a ``source`` or ``model_identity`` that is not a string.
         """
         for depth, weight in self.level_weights.items():
             if type(depth) is not int or depth < 1:
@@ -86,6 +87,9 @@ class Calibration:
         _checked_rate(self.eer_gap, "eer_gap")
         if checked_int(self.validation_size, "validation_size") < 1:
             raise ValueError(f"validation_size must be at least 1, not {self.validation_size!r}")
+        for name in ("source", "model_identity"):  # dumps_calibration writes both as JSON strings
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, not {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -324,8 +328,8 @@ def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
         model_identity=payload["model_identity"],
     )
     digest = payload["vocabulary_digest"]
-    if not all(isinstance(value, str) for value in (calibration.source, calibration.model_identity, digest)):
-        raise TypeError("source, model_identity and vocabulary_digest must be strings")
+    if not isinstance(digest, str):
+        raise TypeError(f"vocabulary_digest must be a string, not {digest!r}")
     return calibration, digest
 
 

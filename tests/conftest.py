@@ -49,7 +49,7 @@ sparse_vectors = st.dictionaries(st.integers(0, 24), weights, max_size=10).map(l
 def vocabulary_of_size(n: int) -> Vocabulary:
     """The n terms t0, t1, ... in one document: a vocabulary for centroids of term indices 0..n-1."""
     terms = [f"t{k}" for k in range(n)]
-    return Vocabulary(index={t: k for k, t in enumerate(terms)}, doc_frequency=dict.fromkeys(terms, 1), n_docs=1)
+    return Vocabulary(terms=tuple(terms), doc_frequency=(1,) * n, n_docs=1)
 
 
 def packed_centroid(*entries: tuple[int, float]) -> list[str]:

@@ -209,7 +209,7 @@ def test_train_refuses_repeated_document_ids(t0, t0_docs):
 
 def test_train_requires_documents(t0):
     with pytest.raises(ValueError, match="empty training set"):
-        train([], t0, Vocabulary(index={}, doc_frequency={}, n_docs=1))
+        train([], t0, Vocabulary(terms=(), doc_frequency=(), n_docs=1))
 
 
 def test_binary_mode_requires_policy(t0, t0_docs):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import entries, packed_centroid, refuse_json_constant
+from conftest import entries, import_perfbench, packed_centroid, refuse_json_constant
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
 from routecat.corpus import Document, build_vocabulary
@@ -206,26 +206,69 @@ PINNED_ARTIFACTS = {
     ],
 )
 def test_ci_spec_artifacts_keep_their_bytes(tmp_path, capsys, name, mode):
+    generate_flags = ["--depth", "2", "--branching", "3", "--docs-per-leaf", "20", "--tokens-per-doc", "8",
+                      "--noise", "0.6"]
+    artifacts = cli_artifacts(tmp_path, capsys, generate_flags, ["--seed", "0"], list(mode))
+    pinned = PINNED_ARTIFACTS[name]
+    assert {key: hashlib.sha256(artifacts[key]).hexdigest() for key in pinned} == pinned
+
+
+def cli_artifacts(tmp_path, capsys, generate_flags, split, mode):
+    """generate (at --seed 0), train, evaluate and classify the corpus itself: each artifact's bytes."""
     data, run, report = (tmp_path / part for part in ("data", "run", "report"))
     model, calibration = str(run / "model.json"), str(run / "calibration.json")
-    assert run_cli("generate", "--depth", "2", "--branching", "3", "--docs-per-leaf", "20", "--tokens-per-doc", "8",
-                   "--noise", "0.6", "--seed", "0", "--out-dir", str(data)) == 0
+    assert run_cli("generate", *generate_flags, "--seed", "0", "--out-dir", str(data)) == 0
     corpus = str(data / "corpus.tsv")
-    assert run_cli("train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", corpus, "--seed", "0", *mode,
+    assert run_cli("train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", corpus, *split, *mode,
                    "--out-dir", str(run)) == 0
-    assert run_cli("evaluate", "--model", model, "--calibration", calibration, "--corpus", corpus, "--seed", "0",
+    assert run_cli("evaluate", "--model", model, "--calibration", calibration, "--corpus", corpus, *split,
                    "--out-dir", str(report)) == 0
     capsys.readouterr()
     assert run_cli("classify", "--model", model, "--calibration", calibration, "--input", corpus) == 0
-    artifacts = {
+    return {
         "model.json": (run / "model.json").read_bytes(),
         "calibration.json": (run / "calibration.json").read_bytes(),
         "summary.csv": (report / "summary.csv").read_bytes(),
         "comparison.csv": (report / "comparison.csv").read_bytes(),
         "classify": capsys.readouterr().out.encode("utf-8"),
     }
-    pinned = PINNED_ARTIFACTS[name]
-    assert {key: hashlib.sha256(artifacts[key]).hexdigest() for key in pinned} == pinned
+
+
+BENCH = import_perfbench("workloads")
+# sha256 of every artifact of each benchmark workload's corpus at seed 0, trained with its flags and split by
+# the benchmark's fractions at --seed 0; classify reads the corpus itself
+PINNED_BENCH_ARTIFACTS = {
+    "binary-siblings": {
+        "model.json": "768c087fda68163b7264c55229015fd4c82a0b9fa98c0eea013663a5366dc9a5",
+        "calibration.json": "df4af5e9b88c3a1549e5e4084cbbed7b4ac928d5659620385adbbfca5877a4df",
+        "summary.csv": "c2f028be83404f58c52b05e044b38f9287b83698a7282cca537cbe80e480fe0a",
+        "comparison.csv": "211c4d2f61ab19a86bcc1e60046affcc425e3abb8806f016a01b238ba804e524",
+        "classify": "5cd2aa5d1b57fd2e083204ebb06b5ffc89022f9a84e90b0e300f10c50ca0492a",
+    },
+    "docs-heavy": {
+        "model.json": "99340bc55657d98f0b2573ba934ee4ba08eff4a8ad8d4266a45ef1f42873aeef",
+        "calibration.json": "57e46ef82ebb51e50983f094e1ccc45c79fd417f5ba90675d095a96c486f5461",
+        "summary.csv": "16b48e573f76c06ab85db2712e569a62f298acd818522bc00b9484e5746481aa",
+        "comparison.csv": "e6f431479d49bc150e18b63f7138154cc4899245e53da1494b3359515f7f03dd",
+        "classify": "a42d675d11500ddefa01d8f231a632ababd70f39469aa7a38831cbce18a5b78b",
+    },
+    "node-heavy": {
+        "model.json": "f25eeb17654ba6371f6aca5f81da9f0d36dbdea62a52a871ef3b51511b975ab3",
+        "calibration.json": "898b31abbc2ca59f4a4e5a0718e66b2e37954d264cb41562c210748f7831ab11",
+        "summary.csv": "11fcd896caaea69fee17f4efdfc9716cc4bc512f29812e7886093d5c6b3ad075",
+        "comparison.csv": "cd2e021c26c2159e70f5c598a14cfe3b67b5dcfdda7c2f0588984c28e9ef70da",
+        "classify": "f7d51153d0a7ef9a63cca1e9db07c242ea64410a9c38591b2f9c0da47c43107e",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+def test_bench_workload_artifacts_keep_their_bytes(tmp_path, capsys, workload):
+    w = BENCH.WORKLOADS[workload]
+    split = ["--val-fraction", str(BENCH.VAL_FRACTION), "--test-fraction", str(BENCH.TEST_FRACTION), "--seed", "0"]
+    artifacts = cli_artifacts(tmp_path, capsys, w.generate_flags(), split, w.train_flags())
+    hashes = {key: hashlib.sha256(value).hexdigest() for key, value in artifacts.items()}
+    assert hashes == PINNED_BENCH_ARTIFACTS[workload]
 
 
 def test_train_missing_corpus(tmp_path, capsys):

@@ -110,12 +110,12 @@ def _vocab_two_docs():
 
 def test_build_vocabulary():
     v = build_vocabulary([Document("d1", "A1", "cat cat dog")])
-    assert v.index == {"cat": 0, "dog": 1}
-    assert v.doc_frequency == {"cat": 1, "dog": 1}
+    assert v.terms == ("cat", "dog")
+    assert v.doc_frequency == (1, 1)
     assert v.n_docs == 1
 
     v2 = _vocab_two_docs()
-    assert v2.doc_frequency == {"cat": 2, "dog": 1}
+    assert v2.doc_frequency == (2, 1)
     assert v2.n_docs == 2
 
 
@@ -125,37 +125,38 @@ def test_build_vocabulary_empty():
 
 
 @pytest.mark.parametrize(
-    "index, doc_frequency, n_docs, message",
+    "terms, doc_frequency, n_docs, message",
     [
-        # each constructed, and vectorize then raised ZeroDivisionError, ValueError and KeyError
-        ({"aa": 0}, {"aa": -1}, 1, "^document frequency -1 of 'aa' lies outside 1..1$"),
-        ({"aa": 0}, {"aa": 1}, -1, "^n_docs must be at least 1, not -1$"),
-        ({"aa": 0}, {}, 1, "^vocabulary term 'aa' has no document frequency$"),
+        # each constructed, and vectorize then raised ZeroDivisionError and ValueError
+        (("aa",), (-1,), 1, "^document frequency -1 of 'aa' lies outside 1..1$"),
+        (("aa",), (1,), -1, "^n_docs must be at least 1, not -1$"),
         # idf would be 0 or negative, or divide by zero
-        ({"aa": 0}, {"aa": 0}, 1, "^document frequency 0 of 'aa' lies outside 1..1$"),
-        ({"aa": 0}, {"aa": 3}, 2, "^document frequency 3 of 'aa' lies outside 1..2$"),
-        ({}, {}, 0, "^n_docs must be at least 1, not 0$"),
-        ({"aa": 0}, {"aa": 1}, 1.0, "^n_docs must be an integer, not 1.0$"),
-        ({"aa": 0}, {"aa": 1}, True, "^n_docs must be an integer, not True$"),
-        ({"aa": 0}, {"aa": 1.0}, 1, "^document frequency of 'aa' must be an integer, not 1.0$"),
-        ({"aa": 0}, {"aa": 1, "bb": 1}, 1, "^a document frequency for 'bb', which is not a vocabulary term$"),
-        # indices are the terms' positions 0..n-1: two terms on one index lose one of them in vectorize
-        ({"aa": 0, "bb": 0}, {"aa": 1, "bb": 1}, 1, "^vocabulary term 'bb' has index 0 at position 1$"),
-        ({"aa": 1}, {"aa": 1}, 1, "^vocabulary term 'aa' has index 1 at position 0$"),
-        ({"aa": True}, {"aa": 1}, 1, "^vocabulary term 'aa' has index True at position 0$"),
-        ({7: 0}, {7: 1}, 1, "^vocabulary term 7 is not a string or repeats$"),
+        (("aa",), (0,), 1, "^document frequency 0 of 'aa' lies outside 1..1$"),
+        (("aa",), (3,), 2, "^document frequency 3 of 'aa' lies outside 1..2$"),
+        ((), (), 0, "^n_docs must be at least 1, not 0$"),
+        (("aa",), (1,), 1.0, "^n_docs must be an integer, not 1.0$"),
+        (("aa",), (1,), True, "^n_docs must be an integer, not True$"),
+        (("aa",), (1.0,), 1, "^document frequency of 'aa' must be an integer, not 1.0$"),
+        ((7,), (1,), 1, "^vocabulary term 7 is not a string or repeats$"),
+        # a term's index is its position: a repeated term would sit on two indices
+        (("aa", "bb", "aa"), (1, 1, 1), 1, "^vocabulary term 'aa' is not a string or repeats$"),
+        # a term without a frequency, and a frequency without a term
+        (("aa", "bb"), (1,), 1, "^2 terms but 1 document frequencies$"),
+        (("aa",), (1, 1), 1, "^1 terms but 2 document frequencies$"),
+        ((), (1,), 1, "^0 terms but 1 document frequencies$"),
     ],
 )
-def test_vocabulary_refuses_what_idf_fails_on(index, doc_frequency, n_docs, message):
+def test_vocabulary_refuses_what_idf_fails_on(terms, doc_frequency, n_docs, message):
     with pytest.raises(ValueError, match=message):
-        Vocabulary(index=index, doc_frequency=doc_frequency, n_docs=n_docs)
+        Vocabulary(terms=terms, doc_frequency=doc_frequency, n_docs=n_docs)
 
 
 @given(st.integers(-1, 4), st.lists(st.one_of(st.integers(-1, 5), st.none(), st.just(1.0)), min_size=1, max_size=4))
 def test_every_vocabulary_the_constructor_accepts_vectorizes(n_docs, frequencies):
     terms = [f"t{k}" for k in range(len(frequencies))]
-    doc_frequency = {term: df for term, df in zip(terms, frequencies) if df is not None}
-    fields = dict(index={term: k for k, term in enumerate(terms)}, doc_frequency=doc_frequency, n_docs=n_docs)
+    # None stands for a missing frequency, which leaves the two tuples of different lengths
+    doc_frequency = tuple(df for df in frequencies if df is not None)
+    fields = dict(terms=tuple(terms), doc_frequency=doc_frequency, n_docs=n_docs)
     keeps_rule = n_docs >= 1 and all(type(df) is int and 1 <= df <= n_docs for df in frequencies)
     if not keeps_rule:
         with pytest.raises(ValueError):
@@ -174,7 +175,7 @@ def test_vectorize_term_in_every_doc_vanishes():
 def test_vectorize_single_term_normalizes_to_one():
     v = _vocab_two_docs()
     vec = vectorize(Document("q", "A1", "dog dog"), v)
-    assert entries(vec) == ((v.index["dog"], 1.0),)
+    assert entries(vec) == ((v.terms.index("dog"), 1.0),)
 
 
 def test_vectorize_out_of_vocabulary():
@@ -195,9 +196,10 @@ def test_vectorize_weights_match_hand_computation():
     norm = math.sqrt(w_dog**2 + w_fish**2)
     entries = dict(zip(vec.indices, vec.weights))
     # "cat" sits in every training doc, so its idf is 0 and it drops out
-    assert set(entries) == {v.index["dog"], v.index["fish"]}
-    assert entries[v.index["dog"]] == pytest.approx(w_dog / norm, abs=1e-12)
-    assert entries[v.index["fish"]] == pytest.approx(w_fish / norm, abs=1e-12)
+    dog, fish = v.terms.index("dog"), v.terms.index("fish")
+    assert set(entries) == {dog, fish}
+    assert entries[dog] == pytest.approx(w_dog / norm, abs=1e-12)
+    assert entries[fish] == pytest.approx(w_fish / norm, abs=1e-12)
 
 
 words = st.sampled_from(["cat", "dog", "fish", "bird", "ant", "bee", "cow", "owl"])
@@ -215,15 +217,17 @@ def test_vectorize_norm_is_unit_or_empty(train_texts, query):
 
 def vectorize_by_the_formula(doc, vocab):
     """vectorize with ln((N + 1) / (df + 1)) computed for every term of the document."""
+    position = {term: k for k, term in enumerate(vocab.terms)}
     counts = {}
     for term in tokenize(doc.text):
-        if term in vocab.index:
+        if term in position:
             counts[term] = counts.get(term, 0) + 1
     weights = {}
     for term, tf in counts.items():
-        w = tf * math.log((vocab.n_docs + 1) / (vocab.doc_frequency[term] + 1))
+        k = position[term]
+        w = tf * math.log((vocab.n_docs + 1) / (vocab.doc_frequency[k] + 1))
         if w > 0.0:
-            weights[vocab.index[term]] = w
+            weights[k] = w
     norm = math.sqrt(math.fsum(w * w for w in weights.values()))
     return vec(*((i, weights[i] / norm) for i in sorted(weights)))
 
@@ -232,8 +236,9 @@ def vectorize_by_the_formula(doc, vocab):
 def test_vectorize_with_precomputed_idf_equals_the_formula(train_texts, query):
     docs = [Document(f"d{i}", "A", text) for i, text in enumerate(train_texts)]
     vocab = build_vocabulary(docs)
-    for term in vocab.index:
-        assert vocab.idf_of[term] == math.log((vocab.n_docs + 1) / (vocab.doc_frequency[term] + 1))
+    # every term of positive idf, on its position and with the formula's idf; a term in every document is absent
+    idf = [math.log((vocab.n_docs + 1) / (df + 1)) for df in vocab.doc_frequency]
+    assert vocab.index_and_idf == {term: (k, idf[k]) for k, term in enumerate(vocab.terms) if idf[k] > 0.0}
     for doc in [*docs, Document("q", "A", query)]:
         assert vectorize(doc, vocab) == vectorize_by_the_formula(doc, vocab)
 
@@ -245,8 +250,9 @@ def test_build_vocabulary_numbers_terms_by_first_appearance_and_counts_each_docu
     vocab = build_vocabulary(docs)
     stream = [term for doc in docs for term in tokenize(doc.text)]
     first_appearance = sorted(set(stream), key=stream.index)
-    assert vocab.index == {term: k for k, term in enumerate(first_appearance)}
-    assert vocab.doc_frequency == {term: sum(term in tokenize(doc.text) for doc in docs) for term in first_appearance}
+    # a term's index is its position in terms
+    assert vocab.terms == tuple(first_appearance)
+    assert vocab.doc_frequency == tuple(sum(term in tokenize(doc.text) for doc in docs) for term in first_appearance)
     assert vocab.n_docs == len(docs)
 
 
@@ -257,8 +263,8 @@ def test_vocabulary_only_from_train(train_texts):
     seen = set()
     for d in train:
         seen.update(tokenize(d.text))
-    assert set(v.index) == seen
-    assert all(1 <= v.doc_frequency[t] <= v.n_docs for t in v.index)
+    assert set(v.terms) == seen
+    assert all(1 <= df <= v.n_docs for df in v.doc_frequency)
 
 
 def _docs(n):

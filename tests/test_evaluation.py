@@ -221,11 +221,23 @@ def test_generate_synthetic_deterministic():
     assert generate_synthetic(other) != generate_synthetic(spec)
 
 
-def test_generate_synthetic_validates():
-    with pytest.raises(ValueError):
-        generate_synthetic(SyntheticSpec(depth=0, branching=2, docs_per_leaf=5))
-    with pytest.raises(ValueError):
-        generate_synthetic(SyntheticSpec(depth=1, branching=2, docs_per_leaf=5, noise_fraction=1.0))
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"depth": 0}, "^depth must be >= 1$"),
+        ({"branching": 0}, "^branching must be >= 1$"),
+        ({"docs_per_leaf": -1}, "^docs_per_leaf must be >= 1$"),
+        ({"vocab_per_topic": 0}, "^vocab_per_topic must be >= 1$"),
+        ({"noise_vocab_size": 0}, "^noise_vocab_size must be >= 1$"),
+        ({"tokens_per_doc": 0}, "^tokens_per_doc must be >= 1$"),
+        ({"noise_fraction": 1.0}, r"^noise_fraction must lie in \[0, 1\)$"),
+        ({"noise_fraction": -0.1}, r"^noise_fraction must lie in \[0, 1\)$"),
+    ],
+)
+def test_synthetic_spec_refuses_what_generate_synthetic_cannot_build(changes, message):
+    # each constructed, and generate_synthetic refused it only once a corpus was asked for
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(**{"depth": 1, "branching": 2, "docs_per_leaf": 5, **changes})
 
 
 BENCH = import_perfbench("workloads")
@@ -296,7 +308,7 @@ def test_flat_argmax_returns_the_first_of_tied_leaves():
     tax = parse_taxonomy("R\tb\nR\ta\nR\tc\n")
     docs = [Document("d1", "b", "xx yy"), Document("d2", "a", "xx zz"), Document("d3", "c", "zz ww")]
     vocab = build_vocabulary(docs)
-    xx, yy, zz, ww = (vocab.index[t] for t in ("xx", "yy", "zz", "ww"))
+    xx, yy, zz, ww = map(vocab.terms.index, ("xx", "yy", "zz", "ww"))
     same = vec((xx, 0.5), (zz, 0.25))
     centroids = {"b": same, "a": same, "c": vec((ww, 1.0))}
     queries = [Document("q1", "b", "xx"), Document("q2", "b", "yy"), Document("q3", "c", "ww zz")]

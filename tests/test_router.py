@@ -187,8 +187,8 @@ def test_decode_refuses_a_model_lacking_a_centroid():
 # vocabulary whose idf is positive for every term, so single-term documents
 # vectorize to a unit coordinate vector
 CAL_VOCAB = Vocabulary(
-    index={"ta": 0, "tb": 1, "t1": 2, "t2": 3},
-    doc_frequency={"ta": 1, "tb": 1, "t1": 1, "t2": 1},
+    terms=("ta", "tb", "t1", "t2"),
+    doc_frequency=(1, 1, 1, 1),
     n_docs=2,
 )
 
@@ -461,9 +461,9 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("level_weights", [], "malformed"),
         ("threshold", "high", "malformed"),
         ("validation_size", None, "no field 'validation_size'"),
-        ("source", 1, "must be strings"),
+        ("source", 1, "source must be a string, not 1"),
         ("vocabulary_digest", None, "no field 'vocabulary_digest'"),
-        ("vocabulary_digest", 7, "must be strings"),
+        ("vocabulary_digest", 7, "vocabulary_digest must be a string, not 7"),
         # values JSON has typed are checked, not converted
         ("level_weights", {"1": "0.5"}, "level weight 1 must be a finite float"),
         ("level_weights", {"1": True}, "level weight 1 must be a finite float"),
@@ -480,7 +480,7 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("validation_size", -2, "validation_size must be at least 1"),
         ("validation_size", 0, "validation_size must be at least 1"),
         ("model_identity", None, "no field 'model_identity'"),
-        ("model_identity", 7, "must be strings"),
+        ("model_identity", 7, "model_identity must be a string, not 7"),
         # depths start at 1
         ("level_weights", {"1": 1.0, "0": 0.5}, "'0' is not a depth"),
         ("level_weights", {"1": 1.0, "-3": 0.25}, "'-3' is not a depth"),
@@ -520,24 +520,46 @@ def test_calibration_refuses_what_build_calibration_never_makes(changes, message
         Calibration(**{**fields, **changes})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("source", 3), ("source", None), ("source", b"eer"), ("model_identity", 7), ("model_identity", ["ab"])],
+)
+def test_calibration_refuses_a_source_or_model_identity_that_is_not_a_string(field, value):
+    # each constructed, and loads_calibration then refused its own dumped file as malformed
+    with pytest.raises(TypeError, match=f"^{field} must be a string, not "):
+        Calibration({1: 1.0}, 0.5, 0.0, 3, **{field: value})
+
+
+strings_or_not = st.one_of(st.text(max_size=3), st.integers(), st.none(), st.binary(max_size=2))
+
+
 @given(
     st.dictionaries(st.integers(-1, 4), st.one_of(st.floats(), st.integers(0, 1)), max_size=4),
     st.one_of(st.floats(), st.just(0)),
     st.one_of(st.integers(-1, 3), st.just(2.0)),
+    strings_or_not,
+    strings_or_not,
 )
-def test_every_calibration_the_constructor_accepts_loads_back(level_weights, eer_gap, validation_size):
+def test_every_calibration_the_constructor_accepts_loads_back(
+    level_weights, eer_gap, validation_size, source, model_identity
+):
     def rate(value):
         return type(value) is float and 0.0 <= value <= 1.0
 
-    fields = dict(level_weights=level_weights, threshold=0.5, eer_gap=eer_gap, validation_size=validation_size)
+    fields = dict(
+        level_weights=level_weights, threshold=0.5, eer_gap=eer_gap, validation_size=validation_size,
+        source=source, model_identity=model_identity,
+    )
     keeps_rules = (
         all(depth >= 1 and rate(w) for depth, w in level_weights.items())
         and rate(eer_gap)
         and type(validation_size) is int
         and validation_size >= 1
+        and isinstance(source, str)
+        and isinstance(model_identity, str)
     )
     if not keeps_rules:
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, TypeError)):
             Calibration(**fields)
         return
     calibration = Calibration(**fields)
