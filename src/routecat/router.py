@@ -305,7 +305,7 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
     Unknown formats and versions, missing or wrongly typed fields, a weight
     key not written as a plain integer, and any calibration
     :class:`Calibration` refuses (it holds the rules for the weights, the
-    gap and the size) raise :class:`CalibrationError`.
+    gap, the size and the two strings) raise :class:`CalibrationError`.
     """
     return loads_artifact(
         text, "calibration", CALIBRATION_FORMAT_VERSION, CalibrationError, _calibration_from_payload
