@@ -167,7 +167,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.seed,
         mode=Mode(args.mode),
         policy=PolicyKind(args.policy) if args.policy else None,
-        threshold=args.threshold,
     )
     calibration, out = run.calibration, Path(args.out_dir)
     _write_text(out / "model.json", dumps_model(run.model))
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_flags(p)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.POSITIVE_ONLY.value)
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
-    _add_threshold_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 

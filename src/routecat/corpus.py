@@ -59,7 +59,8 @@ class Vocabulary:
 
     ``terms`` lists each term once, in first-appearance order, so a term's
     index is its position; ``doc_frequency[k]`` counts the training
-    documents containing ``terms[k]``.
+    documents containing ``terms[k]``.  Both are kept as tuples, so editing
+    a list passed in changes nothing.
     """
 
     terms: tuple[str, ...]
@@ -73,6 +74,9 @@ class Vocabulary:
         ``doc_frequency`` of different lengths, a term that is not a string or
         repeats, and a document frequency that is not an integer in 1..``n_docs``.
         """
+        # tuple() of a tuple is the same object, so the loader and build_vocabulary copy nothing
+        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "doc_frequency", tuple(self.doc_frequency))
         n_docs = checked_int(self.n_docs, "n_docs")
         if n_docs < 1:
             raise ValueError(f"n_docs must be at least 1, not {n_docs}")

@@ -252,12 +252,10 @@ def train_and_calibrate(
     seed: int,
     mode: Mode = Mode.POSITIVE_ONLY,
     policy: PolicyKind | None = None,
-    threshold: float | None = None,
 ) -> TrainedRun:
     """Split the corpus, train on the training part, and calibrate on the validation part.
 
-    The vocabulary comes from the training part only; ``threshold`` is passed
-    to :func:`~routecat.router.build_calibration`.
+    The vocabulary comes from the training part only.
     """
     split = split_corpus(docs, val_fraction, test_fraction, seed)
     if not split.train:
@@ -265,7 +263,7 @@ def train_and_calibrate(
     if not split.validation:
         raise ValueError("split produced an empty validation set; use a positive --val-fraction")
     model = train(split.train, taxonomy, build_vocabulary(split.train), mode=mode, policy=policy)
-    calibration = build_calibration(model, split.validation, threshold)
+    calibration = build_calibration(model, split.validation)
     return TrainedRun(split=split, model=model, calibration=calibration)
 
 

@@ -12,8 +12,10 @@ the calibrated threshold.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from routecat.centroid import (
@@ -56,9 +58,11 @@ class Calibration:
 
     ``source`` records how the threshold was chosen: "eer" for a regular
     equal-error-rate sweep, "eer-all-correct"/"eer-all-incorrect" for the
-    degenerate validation cases (accept everything / reject everything),
-    "manual" for an explicit override, and "accept-all" for the -inf
-    sentinel.  ``model_identity`` is the :func:`~routecat.centroid.model_identity`
+    degenerate validation cases (accept everything / reject everything);
+    :func:`with_threshold` sets "manual" for a threshold given by hand and
+    "accept-all" for the -inf sentinel.  ``level_weights`` is kept as a
+    read-only copy, so editing the mapping passed in changes nothing.
+    ``model_identity`` is the :func:`~routecat.centroid.model_identity`
     of the model the weights and threshold were computed for.
     """
 
@@ -77,6 +81,7 @@ class Calibration:
         in [0, 1], a validation size that is not an integer of at least 1, and
         a ``source`` or ``model_identity`` that is not a string.
         """
+        object.__setattr__(self, "level_weights", MappingProxyType(dict(self.level_weights)))
         for depth, weight in self.level_weights.items():
             if type(depth) is not int or depth < 1:
                 raise ValueError(f"level weight key {str(depth)!r} is not a depth")  # as the file spells the key
@@ -154,26 +159,6 @@ def reliability(steps: Sequence[LevelStep], level_weights: Mapping[int, float]) 
     return total
 
 
-def _by_outcome(samples: Iterable[tuple[float, bool]]) -> tuple[list[float], list[float]]:
-    """Sorted reliabilities of the correct and of the incorrect samples."""
-    correct, incorrect = [], []
-    for r, ok in samples:
-        (correct if ok else incorrect).append(r)
-    return sorted(correct), sorted(incorrect)
-
-
-def _fa_fr_gap(correct: Sequence[float], incorrect: Sequence[float], tau: float) -> float:
-    """|FA - FR| at ``tau`` under the accept rule of :func:`classify_with_reject`.
-
-    FA is the fraction of incorrect samples with reliability > tau (accepted),
-    FR the fraction of correct samples with reliability <= tau (rejected).
-    Both lists are sorted; an empty one counts its rate as 0.
-    """
-    fa = (len(incorrect) - bisect_right(incorrect, tau)) / len(incorrect) if incorrect else 0.0
-    fr = bisect_right(correct, tau) / len(correct) if correct else 0.0
-    return abs(fa - fr)
-
-
 def eer_threshold(scores: Iterable[tuple[float, bool]]) -> tuple[float, float]:
     """Threshold equalizing false acceptances and false rejections.
 
@@ -181,17 +166,25 @@ def eer_threshold(scores: Iterable[tuple[float, bool]]) -> tuple[float, float]:
     threshold, as in :func:`classify_with_reject`.  The candidates are -inf
     (accept everything) and each distinct reliability (accept what lies
     above it); every achievable (FA, FR) operating point occurs at one of
-    them, and each is an exact sample value.  Returns the candidate
-    minimizing |FA - FR| (ties go to the larger threshold) together with
-    the achieved gap.
+    them, and each is an exact sample value.  One pass over the sorted
+    samples counts, at each candidate, the correct and incorrect samples it
+    rejects.  Returns the candidate minimizing |FA - FR| (ties go to the
+    larger threshold) together with the achieved gap.
     """
-    correct, incorrect = _by_outcome(scores)
-    if not correct or not incorrect:
+    ordered = sorted(scores)
+    n_correct = sum(1 for _, ok in ordered if ok)
+    n_incorrect = len(ordered) - n_correct
+    if not n_correct or not n_incorrect:
         raise EerUndefinedError("EER needs both correct and incorrect validation samples")
-    best_tau = float("-inf")
-    best_gap = _fa_fr_gap(correct, incorrect, best_tau)
-    for tau in sorted(set(correct) | set(incorrect)):
-        gap = _fa_fr_gap(correct, incorrect, tau)
+    best_tau, best_gap = float("-inf"), 1.0  # -inf accepts everything: FA = 1, FR = 0
+    rejected_correct = rejected_incorrect = 0
+    for tau, group in groupby(ordered, key=itemgetter(0)):
+        for _, ok in group:
+            if ok:
+                rejected_correct += 1
+            else:
+                rejected_incorrect += 1
+        gap = abs((n_incorrect - rejected_incorrect) / n_incorrect - rejected_correct / n_correct)
         if gap <= best_gap:
             best_tau, best_gap = tau, gap
     return best_tau, best_gap
@@ -204,25 +197,17 @@ def classify_with_reject(model: CentroidModel, calibration: Calibration, d: Spar
     return Decision(accepted=rel > calibration.threshold, leaf=steps[-1].chosen, reliability=rel)
 
 
-def _override_source(threshold: float) -> str:
-    """The ``source`` of a threshold given by hand: the -inf sentinel is "accept-all"."""
-    return "accept-all" if threshold == ACCEPT_ALL else "manual"
-
-
-def build_calibration(
-    model: CentroidModel, validation: Sequence[Document], threshold: float | None = None
-) -> Calibration:
-    """Run the full validation pass: level weights, then the threshold.
+def build_calibration(model: CentroidModel, validation: Sequence[Document]) -> Calibration:
+    """Run the full validation pass: level weights, then the EER threshold.
 
     weight(L) is the fraction of validation documents routed to the correct
     node at depth L, among documents whose true label sits at depth >= L;
     depths nobody reaches get weight 0.
 
-    ``threshold=None`` takes the threshold from the EER sweep.  When the
-    validation set is entirely correct (or entirely incorrect) the EER is
-    undefined and the calibration degrades gracefully to accept-everything
-    (or reject-everything).  A number is used as given, and only its
-    validation gap is measured.
+    When the validation set is entirely correct (or entirely incorrect) the
+    EER is undefined and the calibration degrades gracefully to
+    accept-everything (or reject-everything).  A threshold given by hand is
+    applied where decisions are made, with :func:`with_threshold`.
     """
     if not validation:
         raise ValueError("empty validation set")
@@ -246,19 +231,15 @@ def build_calibration(
     }
     samples = [(reliability(steps, weights), ok) for steps, ok in decoded]
 
-    if threshold is not None:
-        source = _override_source(threshold)
-        gap = _fa_fr_gap(*_by_outcome(samples), threshold)
-    else:
-        try:
-            threshold, gap = eer_threshold(samples)
-            source = "eer"
-        except EerUndefinedError:
-            if all(ok for _, ok in samples):
-                threshold, source = ACCEPT_ALL, "eer-all-correct"
-            else:
-                threshold, source = float("inf"), "eer-all-incorrect"
-            gap = 0.0
+    try:
+        threshold, gap = eer_threshold(samples)
+        source = "eer"
+    except EerUndefinedError:
+        if all(ok for _, ok in samples):
+            threshold, source = ACCEPT_ALL, "eer-all-correct"
+        else:
+            threshold, source = float("inf"), "eer-all-incorrect"
+        gap = 0.0
     return Calibration(
         level_weights=weights,
         threshold=threshold,
@@ -370,4 +351,4 @@ def check_pairing(model: CentroidModel, calibration: Calibration, calibration_di
 
 def with_threshold(calibration: Calibration, threshold: float) -> Calibration:
     """Copy of a calibration with a threshold given by hand ("manual", or "accept-all" for -inf)."""
-    return replace(calibration, threshold=threshold, source=_override_source(threshold))
+    return replace(calibration, threshold=threshold, source="accept-all" if threshold == ACCEPT_ALL else "manual")

@@ -1,4 +1,4 @@
-"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, vocabularies of any size, hand-packed model centroids, a naive policy oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
+"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, vocabularies of any size, hand-packed model centroids, a naive policy oracle, an exhaustive EER oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
 
 from __future__ import annotations
 
@@ -158,6 +158,28 @@ def naive_training_set(train_docs, t: Taxonomy, node, policy: PolicyKind):
     return frozenset(positives), frozenset(negatives)
 
 
+def sweep_oracle(samples: list[tuple[float, bool]]) -> dict[float, float]:
+    """|FA - FR| at every observed reliability, every midpoint between neighbours, and both infinities.
+
+    Counts each rate from scratch under the classifier's accept rule: a
+    sample is accepted iff its reliability is above the threshold.
+    """
+    correct = [r for r, ok in samples if ok]
+    incorrect = [r for r, ok in samples if not ok]
+    distinct = sorted({r for r, _ in samples})
+    candidates = (
+        [float("-inf"), float("inf")]
+        + distinct
+        + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+    )
+    gaps = {}
+    for tau in candidates:
+        fa = sum(r > tau for r in incorrect) / len(incorrect)
+        fr = sum(r <= tau for r in correct) / len(correct)
+        gaps[tau] = abs(fa - fr)
+    return gaps
+
+
 def refuse_json_constant(name: str):
     """``parse_constant`` hook for ``json.loads`` that refuses NaN and the infinities (not RFC 8259)."""
     raise ValueError(f"non-standard JSON constant {name}")
@@ -166,7 +188,7 @@ def refuse_json_constant(name: str):
 def synthetic_run(spec: SyntheticSpec, val_fraction: float, test_fraction: float, **training) -> TrainedRun:
     """Generate the spec's corpus and run the shared pipeline on it, split by the spec's seed.
 
-    ``training`` (mode, policy, threshold) is passed on to ``train_and_calibrate``.
+    ``training`` (mode, policy) is passed on to ``train_and_calibrate``.
     """
     taxonomy_text, corpus_text = generate_synthetic(spec)
     taxonomy = parse_taxonomy(taxonomy_text)

@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from conftest import naive_training_set, random_labeled_docs, random_taxonomy, synthetic_run
+from conftest import naive_training_set, random_labeled_docs, random_taxonomy, sweep_oracle, synthetic_run
 from routecat.cli import main as cli_main
 from routecat.corpus import vectorize
 from routecat.evaluation import SyntheticSpec, evaluate, flat_predictions, leaf_centroids
@@ -81,22 +81,9 @@ def test_criterion_3_eer_matches_exhaustive_sweep():
         if all(ok for _, ok in samples) or not any(ok for _, ok in samples):
             continue
         tau, gap = eer_threshold(samples)
-        correct = [r for r, ok in samples if ok]
-        incorrect = [r for r, ok in samples if not ok]
-        distinct = sorted({r for r, _ in samples})
-        candidates = (
-            [float("-inf"), float("inf")]
-            + distinct
-            + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
-        )
-
-        def gap_at(threshold):
-            fa = sum(r > threshold for r in incorrect) / len(incorrect)
-            fr = sum(r <= threshold for r in correct) / len(correct)
-            return abs(fa - fr)
-
-        sweep = [gap_at(c) for c in candidates]
-        failures += gap != min(sweep) or any(gap_at(tau) > g for g in sweep)
+        gaps = sweep_oracle(samples)
+        least = min(gaps.values())
+        failures += gap != least or gaps[tau] != least
     elapsed = time.perf_counter() - started
     verdict(
         3,

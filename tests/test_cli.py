@@ -13,7 +13,7 @@ from conftest import entries, import_perfbench, packed_centroid, refuse_json_con
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
 from routecat.corpus import Document, build_vocabulary
-from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration
+from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration, loads_calibration, with_threshold
 from routecat.taxonomy import parse_taxonomy
 
 
@@ -281,14 +281,6 @@ def test_train_missing_corpus(tmp_path, capsys):
     )
     assert code == 1
     assert "nope.tsv" in capsys.readouterr().err
-
-
-def test_train_manual_threshold_recorded(tmp_path):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data, "--threshold", "0.5")
-    payload = json.loads((run / "calibration.json").read_text())
-    assert payload["threshold"] == 0.5
-    assert payload["source"] == "manual"
 
 
 def test_classify_rejects_at_exact_threshold(tmp_path, capsys):
@@ -566,7 +558,7 @@ def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
     texts = [("A", "alpha beta"), ("A", "alpha gamma"), ("B", "delta beta"), ("B", "delta eps")]
     docs = [Document(f"d{k}", label, text) for k, (label, text) in enumerate(texts)]
     model = train(docs, taxonomy, build_vocabulary(docs))
-    calibration = build_calibration(model, docs, ACCEPT_ALL)
+    calibration = with_threshold(build_calibration(model, docs), ACCEPT_ALL)
     payload = json.loads(dumps_model(model))
     # loaded, B scored -0.274 against A's 0.549 and "alpha beta delta" got a step confidence of 2.0
     payload["centroids"]["B"] = packed_centroid(*((i, -w / 2) for i, w in entries(model.centroid_of["B"])))
@@ -835,18 +827,21 @@ NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents
 
 
 @pytest.mark.parametrize(
-    "flags, corpus, source, threshold",
+    "override, corpus, source, threshold",
     [
-        ((), NOISY, "eer", None),
-        (("--accept-all",), NOISY, "accept-all", "-inf"),
-        (("--threshold", "inf"), NOISY, "manual", "inf"),
-        (("--threshold=-inf",), NOISY, "accept-all", "-inf"),
-        ((), {"--noise": "0.0"}, "eer-all-correct", "-inf"),
+        (None, NOISY, "eer", None),
+        (None, {"--noise": "0.0"}, "eer-all-correct", "-inf"),
+        # a threshold set by hand is not train's to write, but a file written with one is read back
+        (ACCEPT_ALL, NOISY, "accept-all", "-inf"),
+        (float("inf"), NOISY, "manual", "inf"),
     ],
 )
-def test_calibration_file_is_standard_json(tmp_path, capsys, flags, corpus, source, threshold):
+def test_calibration_file_is_standard_json(tmp_path, capsys, override, corpus, source, threshold):
     data = generate(tmp_path, **corpus)
-    run = train_into(tmp_path, data, *flags)
+    run = train_into(tmp_path, data)
+    if override is not None:
+        calibration, digest = loads_calibration((run / "calibration.json").read_text())
+        (run / "calibration.json").write_text(dumps_calibration(with_threshold(calibration, override), digest))
     payload = json.loads((run / "calibration.json").read_text(), parse_constant=refuse_json_constant)
     assert payload["source"] == source
     if threshold is None:
@@ -904,7 +899,7 @@ def test_non_utf8_input_is_a_one_line_error_naming_the_file(tmp_path):
     assert_one_line_error(result, f"cannot read corpus file {corpus}: 'utf-8' codec can't decode")
 
 
-@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
 def test_nan_threshold_is_a_usage_error(tmp_path, command):
     inputs = command_inputs(tmp_path, command)
     with pytest.raises(SystemExit) as exc:
@@ -913,7 +908,7 @@ def test_nan_threshold_is_a_usage_error(tmp_path, command):
     assert not (tmp_path / "out").exists() and not (tmp_path / "report").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
 def test_accept_all_with_threshold_is_a_usage_error(tmp_path, capsys, command):
     inputs = command_inputs(tmp_path, command)
     capsys.readouterr()
@@ -924,9 +919,21 @@ def test_accept_all_with_threshold_is_a_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists() and not (tmp_path / "report").exists()
 
 
-def test_accept_all_is_threshold_minus_inf(tmp_path):
-    data = generate(tmp_path, **NOISY)
-    by_flag = train_into(tmp_path / "flag", data, "--accept-all")
-    by_value = train_into(tmp_path / "value", data, "--threshold=-inf")
-    for name in ("model.json", "calibration.json"):
+def test_accept_all_is_threshold_minus_inf(tmp_path, capsys):
+    inputs = command_inputs(tmp_path, "evaluate")
+    by_flag, by_value = tmp_path / "flag", tmp_path / "value"
+    assert run_cli("evaluate", *inputs, "--accept-all", "--out-dir", str(by_flag)) == 0
+    assert run_cli("evaluate", *inputs, "--threshold=-inf", "--out-dir", str(by_value)) == 0
+    for name in ("summary.csv", "comparison.csv"):
         assert (by_flag / name).read_bytes() == (by_value / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [("--threshold", "0.5"), ("--accept-all",)])
+def test_train_takes_no_threshold(tmp_path, capsys, flags):
+    inputs = command_inputs(tmp_path, "train")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", *inputs, *flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -151,6 +151,17 @@ def test_vocabulary_refuses_what_idf_fails_on(terms, doc_frequency, n_docs, mess
         Vocabulary(terms=terms, doc_frequency=doc_frequency, n_docs=n_docs)
 
 
+def test_vocabulary_keeps_the_terms_it_checked():
+    terms, doc_frequency = ["aa", "bb"], [1, 1]
+    v = Vocabulary(terms=terms, doc_frequency=doc_frequency, n_docs=2)
+    terms.append("cc")
+    doc_frequency[0] = 5  # outside 1..n_docs, which the constructor refuses
+    assert v.terms == ("aa", "bb") and v.doc_frequency == (1, 1) and len(v) == 2
+    assert v.index_and_idf.keys() == {"aa", "bb"}
+    kept = ("aa", "bb")
+    assert Vocabulary(terms=kept, doc_frequency=(1, 1), n_docs=2).terms is kept  # a tuple is not copied
+
+
 @given(st.integers(-1, 4), st.lists(st.one_of(st.integers(-1, 5), st.none(), st.just(1.0)), min_size=1, max_size=4))
 def test_every_vocabulary_the_constructor_accepts_vectorizes(n_docs, frequencies):
     terms = [f"t{k}" for k in range(len(frequencies))]
