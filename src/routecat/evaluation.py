@@ -16,12 +16,13 @@ from routecat.corpus import (
     SparseVector,
     Vocabulary,
     build_vocabulary,
+    checked_int,
     scorer,
     split_corpus,
     vectorize,
 )
 from routecat.policies import PolicyKind, most_specific_examples
-from routecat.prng import SplitMix64
+from routecat.prng import SplitMix64, checked_seed
 from routecat.router import Calibration, build_calibration, classify_with_reject, routed_correctly
 from routecat.taxonomy import NodeId, Taxonomy
 
@@ -176,11 +177,17 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        """Refuse every spec :func:`generate_synthetic` cannot build.
+
+        That is a size that is not an integer of at least 1, a noise fraction
+        outside [0, 1), and a seed :class:`~routecat.prng.SplitMix64` refuses.
+        """
         for name in ("depth", "branching", "docs_per_leaf", "vocab_per_topic", "noise_vocab_size", "tokens_per_doc"):
-            if getattr(self, name) < 1:
+            if checked_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
+        checked_seed(self.seed)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:

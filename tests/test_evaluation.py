@@ -232,16 +232,28 @@ def test_generate_synthetic_deterministic():
         ({"tokens_per_doc": 0}, "^tokens_per_doc must be >= 1$"),
         ({"noise_fraction": 1.0}, r"^noise_fraction must lie in \[0, 1\)$"),
         ({"noise_fraction": -0.1}, r"^noise_fraction must lie in \[0, 1\)$"),
+        ({"seed": -1}, r"^seed must lie in 0\.\.2\*\*64-1, not -1$"),
+        ({"seed": 2**64}, r"^seed must lie in 0\.\.2\*\*64-1, not 18446744073709551616$"),
+        ({"depth": 2.0}, r"^depth must be an integer, not 2\.0$"),
+        ({"tokens_per_doc": True}, "^tokens_per_doc must be an integer, not True$"),
     ],
 )
 def test_synthetic_spec_refuses_what_generate_synthetic_cannot_build(changes, message):
-    # each constructed, and generate_synthetic refused it only once a corpus was asked for
+    # each constructed, and generate_synthetic refused it only once a corpus was asked for, or failed inside range()
     with pytest.raises(ValueError, match=message):
         SyntheticSpec(**{"depth": 1, "branching": 2, "docs_per_leaf": 5, **changes})
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_synthetic_spec_refuses_a_seed_that_is_not_an_int(seed):
+    # 1.5 failed at the first draw, and True generated the corpus of seed 1
+    with pytest.raises(TypeError, match=f"^seed must be an integer, not {seed}$"):
+        SyntheticSpec(depth=1, branching=2, docs_per_leaf=5, seed=seed)
+
+
 BENCH = import_perfbench("workloads")
-# every benchmark workload's corpus at seeds 0 and 1, and a depth-4 spec with odd sizes, whose chains are four topics long
+# every benchmark workload's corpus at seeds 0 and 1, at 1,000,003 (the traffic of the benchmark's seed 0) and at the
+# largest seed, and a depth-4 spec with odd sizes, whose chains are four topics long
 GENERATOR_SPECS = {
     **{
         f"{name}-{seed}": SyntheticSpec(
@@ -249,7 +261,7 @@ GENERATOR_SPECS = {
             noise_fraction=w.noise, seed=seed,
         )
         for name, w in BENCH.WORKLOADS.items()
-        for seed in (0, 1)
+        for seed in (0, 1, 1_000_003, 2**64 - 1)
     },
     "depth-4": SyntheticSpec(
         depth=4, branching=3, docs_per_leaf=5, vocab_per_topic=7, noise_fraction=0.3, tokens_per_doc=9, seed=9
@@ -265,6 +277,14 @@ GENERATED_BYTES = {
         "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
         "a617bf002c61acf159923e7f38d7a5998e14b89ad73b5c05f8fa2894f11a214b",
     ),
+    "docs-heavy-1000003": (
+        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
+        "ff5e0420a1314f3f6470b91d5283fdb13deef89fdf8c1d525050ae46bb97fe48",
+    ),
+    "docs-heavy-18446744073709551615": (
+        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
+        "e11581ebd1dfec20c9e882e1fd22e9692b3c30d255bfca990975da29145e729b",
+    ),
     "node-heavy-0": (
         "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
         "76351102ad0fa0ce9e45db60f9f7e439291dfeaed8588c150ffa6e106e272f39",
@@ -273,6 +293,14 @@ GENERATED_BYTES = {
         "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
         "a7f9e496e2a4ad3feec73ae0c7f677ddb49d21f2cbc315d21c4cce97885a1066",
     ),
+    "node-heavy-1000003": (
+        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
+        "9c71ceff224f855d8a6b007a9c7c311ff6fb14ec920afffe894d7f1359cc1162",
+    ),
+    "node-heavy-18446744073709551615": (
+        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
+        "bde8df337a9b4f49108ddc921432f673e5871dfdb519a87044eb29509cca54c9",
+    ),
     "binary-siblings-0": (
         "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
         "4ff0e0870a9d53fa9e8a6f1e5f5f9a3152ad4ebddb958449c97dc494fdf746f0",
@@ -280,6 +308,14 @@ GENERATED_BYTES = {
     "binary-siblings-1": (
         "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
         "1700b3ed09475044fbd9164c9c50dad34a5624d5807416b86df14f5c8960ed57",
+    ),
+    "binary-siblings-1000003": (
+        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
+        "ee9711fed0725e66a8d44cf7c9b123ae341e8727163f120985f588a315929f6a",
+    ),
+    "binary-siblings-18446744073709551615": (
+        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
+        "b206f45bb35ed236a35785da1ff2bcc998455bc881cf4d3ef8e06294e76cb8f4",
     ),
     "depth-4": (
         "bc8bbc33c5369c04d4f5218a4137f95349235c2166729287bdbcf74683a2fe4f",
