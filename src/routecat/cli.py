@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -35,7 +36,6 @@ from routecat.router import (
     classify_with_reject,
     dumps_calibration,
     loads_calibration,
-    with_threshold,
 )
 from routecat.taxonomy import TaxonomyError, parse_taxonomy, tsv_lines
 
@@ -101,7 +101,7 @@ def _load_model_and_calibration(args: argparse.Namespace) -> tuple[CentroidModel
         return calibration
 
     calibration = _load(Path(args.calibration), "calibration", paired)
-    return model, calibration if args.threshold is None else with_threshold(calibration, args.threshold)
+    return model, calibration if args.threshold is None else replace(calibration, threshold=args.threshold)
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:

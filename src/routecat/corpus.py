@@ -123,35 +123,28 @@ def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
     return Vocabulary(terms=tuple(df), doc_frequency=tuple(df.values()), n_docs=len(train))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparseVector:
     """Sparse nonnegative vector as two parallel packed arrays: increasing term indices and their weights.
 
     ``indices`` holds C unsigned ints and ``weights`` C doubles, 12 bytes an
-    entry, where a tuple of ``(index, weight)`` pairs costs about 116.
+    entry, where a tuple of ``(index, weight)`` pairs costs about 116.  The
+    two arrays are all a vector holds: ``slots`` leaves no room for a cache.
 
     The arrays must not be changed once the vector is built: ``frozen`` stops
-    only rebinding them, and the cached ``_lookup``, the entry rule a
-    ``CentroidModel`` checks when it is built and the scoring tables it
-    caches in ``group_tables`` all keep what the arrays held when read.
-    Arrays are unhashable, so a ``SparseVector`` is too.
+    only rebinding them, and the entry rule a ``CentroidModel`` checks when
+    it is built and the scoring tables it caches in ``group_tables`` both
+    keep what the arrays held when read.  Arrays are unhashable, so a
+    ``SparseVector`` is too.
     """
 
     indices: array = field(default_factory=partial(array, "I"))
     weights: array = field(default_factory=partial(array, "d"))
 
-    @cached_property
-    def _lookup(self) -> dict[int, float]:
-        return dict(zip(self.indices, self.weights))
-
     def dot(self, other: SparseVector) -> float:
-        """Inner product over matching indices.
-
-        fsum makes the result independent of which operand drives the loop.
-        """
-        small, big = (self, other) if len(self.indices) <= len(other.indices) else (other, self)
-        lookup = big._lookup
-        return math.fsum(w * lookup[i] for i, w in zip(small.indices, small.weights) if i in lookup)
+        """Inner product over matching indices, correctly rounded by fsum, so ``a.dot(b) == b.dot(a)``."""
+        lookup = dict(zip(other.indices, other.weights))
+        return math.fsum(w * lookup[i] for i, w in zip(self.indices, self.weights) if i in lookup)
 
 
 class InvertedIndex:

@@ -12,7 +12,7 @@ the calibrated threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
@@ -39,10 +39,6 @@ class CalibrationError(Exception):
     """Calibration data missing, malformed, or inconsistent with the model."""
 
 
-class EerUndefinedError(CalibrationError):
-    """Equal error rate needs at least one correct and one incorrect sample."""
-
-
 @dataclass(frozen=True)
 class LevelStep:
     """One routing decision: the chosen node, its sibling group's scores, and its confidence."""
@@ -56,12 +52,11 @@ class LevelStep:
 class Calibration:
     """Per-depth weight factors plus the acceptance threshold.
 
-    ``source`` records how the threshold was chosen: "eer" for a regular
-    equal-error-rate sweep, "eer-all-correct"/"eer-all-incorrect" for the
-    degenerate validation cases (accept everything / reject everything);
-    :func:`with_threshold` sets "manual" for a threshold given by hand and
-    "accept-all" for the -inf sentinel.  ``level_weights`` is kept as a
-    read-only copy, so editing the mapping passed in changes nothing.
+    ``source`` records how the validation sweep chose the threshold: "eer",
+    or "eer-all-correct"/"eer-all-incorrect" when every validation document
+    was routed right (accept everything) or wrong (reject everything).
+    ``level_weights`` is kept as a read-only copy, so editing the mapping
+    passed in changes nothing.
     ``model_identity`` is the :func:`~routecat.centroid.model_identity`
     of the model the weights and threshold were computed for.
     """
@@ -175,7 +170,7 @@ def eer_threshold(scores: Iterable[tuple[float, bool]]) -> tuple[float, float]:
     n_correct = sum(1 for _, ok in ordered if ok)
     n_incorrect = len(ordered) - n_correct
     if not n_correct or not n_incorrect:
-        raise EerUndefinedError("EER needs both correct and incorrect validation samples")
+        raise ValueError("EER needs both correct and incorrect validation samples")
     best_tau, best_gap = float("-inf"), 1.0  # -inf accepts everything: FA = 1, FR = 0
     rejected_correct = rejected_incorrect = 0
     for tau, group in groupby(ordered, key=itemgetter(0)):
@@ -204,10 +199,9 @@ def build_calibration(model: CentroidModel, validation: Sequence[Document]) -> C
     node at depth L, among documents whose true label sits at depth >= L;
     depths nobody reaches get weight 0.
 
-    When the validation set is entirely correct (or entirely incorrect) the
-    EER is undefined and the calibration degrades gracefully to
-    accept-everything (or reject-everything).  A threshold given by hand is
-    applied where decisions are made, with :func:`with_threshold`.
+    The threshold is the EER point of :func:`eer_threshold`, or -inf when
+    every validation document was routed right and +inf when none was, as
+    the EER is undefined there.
     """
     if not validation:
         raise ValueError("empty validation set")
@@ -229,17 +223,14 @@ def build_calibration(model: CentroidModel, validation: Sequence[Document]) -> C
         depth: (correct[depth] / eligible[depth] if eligible[depth] else 0.0)
         for depth in range(1, t.max_depth + 1)
     }
-    samples = [(reliability(steps, weights), ok) for steps, ok in decoded]
-
-    try:
-        threshold, gap = eer_threshold(samples)
+    n_correct = sum(ok for _, ok in decoded)
+    if n_correct == len(decoded):
+        threshold, gap, source = ACCEPT_ALL, 0.0, "eer-all-correct"
+    elif n_correct == 0:
+        threshold, gap, source = float("inf"), 0.0, "eer-all-incorrect"
+    else:
+        threshold, gap = eer_threshold((reliability(steps, weights), ok) for steps, ok in decoded)
         source = "eer"
-    except EerUndefinedError:
-        if all(ok for _, ok in samples):
-            threshold, source = ACCEPT_ALL, "eer-all-correct"
-        else:
-            threshold, source = float("inf"), "eer-all-incorrect"
-        gap = 0.0
     return Calibration(
         level_weights=weights,
         threshold=threshold,
@@ -347,8 +338,3 @@ def check_pairing(model: CentroidModel, calibration: Calibration, calibration_di
     for depth in range(1, model.taxonomy.max_depth + 1):
         if depth not in calibration.level_weights:
             raise CalibrationError(f"no weight calibrated for depth {depth}")
-
-
-def with_threshold(calibration: Calibration, threshold: float) -> Calibration:
-    """Copy of a calibration with a threshold given by hand ("manual", or "accept-all" for -inf)."""
-    return replace(calibration, threshold=threshold, source="accept-all" if threshold == ACCEPT_ALL else "manual")

@@ -6,6 +6,8 @@ import os
 import subprocess
 import struct
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,11 @@ from conftest import entries, import_perfbench, packed_centroid, refuse_json_con
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
 from routecat.corpus import Document, build_vocabulary
-from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration, loads_calibration, with_threshold
+from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration, loads_calibration
 from routecat.taxonomy import parse_taxonomy
+
+# `python -m routecat.cli` in a child process imports the routecat under test, installed or not
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 def run_cli(*argv):
@@ -156,7 +161,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, mode):
         ):
             subprocess.run(
                 [sys.executable, "-m", "routecat.cli", *argv],
-                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                env={**ENV, "PYTHONHASHSEED": hash_seed},
                 check=True,
                 capture_output=True,
             )
@@ -429,7 +434,7 @@ def test_mismatched_calibration_rejected(tmp_path, capsys):
 
 
 def run_subprocess(*argv):
-    return subprocess.run([sys.executable, "-m", "routecat.cli", *argv], capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "routecat.cli", *argv], capture_output=True, text=True, env=ENV)
 
 
 def assert_one_line_error(result, message):
@@ -558,7 +563,7 @@ def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
     texts = [("A", "alpha beta"), ("A", "alpha gamma"), ("B", "delta beta"), ("B", "delta eps")]
     docs = [Document(f"d{k}", label, text) for k, (label, text) in enumerate(texts)]
     model = train(docs, taxonomy, build_vocabulary(docs))
-    calibration = with_threshold(build_calibration(model, docs), ACCEPT_ALL)
+    calibration = replace(build_calibration(model, docs), threshold=ACCEPT_ALL)
     payload = json.loads(dumps_model(model))
     # loaded, B scored -0.274 against A's 0.549 and "alpha beta delta" got a step confidence of 2.0
     payload["centroids"]["B"] = packed_centroid(*((i, -w / 2) for i, w in entries(model.centroid_of["B"])))
@@ -657,6 +662,7 @@ def test_module_entry_point(tmp_path):
          "--docs-per-leaf", "3", "--out-dir", str(tmp_path / "d")],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert result.returncode == 0
     assert (tmp_path / "d" / "corpus.tsv").exists()
@@ -674,6 +680,7 @@ def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
          "--calibration", str(run / "calibration.json"), "--input", str(many)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=ENV,
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -831,7 +838,7 @@ NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents
     [
         (None, NOISY, "eer", None),
         (None, {"--noise": "0.0"}, "eer-all-correct", "-inf"),
-        # a threshold set by hand is not train's to write, but a file written with one is read back
+        # a threshold set by hand is not train's to write, but a file an older train wrote with one is read back
         (ACCEPT_ALL, NOISY, "accept-all", "-inf"),
         (float("inf"), NOISY, "manual", "inf"),
     ],
@@ -841,7 +848,8 @@ def test_calibration_file_is_standard_json(tmp_path, capsys, override, corpus, s
     run = train_into(tmp_path, data)
     if override is not None:
         calibration, digest = loads_calibration((run / "calibration.json").read_text())
-        (run / "calibration.json").write_text(dumps_calibration(with_threshold(calibration, override), digest))
+        legacy = replace(calibration, threshold=override, source=source)
+        (run / "calibration.json").write_text(dumps_calibration(legacy, digest))
     payload = json.loads((run / "calibration.json").read_text(), parse_constant=refuse_json_constant)
     assert payload["source"] == source
     if threshold is None:
@@ -917,6 +925,37 @@ def test_accept_all_with_threshold_is_a_usage_error(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "report").exists()
+
+
+def test_evaluate_threshold_is_the_calibration_with_that_threshold(tmp_path, capsys):
+    data = generate(tmp_path, **NOISY)
+    run = train_into(tmp_path, data)
+    model, calibration_file, corpus = run / "model.json", run / "calibration.json", data / "corpus.tsv"
+    capsys.readouterr()
+    assert run_cli("classify", "--model", str(model), "--calibration", str(calibration_file), "--input", str(corpus)) == 0
+    reliabilities = sorted({float(line.split("\t")[2]) for line in capsys.readouterr().out.splitlines()})
+    threshold = reliabilities[len(reliabilities) // 2]
+    calibration, digest = loads_calibration(calibration_file.read_text())
+    assert calibration.threshold != threshold
+    rewritten = tmp_path / "rewritten.json"
+    rewritten.write_text(dumps_calibration(replace(calibration, threshold=threshold), digest))
+
+    def evaluate(out, calibration_path, *flags):
+        """stdout, summary.csv and comparison.csv of one evaluate run on the split train_into used."""
+        report = tmp_path / out
+        assert run_cli(
+            "evaluate", "--model", str(model), "--calibration", str(calibration_path), "--corpus", str(corpus),
+            "--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "5", *flags, "--out-dir", str(report),
+        ) == 0
+        return [capsys.readouterr().out] + [(report / name).read_text() for name in ("summary.csv", "comparison.csv")]
+
+    def rejected(outputs):
+        return int(next(csv.DictReader(outputs[1].splitlines()))["rejected"])
+
+    by_flag = evaluate("flag", calibration_file, "--threshold", repr(threshold))
+    assert by_flag == evaluate("file", rewritten)
+    # some test documents accepted and some rejected
+    assert 0 < rejected(by_flag) < rejected(evaluate("inf", rewritten, "--threshold", "inf"))
 
 
 def test_accept_all_is_threshold_minus_inf(tmp_path, capsys):

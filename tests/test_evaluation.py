@@ -26,7 +26,7 @@ from routecat.evaluation import (
     summary_csv,
 )
 from routecat.policies import PolicyKind
-from routecat.router import ACCEPT_ALL, build_calibration, with_threshold
+from routecat.router import ACCEPT_ALL, build_calibration
 from routecat.taxonomy import parse_taxonomy
 
 
@@ -151,7 +151,7 @@ def test_render_report_escapes_control_characters_in_table_rows_only(name, shown
 
 def test_evaluate_accept_all_matches_overall():
     run = synthetic_run(SyntheticSpec(depth=2, branching=3, docs_per_leaf=20, noise_fraction=0.4, seed=2), 0.2, 0.3)
-    cal = with_threshold(run.calibration, ACCEPT_ALL)
+    cal = dataclasses.replace(run.calibration, threshold=ACCEPT_ALL)
     s = evaluate(run.model, cal, run.split.test)
     assert s.rejected == 0
     assert s.boosted_accuracy == s.overall_accuracy
@@ -201,7 +201,7 @@ def test_flat_baseline_refuses_an_empty_test_set():
 def test_flat_baseline_matches_lcn_on_flat_taxonomy():
     run = synthetic_run(SyntheticSpec(depth=1, branching=4, docs_per_leaf=15, noise_fraction=0.2, seed=9), 0.2, 0.3)
     flat = flat_baseline(run.split.train, run.split.test, run.model.taxonomy, run.model.vocabulary)
-    s = evaluate(run.model, with_threshold(run.calibration, ACCEPT_ALL), run.split.test)
+    s = evaluate(run.model, dataclasses.replace(run.calibration, threshold=ACCEPT_ALL), run.split.test)
     assert flat == pytest.approx(s.overall_accuracy)
 
 

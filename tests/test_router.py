@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +15,6 @@ from routecat.router import (
     ACCEPT_ALL,
     Calibration,
     CalibrationError,
-    EerUndefinedError,
     LevelStep,
     build_calibration,
     check_matching_vocabulary,
@@ -26,7 +26,6 @@ from routecat.router import (
     eer_threshold,
     loads_calibration,
     reliability,
-    with_threshold,
 )
 from routecat.taxonomy import parse_taxonomy
 
@@ -286,9 +285,9 @@ def test_eer_separable_pair():
 
 
 def test_eer_undefined():
-    with pytest.raises(EerUndefinedError):
+    with pytest.raises(ValueError, match="both correct and incorrect"):
         eer_threshold([(0.5, True), (0.6, True)])
-    with pytest.raises(EerUndefinedError):
+    with pytest.raises(ValueError, match="both correct and incorrect"):
         eer_threshold([(0.5, False)])
 
 
@@ -557,7 +556,7 @@ def test_calibration_records_the_identity_of_its_model():
     validation = [Document("v1", "A1", "ta t1"), Document("v2", "B", "tb")]
     cal = build_calibration(model, validation)
     assert cal.model_identity == model_identity(model)
-    assert with_threshold(cal, 0.5).model_identity == cal.model_identity
+    assert replace(cal, threshold=0.5).model_identity == cal.model_identity
     loaded, digest = loads_calibration(dumps_calibration(cal, vocabulary_digest(model.vocabulary)))
     assert loaded == cal
     check_pairing(model, loaded, digest)
@@ -617,16 +616,6 @@ def test_check_pairing_refuses_a_calibration_lacking_a_depth():
             check_pairing(model, Calibration(weights, cal.threshold, cal.eer_gap, 2, model_identity=cal.model_identity), digest)
 
 
-def test_with_threshold_replaces_only_threshold():
-    cal = Calibration({1: 1.0}, 0.5, 0.1, 4)
-    out = with_threshold(cal, 0.9)
-    assert out.threshold == 0.9 and out.source == "manual"
-    assert out.level_weights == cal.level_weights and out.eer_gap == cal.eer_gap
-    everything = with_threshold(cal, -math.inf)
-    assert everything.threshold == ACCEPT_ALL and everything.source == "accept-all"
-    assert with_threshold(cal, math.inf).source == "manual"
-
-
 @pytest.mark.parametrize(
     "threshold, source, written",
     [
@@ -657,4 +646,4 @@ def test_nan_threshold_is_refused():
     model = calibration_model()
     validation = [Document("v1", "A1", "ta t1"), Document("v2", "A2", "ta t1")]
     with pytest.raises(ValueError, match="NaN"):
-        with_threshold(build_calibration(model, validation), math.nan)
+        replace(build_calibration(model, validation), threshold=math.nan)
