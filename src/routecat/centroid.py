@@ -154,6 +154,7 @@ def train(
     vocabulary: Vocabulary,
     mode: Mode = Mode.POSITIVE_ONLY,
     policy: PolicyKind | None = None,
+    vectors: Sequence[SparseVector] | None = None,
 ) -> CentroidModel:
     """Build one centroid per non-root node.
 
@@ -163,12 +164,18 @@ def train(
     scoring; a policy in positive-only mode is refused, not ignored.  Every
     centroid is read from one table of exact per-label sums
     (:class:`LabelSums`), and equals :func:`mean_vector` of its documents bit
-    for bit.  Documents must have distinct ids.
+    for bit.  Documents must have distinct ids.  ``vectors`` holds the
+    training documents' vectors when :func:`~routecat.corpus.index_training`
+    made them with the vocabulary; without it each document is vectorized.
     """
     if not train_docs:
         raise ValueError("empty training set")
     _check_mode_and_policy(mode, policy)
-    sums = LabelSums(train_docs, [vectorize(d, vocabulary) for d in train_docs])
+    if vectors is None:
+        vectors = [vectorize(d, vocabulary) for d in train_docs]
+    elif len(vectors) != len(train_docs):
+        raise ValueError(f"{len(vectors)} vectors for {len(train_docs)} training documents")
+    sums = LabelSums(train_docs, vectors)
     nodes = [node for node in taxonomy.nodes if node != taxonomy.root]
     negatives: dict[NodeId, SparseVector] | None = None
     if mode is Mode.POSITIVE_ONLY:

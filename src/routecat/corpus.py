@@ -12,7 +12,7 @@ import hashlib
 import math
 import re
 from array import array
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
@@ -96,11 +96,11 @@ class Vocabulary:
 
     @cached_property
     def index_and_idf(self) -> dict[str, tuple[int, float]]:
-        """Each term's index and smoothed idf ln((N + 1) / (df + 1)), computed once; terms of idf 0 are left out."""
+        """Each term's index and :func:`idf`, computed once; terms of idf 0 are left out."""
         return {
-            term: (index, idf)
+            term: (index, weight)
             for index, (term, df) in enumerate(zip(self.terms, self.doc_frequency))
-            if (idf := math.log((self.n_docs + 1) / (df + 1))) > 0.0
+            if (weight := idf(self.n_docs, df)) > 0.0
         }
 
     @cached_property
@@ -113,14 +113,58 @@ class Vocabulary:
         return h.hexdigest()
 
 
-def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
-    """Index every distinct training token; ids follow first appearance."""
+def idf(n_docs: int, df: int) -> float:
+    """Smoothed inverse document frequency ln((N + 1) / (df + 1)) of a term in ``df`` of ``n_docs`` documents.
+
+    It is 0 for a term in every document, and no vector holds such a term.
+    """
+    return math.log((n_docs + 1) / (df + 1))
+
+
+def _index_terms(train: Sequence[Document], counts: list | None) -> Vocabulary:
+    """The vocabulary of one pass over the training text, each document tokenized once.
+
+    A term's index is its first appearance, so it is known the first time the
+    term is seen.  When ``counts`` is a list, each document's term indices and
+    their frequencies, in order of first appearance in the document, are
+    appended to it as two packed ``array('I')``.
+    """
     if not train:
         raise ValueError("cannot build a vocabulary from an empty training set")
-    df: Counter[str] = Counter()
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__  # an unseen term gets the next index, assigned in C
+    df: Counter[int] = Counter()
     for doc in train:
-        df.update(dict.fromkeys(tokenize(doc.text)).keys())  # each distinct term once, in first-appearance order
-    return Vocabulary(terms=tuple(df), doc_frequency=tuple(df.values()), n_docs=len(train))
+        tf = Counter(map(index.__getitem__, tokenize(doc.text)))
+        # a new index first reaches df here, after every smaller one, so df lists its counts in index order
+        df.update(tf.keys())
+        if counts is not None:
+            counts.append((array("I", tf.keys()), array("I", tf.values())))
+    return Vocabulary(terms=tuple(index), doc_frequency=tuple(df.values()), n_docs=len(train))
+
+
+def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
+    """Index every distinct training token; ids follow first appearance."""
+    return _index_terms(train, None)
+
+
+def index_training(train: Sequence[Document]) -> tuple[Vocabulary, list[SparseVector]]:
+    """``(build_vocabulary(train), [vectorize(d, vocabulary) for d in train])`` bit for bit, in one pass.
+
+    Each document is tokenized once.  The pass of :func:`build_vocabulary` keeps each document's term counts;
+    once it ends, idf is known, and each document's counts are replaced by
+    its vector as the vector is built.
+    """
+    vectors: list = []
+    vocabulary = _index_terms(train, vectors)
+    # one idf per distinct document frequency, shared by every term that has it
+    idf_of = {df: idf(vocabulary.n_docs, df) for df in set(vocabulary.doc_frequency)}
+    idf_by_index = list(map(idf_of.__getitem__, vocabulary.doc_frequency))
+    for k, (indices, tfs) in enumerate(vectors):
+        vectors[k] = _unit_vector(
+            {i: tf * weight for i, tf in zip(indices, tfs) if (weight := idf_by_index[i]) > 0.0}
+        )
+    return vocabulary, vectors
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,11 +305,15 @@ def vectorize(doc: Document, vocab: Vocabulary) -> SparseVector:
     """
     index_and_idf = vocab.index_and_idf
     # tf * idf of each known term, by term index; each distinct term is looked up once
-    weight_of = {
+    return _unit_vector({
         found[0]: tf * found[1]
         for term, tf in Counter(tokenize(doc.text)).items()
         if (found := index_and_idf.get(term)) is not None
-    }
+    })
+
+
+def _unit_vector(weight_of: dict[int, float]) -> SparseVector:
+    """The vector of the given weights by term index, in increasing index order, divided by their fsum L2 norm."""
     indices = sorted(weight_of)
     weights = list(map(weight_of.__getitem__, indices))
     norm = math.sqrt(math.fsum(map(mul, weights, weights)))

@@ -15,8 +15,8 @@ from routecat.corpus import (
     Document,
     SparseVector,
     Vocabulary,
-    build_vocabulary,
     checked_int,
+    index_training,
     scorer,
     split_corpus,
     vectorize,
@@ -262,14 +262,18 @@ def train_and_calibrate(
 ) -> TrainedRun:
     """Split the corpus, train on the training part, and calibrate on the validation part.
 
-    The vocabulary comes from the training part only.
+    The vocabulary comes from the training part only, and one pass over its
+    text (:func:`~routecat.corpus.index_training`) builds it and the
+    training vectors together.
     """
     split = split_corpus(docs, val_fraction, test_fraction, seed)
     if not split.train:
         raise ValueError("split produced an empty training set")
     if not split.validation:
         raise ValueError("split produced an empty validation set; use a positive --val-fraction")
-    model = train(split.train, taxonomy, build_vocabulary(split.train), mode=mode, policy=policy)
+    vocabulary, vectors = index_training(split.train)
+    model = train(split.train, taxonomy, vocabulary, mode=mode, policy=policy, vectors=vectors)
+    del vectors  # the centroids hold what training needed; calibration must not keep every vector alive
     calibration = build_calibration(model, split.validation)
     return TrainedRun(split=split, model=model, calibration=calibration)
 

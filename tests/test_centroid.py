@@ -33,7 +33,7 @@ from routecat.centroid import (
     node_score,
     train,
 )
-from routecat.corpus import Document, SparseVector, Vocabulary, build_vocabulary, load_corpus, vectorize
+from routecat.corpus import Document, SparseVector, Vocabulary, build_vocabulary, index_training, load_corpus, vectorize
 from routecat.evaluation import SyntheticSpec, generate_synthetic
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
 from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, parse_taxonomy
@@ -205,6 +205,12 @@ def test_train_refuses_repeated_document_ids(t0, t0_docs):
     docs = [*t0_docs, Document("d1", "B1", "beta")]
     with pytest.raises(ValueError, match="distinct ids"):
         train(docs, t0, build_vocabulary(docs))
+
+
+def test_train_refuses_a_vector_count_that_is_not_the_document_count(t0, t0_docs):
+    vocab, vectors = index_training(t0_docs)
+    with pytest.raises(ValueError, match="^3 vectors for 4 training documents$"):
+        train(t0_docs, t0, vocab, vectors=vectors[:-1])
 
 
 def test_train_requires_documents(t0):

@@ -172,57 +172,27 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, mode):
     assert outputs[0] == outputs[1]
 
 
-# sha256 of every artifact of the CI spec (generate --depth 2 --branching 3 --docs-per-leaf 20
-# --tokens-per-doc 8 --noise 0.6 --seed 0, then train, evaluate and classify at --seed 0).  A
-# refactor of the vector layout, the scoring kernels or the model format must leave them all alone.
-PINNED_ARTIFACTS = {
-    "positive-only": {
-        "model.json": "b949bc9f415ea7dcc24dccabf922a6ad5944f946baef65a770a3b022a65f2405",
-        "calibration.json": "be8d1b9dfc195ac9bb44f5555aec6149cb9e1d0b7c385ed7e2aab745fdad94b3",
-        "summary.csv": "b9b311422bfa4c5d8bf28ea87ec0f48f27fe23c458585a518205883ee625ac06",
-        "comparison.csv": "4e7acec0541dedc2d8fbf93f9e436f0ecaf7b1cce61bd62026dfc625e4a57a25",
-        "classify": "c537873665ffa458ec75c31e3feed67e84cb0597e66e503363f84917c7d70785",
-    },
-    "binary-siblings": {
-        "model.json": "2b55ae0aeb9da34190faa5143bd5d8dc7c870b54c64d76158f3e0d9ffa3a987f",
-        "calibration.json": "e97422618e12b91643f25032dfec7022533dc9c942c148d2514722e8180282d1",
-        "summary.csv": "bdf9f9706d2a83d551a403c8eb1b04ddf6d67bf57232f6e8cd8b4b0737f3a153",
-        "comparison.csv": "3da5c71d6801ed025fefc35fbf95b165fa0699916162df4022983987102c00e2",
-        "classify": "65669f0691e97fd12a7696c2c50c793b044db9d8c41fcd788ea5f81c9cc1a8d6",
-    },
-    # the model of every other policy, each summing its sets directly or as the total minus the labels outside them
-    "binary-exclusive": {"model.json": "933a69ebf6c5779ef9a5703afed7e1cf03048f70ed93345c7d7fa270e0127ea5"},
-    "binary-less-exclusive": {"model.json": "6ae4f57dca8f8de12355498a9c234b71dce24437e631c4e4953d5d3cb998c9cb"},
-    "binary-less-inclusive": {"model.json": "2d8274c78ea1f3fe0ace7f2779698fdddc0927201157153b0f13cbc0987e6da2"},
-    "binary-inclusive": {"model.json": "d3f7b3dd5879b8aefd93e7b789c39a22531a324f4afb7ed0dfc43ff283dd93f5"},
-    "binary-exclusive-siblings": {"model.json": "ae879603abbcaa67e43b20dc27d1bc4adb4958820972a44d870d4228b3abb7b7"},
-}
+# tests/pins.json holds the sha256 of every pinned artifact and the flags that make it; scripts/check_pins.py checks the
+# same pins without pytest.  A refactor of the vector layout, the scoring kernels or the model format must leave them
+# all alone.
+PINS = json.loads((Path(__file__).resolve().parent / "pins.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize(
-    "name, mode",
-    [
-        ("positive-only", ()),
-        ("binary-siblings", ("--mode", "binary", "--policy", "siblings")),
-        *(
-            (f"binary-{policy}", ("--mode", "binary", "--policy", policy))
-            for policy in ("exclusive", "less-exclusive", "less-inclusive", "inclusive", "exclusive-siblings")
-        ),
-    ],
-)
-def test_ci_spec_artifacts_keep_their_bytes(tmp_path, capsys, name, mode):
-    generate_flags = ["--depth", "2", "--branching", "3", "--docs-per-leaf", "20", "--tokens-per-doc", "8",
-                      "--noise", "0.6"]
-    artifacts = cli_artifacts(tmp_path, capsys, generate_flags, ["--seed", "0"], list(mode))
-    pinned = PINNED_ARTIFACTS[name]
-    assert {key: hashlib.sha256(artifacts[key]).hexdigest() for key in pinned} == pinned
+# the CI spec (generate --depth 2 --branching 3 --docs-per-leaf 20 --tokens-per-doc 8 --noise 0.6 --seed 0, then
+# train, evaluate and classify at --seed 0) under each mode; for the binary policies other than siblings only the
+# model, each summing its sets directly or as the total minus the labels outside them
+@pytest.mark.parametrize("name", sorted(PINS["ci_artifacts"]))
+def test_ci_spec_artifacts_keep_their_bytes(tmp_path, capsys, name):
+    pin = PINS["ci_artifacts"][name]
+    artifacts = cli_artifacts(tmp_path, capsys, pin["generate"], pin["split"], pin["train"])
+    assert {key: hashlib.sha256(artifacts[key]).hexdigest() for key in pin["sha256"]} == pin["sha256"]
 
 
 def cli_artifacts(tmp_path, capsys, generate_flags, split, mode):
-    """generate (at --seed 0), train, evaluate and classify the corpus itself: each artifact's bytes."""
+    """generate, train, evaluate and classify the corpus itself: each artifact's bytes."""
     data, run, report = (tmp_path / part for part in ("data", "run", "report"))
     model, calibration = str(run / "model.json"), str(run / "calibration.json")
-    assert run_cli("generate", *generate_flags, "--seed", "0", "--out-dir", str(data)) == 0
+    assert run_cli("generate", *generate_flags, "--out-dir", str(data)) == 0
     corpus = str(data / "corpus.tsv")
     assert run_cli("train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", corpus, *split, *mode,
                    "--out-dir", str(run)) == 0
@@ -240,40 +210,24 @@ def cli_artifacts(tmp_path, capsys, generate_flags, split, mode):
 
 
 BENCH = import_perfbench("workloads")
-# sha256 of every artifact of each benchmark workload's corpus at seed 0, trained with its flags and split by
-# the benchmark's fractions at --seed 0; classify reads the corpus itself
-PINNED_BENCH_ARTIFACTS = {
-    "binary-siblings": {
-        "model.json": "768c087fda68163b7264c55229015fd4c82a0b9fa98c0eea013663a5366dc9a5",
-        "calibration.json": "df4af5e9b88c3a1549e5e4084cbbed7b4ac928d5659620385adbbfca5877a4df",
-        "summary.csv": "c2f028be83404f58c52b05e044b38f9287b83698a7282cca537cbe80e480fe0a",
-        "comparison.csv": "211c4d2f61ab19a86bcc1e60046affcc425e3abb8806f016a01b238ba804e524",
-        "classify": "5cd2aa5d1b57fd2e083204ebb06b5ffc89022f9a84e90b0e300f10c50ca0492a",
-    },
-    "docs-heavy": {
-        "model.json": "99340bc55657d98f0b2573ba934ee4ba08eff4a8ad8d4266a45ef1f42873aeef",
-        "calibration.json": "57e46ef82ebb51e50983f094e1ccc45c79fd417f5ba90675d095a96c486f5461",
-        "summary.csv": "16b48e573f76c06ab85db2712e569a62f298acd818522bc00b9484e5746481aa",
-        "comparison.csv": "e6f431479d49bc150e18b63f7138154cc4899245e53da1494b3359515f7f03dd",
-        "classify": "a42d675d11500ddefa01d8f231a632ababd70f39469aa7a38831cbce18a5b78b",
-    },
-    "node-heavy": {
-        "model.json": "f25eeb17654ba6371f6aca5f81da9f0d36dbdea62a52a871ef3b51511b975ab3",
-        "calibration.json": "898b31abbc2ca59f4a4e5a0718e66b2e37954d264cb41562c210748f7831ab11",
-        "summary.csv": "11fcd896caaea69fee17f4efdfc9716cc4bc512f29812e7886093d5c6b3ad075",
-        "comparison.csv": "cd2e021c26c2159e70f5c598a14cfe3b67b5dcfdda7c2f0588984c28e9ef70da",
-        "classify": "f7d51153d0a7ef9a63cca1e9db07c242ea64410a9c38591b2f9c0da47c43107e",
-    },
-}
 
 
+# every artifact of each benchmark workload's corpus at seed 0, trained with its flags and split by the benchmark's
+# fractions at --seed 0; classify reads the corpus itself
 @pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
 def test_bench_workload_artifacts_keep_their_bytes(tmp_path, capsys, workload):
-    w = BENCH.WORKLOADS[workload]
+    w, pin = BENCH.WORKLOADS[workload], PINS["bench_artifacts"][workload]
     split = ["--val-fraction", str(BENCH.VAL_FRACTION), "--test-fraction", str(BENCH.TEST_FRACTION), "--seed", "0"]
-    artifacts = cli_artifacts(tmp_path, capsys, w.generate_flags(), split, w.train_flags())
+    # the pins follow the workloads the benchmark runs
+    assert pin["generate"] == [*w.generate_flags(), "--seed", "0"]
+    assert (pin["split"], pin["train"]) == (split, w.train_flags())
+    artifacts = cli_artifacts(tmp_path, capsys, pin["generate"], pin["split"], pin["train"])
     hashes = {key: hashlib.sha256(value).hexdigest() for key, value in artifacts.items()}
-    assert hashes == PINNED_BENCH_ARTIFACTS[workload]
+    assert hashes == pin["sha256"]
+
+
+def test_every_benchmark_workload_is_pinned():
+    assert sorted(PINS["bench_artifacts"]) == sorted(BENCH.WORKLOADS)
 
 
 def test_train_missing_corpus(tmp_path, capsys):

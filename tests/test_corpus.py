@@ -4,7 +4,8 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import LINE_SEPARATORS, SMALLEST_NORMAL, entries, sparse_vectors, vec
+from conftest import LINE_SEPARATORS, SMALLEST_NORMAL, T0_TEXT, entries, sparse_vectors, vec
+from routecat.centroid import Mode, dumps_model, train
 from routecat.corpus import (
     DENSE_MIN_FILL,
     CorpusError,
@@ -14,6 +15,7 @@ from routecat.corpus import (
     TermTable,
     Vocabulary,
     build_vocabulary,
+    index_training,
     load_corpus,
     scorer,
     split_corpus,
@@ -21,6 +23,8 @@ from routecat.corpus import (
     tokenize,
     vectorize,
 )
+from routecat.policies import PolicyKind
+from routecat.taxonomy import parse_taxonomy
 
 
 def test_load_corpus_ok(t0):
@@ -265,6 +269,48 @@ def test_build_vocabulary_numbers_terms_by_first_appearance_and_counts_each_docu
     assert vocab.terms == tuple(first_appearance)
     assert vocab.doc_frequency == tuple(sum(term in tokenize(doc.text) for doc in docs) for term in first_appearance)
     assert vocab.n_docs == len(docs)
+
+
+# repeated tokens, non-ASCII letters and digits, and words that are no token, so a text may have none
+index_words = st.sampled_from([
+    "cat", "dog", "fish", "a", "_", "--",
+    "\u00fcber", "\u00f1and\u00fa", "\u03b4\u03ad\u03bb\u03c4\u03b1", "\u65e5\u672c",  # letters
+    "\u0663\u0664", "x\u00b2",  # Arabic-Indic digits, a superscript digit
+])
+index_texts = st.lists(index_words, max_size=12).map(" ".join)
+
+
+@given(
+    st.lists(index_texts, min_size=1, max_size=8),
+    st.booleans(),
+    st.sampled_from([(Mode.POSITIVE_ONLY, None), (Mode.BINARY, PolicyKind.SIBLINGS)]),
+)
+@example(["cat cat dog", "", "dog \u00fcber \u00fcber"], False, (Mode.POSITIVE_ONLY, None))
+@example(["cat cat dog", "_ a", "dog"], True, (Mode.BINARY, PolicyKind.SIBLINGS))
+def test_index_training_is_build_vocabulary_and_vectorize_bit_for_bit(train_texts, shared, training):
+    # with shared, one term is in every document: idf 0, so the vocabulary keeps it and no vector does
+    texts = [f"{text} everywhere" if shared else text for text in train_texts]
+    labels = ["A", "A1", "A2", "B", "B1"]  # internal nodes and leaves
+    docs = [Document(f"d{i}", labels[i % len(labels)], text) for i, text in enumerate(texts)]
+    vocab, vectors = index_training(docs)
+    expected = build_vocabulary(docs)
+    assert (vocab.terms, vocab.doc_frequency, vocab.n_docs) == (expected.terms, expected.doc_frequency, expected.n_docs)
+    stream = [term for doc in docs for term in tokenize(doc.text)]
+    assert vocab.terms == tuple(sorted(set(stream), key=stream.index))
+    assert vocab.doc_frequency == tuple(sum(term in tokenize(doc.text) for doc in docs) for term in vocab.terms)
+    if shared:
+        assert vocab.doc_frequency[vocab.terms.index("everywhere")] == len(docs)
+    bits = [(v.indices.tobytes(), v.weights.tobytes()) for v in vectors]
+    assert bits == [(v.indices.tobytes(), v.weights.tobytes()) for v in (vectorize(d, expected) for d in docs)]
+    mode, policy = training
+    t0 = parse_taxonomy(T0_TEXT)
+    one_pass = train(docs, t0, vocab, mode=mode, policy=policy, vectors=vectors)
+    assert dumps_model(one_pass) == dumps_model(train(docs, t0, expected, mode=mode, policy=policy))
+
+
+def test_index_training_empty():
+    with pytest.raises(ValueError, match="empty training set"):
+        index_training([])
 
 
 @given(st.lists(texts, min_size=1, max_size=8))

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import import_perfbench, random_labeled_docs, random_taxonomy, synthetic_run, vec
-from routecat import evaluation
+from routecat import corpus, evaluation
+from routecat.cli import build_parser, corpus_spec
 from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary, vectorize
 from routecat.centroid import Mode, train
 from routecat.evaluation import (
@@ -24,6 +28,7 @@ from routecat.evaluation import (
     report_rows,
     summarize,
     summary_csv,
+    train_and_calibrate,
 )
 from routecat.policies import PolicyKind
 from routecat.router import ACCEPT_ALL, build_calibration
@@ -252,82 +257,30 @@ def test_synthetic_spec_refuses_a_seed_that_is_not_an_int(seed):
 
 
 BENCH = import_perfbench("workloads")
-# every benchmark workload's corpus at seeds 0 and 1, at 1,000,003 (the traffic of the benchmark's seed 0) and at the
-# largest seed, and a depth-4 spec with odd sizes, whose chains are four topics long
-GENERATOR_SPECS = {
-    **{
-        f"{name}-{seed}": SyntheticSpec(
-            depth=w.depth, branching=w.branching, docs_per_leaf=w.docs_per_leaf, tokens_per_doc=w.tokens_per_doc,
-            noise_fraction=w.noise, seed=seed,
-        )
+# tests/pins.json holds the sha256 of the taxonomy and corpus text of every benchmark workload's corpus at seeds 0 and
+# 1, at 1,000,003 (the traffic of the benchmark's seed 0) and at the largest seed, and of a depth-4 spec with odd
+# sizes, whose chains are four topics long; each with the generate flags that make it
+PINS = json.loads((Path(__file__).resolve().parent / "pins.json").read_text(encoding="utf-8"))
+GENERATED_BYTES = PINS["generated_bytes"]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_BYTES))
+def test_generated_corpora_keep_their_bytes(name):
+    pin = GENERATED_BYTES[name]
+    args = build_parser().parse_args(["generate", *pin["generate"], "--out-dir", "unused"])
+    taxonomy_text, corpus_text = generate_synthetic(corpus_spec(args, args.seed))
+    hashes = {name: hashlib.sha256(text.encode()).hexdigest()
+              for name, text in (("taxonomy.tsv", taxonomy_text), ("corpus.tsv", corpus_text))}
+    assert hashes == pin["sha256"]
+
+
+def test_generated_pins_follow_the_benchmark_workloads():
+    workload_flags = {name: pin["generate"] for name, pin in GENERATED_BYTES.items() if name != "depth-4"}
+    assert workload_flags == {
+        f"{name}-{seed}": [*w.generate_flags(), "--seed", str(seed)]
         for name, w in BENCH.WORKLOADS.items()
         for seed in (0, 1, 1_000_003, 2**64 - 1)
-    },
-    "depth-4": SyntheticSpec(
-        depth=4, branching=3, docs_per_leaf=5, vocab_per_topic=7, noise_fraction=0.3, tokens_per_doc=9, seed=9
-    ),
-}
-# sha256 of (taxonomy text, corpus text)
-GENERATED_BYTES = {
-    "docs-heavy-0": (
-        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
-        "d682069e44d1820bdbc29c7984695758777e4e88305c614ac4da683b7fe9e9f6",
-    ),
-    "docs-heavy-1": (
-        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
-        "a617bf002c61acf159923e7f38d7a5998e14b89ad73b5c05f8fa2894f11a214b",
-    ),
-    "docs-heavy-1000003": (
-        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
-        "ff5e0420a1314f3f6470b91d5283fdb13deef89fdf8c1d525050ae46bb97fe48",
-    ),
-    "docs-heavy-18446744073709551615": (
-        "a87ae18e62a3e04adb0f1e721033b5c5a5f43e8f93ee03a701fd302912227689",
-        "e11581ebd1dfec20c9e882e1fd22e9692b3c30d255bfca990975da29145e729b",
-    ),
-    "node-heavy-0": (
-        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
-        "76351102ad0fa0ce9e45db60f9f7e439291dfeaed8588c150ffa6e106e272f39",
-    ),
-    "node-heavy-1": (
-        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
-        "a7f9e496e2a4ad3feec73ae0c7f677ddb49d21f2cbc315d21c4cce97885a1066",
-    ),
-    "node-heavy-1000003": (
-        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
-        "9c71ceff224f855d8a6b007a9c7c311ff6fb14ec920afffe894d7f1359cc1162",
-    ),
-    "node-heavy-18446744073709551615": (
-        "a4b7fcc5f7fb22cce9ac7a897e2c5f3cf31129e0a80c139d7b44164a9447b5a4",
-        "bde8df337a9b4f49108ddc921432f673e5871dfdb519a87044eb29509cca54c9",
-    ),
-    "binary-siblings-0": (
-        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
-        "4ff0e0870a9d53fa9e8a6f1e5f5f9a3152ad4ebddb958449c97dc494fdf746f0",
-    ),
-    "binary-siblings-1": (
-        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
-        "1700b3ed09475044fbd9164c9c50dad34a5624d5807416b86df14f5c8960ed57",
-    ),
-    "binary-siblings-1000003": (
-        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
-        "ee9711fed0725e66a8d44cf7c9b123ae341e8727163f120985f588a315929f6a",
-    ),
-    "binary-siblings-18446744073709551615": (
-        "c3a1af3530bdb64764665a346a720c15a37ce47c9917a1439829e754e0b0e269",
-        "b206f45bb35ed236a35785da1ff2bcc998455bc881cf4d3ef8e06294e76cb8f4",
-    ),
-    "depth-4": (
-        "bc8bbc33c5369c04d4f5218a4137f95349235c2166729287bdbcf74683a2fe4f",
-        "529657be65c925cd78b33f8ba70a8be48a1d892bd5914af919eefd00c7c6c7d5",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(GENERATOR_SPECS))
-def test_generated_corpora_keep_their_bytes(name):
-    texts = generate_synthetic(GENERATOR_SPECS[name])
-    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == GENERATED_BYTES[name]
+    }
 
 
 def test_noise_free_flat_accuracy_is_perfect():
@@ -398,6 +351,36 @@ def test_report_rows_reads_no_training_document(monkeypatch):
     vectors = [vectorize(doc, run.model.vocabulary) for doc in run.split.test]
     flat = flat_accuracy(run.model.centroid_of, run.split.test, vectors, run.model.taxonomy)
     assert 100.0 * flat == expected[1][0].flat
+
+
+@pytest.mark.parametrize("training", [{}, {"mode": Mode.BINARY, "policy": PolicyKind.SIBLINGS}])
+def test_train_and_calibrate_tokenizes_each_document_once(monkeypatch, training):
+    spec = SyntheticSpec(depth=2, branching=3, docs_per_leaf=20, noise_fraction=0.3, seed=4)
+    taxonomy_text, corpus_text = generate_synthetic(spec)
+    taxonomy = parse_taxonomy(taxonomy_text)
+    docs = load_corpus(corpus_text, taxonomy)
+    expected = train_and_calibrate(taxonomy, docs, 0.2, 0.3, 4, **training)
+    tokenized, vectorized = [], []
+    tokenize_one, vectorize_one = corpus.tokenize, corpus.vectorize
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize_one(text)
+
+    def counting_vectorize(doc, vocab):
+        vectorized.append(doc.doc_id)
+        return vectorize_one(doc, vocab)
+
+    monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
+    # every routecat module that bound vectorize by name
+    for module in [m for name, m in sys.modules.items() if name.startswith("routecat")]:
+        if getattr(module, "vectorize", None) is vectorize_one:
+            monkeypatch.setattr(module, "vectorize", counting_vectorize)
+    run = train_and_calibrate(taxonomy, docs, 0.2, 0.3, 4, **training)
+    assert (run.model, run.calibration) == (expected.model, expected.calibration)
+    # one pass over the training text builds the vocabulary and the training vectors; only validation is vectorized
+    assert len(tokenized) == len(run.split.train) + len(run.split.validation)
+    assert sorted(vectorized) == sorted(doc.doc_id for doc in run.split.validation)
 
 
 def test_report_rows_vectorizes_each_test_document_once(monkeypatch):
