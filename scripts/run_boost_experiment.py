@@ -17,13 +17,8 @@ import argparse
 
 from routecat.cli import add_corpus_flags, corpus_spec, fraction, positive_int, run
 from routecat.corpus import load_corpus
-from routecat.evaluation import (
-    SyntheticSpec,
-    generate_synthetic,
-    render_report,
-    report_rows,
-    train_and_calibrate,
-)
+from routecat.evaluation import render_report, report_rows, train_and_calibrate
+from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import parse_taxonomy
 
 

@@ -9,7 +9,6 @@ against a negative centroid in binary mode.
 from __future__ import annotations
 
 import base64
-import enum
 import hashlib
 import json
 import math
@@ -22,7 +21,7 @@ from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, scorer, vectorize
-from routecat.policies import PolicyKind, build_training_set
+from routecat.policies import Mode, PolicyKind, build_training_set
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
 MODEL_FORMAT_VERSION = 3
@@ -32,11 +31,6 @@ T = TypeVar("T")
 
 class ModelFormatError(Exception):
     """Model file is not readable by this version of the code."""
-
-
-class Mode(str, enum.Enum):
-    POSITIVE_ONLY = "positive-only"
-    BINARY = "binary"
 
 
 @dataclass(frozen=True)

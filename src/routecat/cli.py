@@ -4,6 +4,12 @@ All randomness flows from explicit ``--seed`` flags, artifacts are plain
 JSON/CSV files, and repeated runs with identical inputs produce
 byte-identical outputs.  Diagnostics go to stderr; data goes to files and
 stdout.
+
+Each command imports only the modules it runs, so that start-up costs no
+more than the command needs: ``generate`` loads the generator and
+:mod:`routecat.prng` alone, ``classify`` no evaluation code.  A command's
+flags are added to its parser only once the command is chosen, and the
+library's error classes are imported only to match an error raised.
 """
 
 from __future__ import annotations
@@ -14,30 +20,12 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
-from routecat import evaluation
-from routecat.centroid import (
-    CentroidModel,
-    Mode,
-    ModelFormatError,
-    documents_digest,
-    dumps_model,
-    loads_model,
-    vocabulary_digest,
-)
-from routecat.corpus import CorpusError, Document, load_corpus, split_corpus, vectorize
-from routecat.policies import PolicyKind
-from routecat.router import (
-    ACCEPT_ALL,
-    Calibration,
-    CalibrationError,
-    check_pairing,
-    classify_with_reject,
-    dumps_calibration,
-    loads_calibration,
-)
-from routecat.taxonomy import TaxonomyError, parse_taxonomy, tsv_lines
+if TYPE_CHECKING:
+    from routecat.centroid import CentroidModel
+    from routecat.router import Calibration
+    from routecat.synthetic import SyntheticSpec
 
 
 T = TypeVar("T")
@@ -83,16 +71,29 @@ positive_int = _reader(int, "an integer", "must be >= 1", lambda n: n >= 1)
 _seed = _reader(int, "an integer", "seed must lie in 0..2**64-1", lambda n: 0 <= n < 2**64)
 
 
+def _format_errors() -> tuple[type[Exception], ...]:
+    """The library's errors for malformed input, imported only when an ``except`` clause tests a raised error."""
+    from routecat.centroid import ModelFormatError
+    from routecat.corpus import CorpusError
+    from routecat.router import CalibrationError
+    from routecat.taxonomy import TaxonomyError
+
+    return TaxonomyError, CorpusError, ModelFormatError, CalibrationError
+
+
 def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
     """Parse a file, prefixing any format error with the file's path."""
     try:
         return parse(_read_text(path, what))
-    except (TaxonomyError, CorpusError, ModelFormatError, CalibrationError) as exc:
+    except _format_errors() as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
 def _load_model_and_calibration(args: argparse.Namespace) -> tuple[CentroidModel, Calibration]:
     """Load ``--model`` and its paired ``--calibration``, then apply ``--threshold``/``--accept-all`` if given."""
+    from routecat.centroid import loads_model
+    from routecat.router import check_pairing, loads_calibration
+
     model = _load(Path(args.model), "model", loads_model)
 
     def paired(text: str) -> Calibration:
@@ -106,6 +107,8 @@ def _load_model_and_calibration(args: argparse.Namespace) -> tuple[CentroidModel
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     """``--threshold`` and its short spelling ``--accept-all`` (``--threshold=-inf``); at most one of them."""
+    from routecat.router import ACCEPT_ALL
+
     group = p.add_mutually_exclusive_group()
     group.add_argument("--threshold", type=_threshold, default=None, help="use this threshold, not the calibrated one")
     group.add_argument(
@@ -132,9 +135,11 @@ def add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", type=fraction, default=0.0)
 
 
-def corpus_spec(args: argparse.Namespace, seed: int) -> evaluation.SyntheticSpec:
+def corpus_spec(args: argparse.Namespace, seed: int) -> SyntheticSpec:
     """The synthetic corpus of the flags :func:`add_corpus_flags` added, generated under ``seed``."""
-    return evaluation.SyntheticSpec(
+    from routecat.synthetic import SyntheticSpec
+
+    return SyntheticSpec(
         depth=args.depth,
         branching=args.branching,
         docs_per_leaf=args.docs_per_leaf,
@@ -147,7 +152,9 @@ def corpus_spec(args: argparse.Namespace, seed: int) -> evaluation.SyntheticSpec
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    taxonomy_text, corpus_text = evaluation.generate_synthetic(corpus_spec(args, args.seed))
+    from routecat.synthetic import generate_synthetic
+
+    taxonomy_text, corpus_text = generate_synthetic(corpus_spec(args, args.seed))
     out = Path(args.out_dir)
     _write_text(out / "taxonomy.tsv", taxonomy_text)
     _write_text(out / "corpus.tsv", corpus_text)
@@ -157,9 +164,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from routecat.centroid import dumps_model, vocabulary_digest
+    from routecat.corpus import load_corpus
+    from routecat.evaluation import train_and_calibrate
+    from routecat.policies import Mode, PolicyKind
+    from routecat.router import dumps_calibration
+    from routecat.taxonomy import parse_taxonomy
+
     taxonomy = _load(Path(args.taxonomy), "taxonomy", parse_taxonomy)
     docs = _load(Path(args.corpus), "corpus", lambda text: load_corpus(text, taxonomy))
-    run = evaluation.train_and_calibrate(
+    run = train_and_calibrate(
         taxonomy,
         docs,
         args.val_fraction,
@@ -185,6 +199,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from routecat.corpus import Document, vectorize
+    from routecat.router import classify_with_reject
+    from routecat.taxonomy import tsv_lines
+
     model, calibration = _load_model_and_calibration(args)
     text = _read_text(Path(args.input), "input")
     for lineno, _, parts in tsv_lines(text):
@@ -199,6 +217,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from routecat import evaluation
+    from routecat.centroid import documents_digest
+    from routecat.corpus import load_corpus, split_corpus
+
     model, calibration = _load_model_and_calibration(args)
     docs = _load(Path(args.corpus), "corpus", lambda text: load_corpus(text, model.taxonomy))
     split = split_corpus(docs, args.val_fraction, args.test_fraction, args.seed)
@@ -215,36 +237,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="routecat",
-        description="Hierarchical text categorization with route-confidence accept/reject decisions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a seeded synthetic taxonomy and corpus")
+def _generate_flags(p: argparse.ArgumentParser) -> None:
     add_corpus_flags(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train centroids and calibrate the acceptance threshold")
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    from routecat.policies import Mode, PolicyKind
+
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--corpus", required=True)
     _add_split_flags(p)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.POSITIVE_ONLY.value)
     p.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("classify", help="label documents from a file, one decision per line")
+
+def _classify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--input", required=True, help="doc_id<TAB>[label<TAB>]text lines")
     _add_threshold_flags(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("evaluate", help="score the held-out test split and write report CSVs")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--corpus", required=True)
@@ -252,7 +269,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threshold_flags(p)
     p.add_argument("--problem", default="synthetic", help="problem name for report rows")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_evaluate)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which adds the command's flags the first time it parses.
+
+    argparse hands the arguments after a command's name to that command's
+    parser alone, so only the chosen command's flags are built.
+    """
+
+    def __init__(self, *args, add_flags: Callable[[argparse.ArgumentParser], None], **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_flags: Callable[[argparse.ArgumentParser], None] | None = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="routecat",
+        description="Hierarchical text categorization with route-confidence accept/reject decisions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, command, add_flags, summary in (
+        ("generate", cmd_generate, _generate_flags, "write a seeded synthetic taxonomy and corpus"),
+        ("train", cmd_train, _train_flags, "train centroids and calibrate the acceptance threshold"),
+        ("classify", cmd_classify, _classify_flags, "label documents from a file, one decision per line"),
+        ("evaluate", cmd_evaluate, _evaluate_flags, "score the held-out test split and write report CSVs"),
+    ):
+        sub.add_parser(name, help=summary, add_flags=add_flags).set_defaults(func=command)
     return parser
 
 
@@ -266,7 +315,7 @@ def run(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) 
         code = command(args)
         sys.stdout.flush()  # a closed pipe must fail here, not in the flush at exit
         return code
-    except (CliError, TaxonomyError, CorpusError, ModelFormatError, CalibrationError, ValueError) as exc:
+    except (CliError, *_format_errors(), ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

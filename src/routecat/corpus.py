@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from operator import mul, truediv
 from typing import Sequence
 
-from routecat.prng import SplitMix64
+from routecat.prng import SplitMix64, checked_int
 from routecat.taxonomy import NodeId, Taxonomy, tsv_lines
 
 # maximal runs of two or more Unicode alphanumerics; underscore is not a word character here
@@ -44,13 +44,6 @@ def tokenize(text: str) -> list[str]:
     the same token sequence.
     """
     return _TOKEN.findall(text.lower())
-
-
-def checked_int(value: object, what: str) -> int:
-    """``value`` if it is an integer (true and false, which JSON loads as bool, a subclass of int, are not)."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,18 @@ class Vocabulary:
         return len(self.terms)
 
     @cached_property
+    def idf_by_index(self) -> tuple[float, ...]:
+        """Each term's :func:`idf` by index, computed once per distinct document frequency."""
+        idf_of = {df: idf(self.n_docs, df) for df in set(self.doc_frequency)}
+        return tuple(map(idf_of.__getitem__, self.doc_frequency))
+
+    @cached_property
     def index_and_idf(self) -> dict[str, tuple[int, float]]:
-        """Each term's index and :func:`idf`, computed once; terms of idf 0 are left out."""
+        """Each term's index and idf, computed once; terms of idf 0 are left out."""
         return {
             term: (index, weight)
-            for index, (term, df) in enumerate(zip(self.terms, self.doc_frequency))
-            if (weight := idf(self.n_docs, df)) > 0.0
+            for index, (term, weight) in enumerate(zip(self.terms, self.idf_by_index))
+            if weight > 0.0
         }
 
     @cached_property
@@ -157,9 +156,7 @@ def index_training(train: Sequence[Document]) -> tuple[Vocabulary, list[SparseVe
     """
     vectors: list = []
     vocabulary = _index_terms(train, vectors)
-    # one idf per distinct document frequency, shared by every term that has it
-    idf_of = {df: idf(vocabulary.n_docs, df) for df in set(vocabulary.doc_frequency)}
-    idf_by_index = list(map(idf_of.__getitem__, vocabulary.doc_frequency))
+    idf_by_index = vocabulary.idf_by_index
     for k, (indices, tfs) in enumerate(vectors):
         vectors[k] = _unit_vector(
             {i: tf * weight for i, tf in zip(indices, tfs) if (weight := idf_by_index[i]) > 0.0}

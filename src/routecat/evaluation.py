@@ -1,4 +1,4 @@
-"""The train/calibrate/report pipeline, metrics, the flat baseline, and synthetic corpora.
+"""The train/calibrate/report pipeline, metrics, and the flat baseline.
 
 A document counts as correctly routed when its true label lies on the
 decoded route (:func:`~routecat.router.routed_correctly`).
@@ -15,15 +15,15 @@ from routecat.corpus import (
     Document,
     SparseVector,
     Vocabulary,
-    checked_int,
     index_training,
     scorer,
     split_corpus,
     vectorize,
 )
 from routecat.policies import PolicyKind, most_specific_examples
-from routecat.prng import SplitMix64, checked_seed
 from routecat.router import Calibration, build_calibration, classify_with_reject, routed_correctly
+# the benchmark reads the generator through this module
+from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import NodeId, Taxonomy
 
 
@@ -151,79 +151,6 @@ def flat_baseline(
     """Exact-label accuracy of the flat nearest-centroid classifier retrained on ``train``."""
     vectors = [vectorize(doc, vocabulary) for doc in test]
     return flat_accuracy(leaf_centroids(train, taxonomy, vocabulary), test, vectors, taxonomy)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Parameters of the seeded synthetic benchmark generator.
-
-    Every non-root node owns ``vocab_per_topic`` private terms, disjoint
-    from every other node's.  A document of a leaf draws each signal token
-    from one topic on the leaf's ancestor chain, picking the level with
-    weight 2**(level - 1) so specific terms dominate the way they do in
-    topical text; a ``noise_fraction`` share of tokens comes instead from a
-    vocabulary shared by all classes.  Because ancestor terms are spread
-    over whole subtrees, decisions near the root stay easier than decisions
-    near the leaves.
-    """
-
-    depth: int
-    branching: int
-    docs_per_leaf: int
-    vocab_per_topic: int = 30
-    noise_vocab_size: int = 150
-    noise_fraction: float = 0.0
-    tokens_per_doc: int = 40
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        """Refuse every spec :func:`generate_synthetic` cannot build.
-
-        That is a size that is not an integer of at least 1, a noise fraction
-        outside [0, 1), and a seed :class:`~routecat.prng.SplitMix64` refuses.
-        """
-        for name in ("depth", "branching", "docs_per_leaf", "vocab_per_topic", "noise_vocab_size", "tokens_per_doc"):
-            if checked_int(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.noise_fraction < 1.0:
-            raise ValueError("noise_fraction must lie in [0, 1)")
-        checked_seed(self.seed)
-
-
-def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:
-    """Build (taxonomy text, corpus text) fully determined by the spec's seed."""
-    root = "root"
-    taxonomy_lines: list[str] = []
-    # each node with the private term lists of the nodes on its path, the root's being empty
-    level: list[tuple[str, list[list[str]]]] = [(root, [])]
-    for _ in range(spec.depth):
-        next_level = []
-        for parent, chain in level:
-            for j in range(spec.branching):
-                child = f"c{j}" if parent == root else f"{parent}.{j}"
-                # terms are numbered by the order the nodes are made in: one edge line per node made before
-                terms = [f"w{len(taxonomy_lines)}x{k}" for k in range(spec.vocab_per_topic)]
-                taxonomy_lines.append(f"{parent}\t{child}")
-                next_level.append((child, [*chain, terms]))
-        level = next_level
-
-    noise_terms = [f"z{j}" for j in range(spec.noise_vocab_size)]
-    rng = SplitMix64(spec.seed)
-    corpus_lines: list[str] = []
-    # every leaf lies at the last level, which lists them in the taxonomy's depth-first order
-    for leaf, chain in level:
-        # chain level k has weight 2**k, so a pick p below 2**len(chain) - 1 lands on level (p + 1).bit_length() - 1
-        picks = (1 << len(chain)) - 1
-        for _ in range(spec.docs_per_leaf):
-            tokens = []
-            for _ in range(spec.tokens_per_doc):
-                if rng.random() < spec.noise_fraction:
-                    tokens.append(noise_terms[rng.randrange(len(noise_terms))])
-                else:
-                    terms = chain[(rng.randrange(picks) + 1).bit_length() - 1]
-                    tokens.append(terms[rng.randrange(len(terms))])
-            corpus_lines.append(f"d{len(corpus_lines):06d}\t{leaf}\t{' '.join(tokens)}")
-    return "\n".join(taxonomy_lines) + "\n", "\n".join(corpus_lines) + "\n"
 
 
 @dataclass(frozen=True)

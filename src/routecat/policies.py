@@ -14,16 +14,25 @@ for the union of the siblings' subtrees, the policies are:
     exclusive-siblings   T+ = {c}       T- = sib(c)
 
 Each document set is selected in one scan of the training documents.
+The training mode, which decides whether these sets are used at all, is
+defined here beside the policies, so a command's flags can name both
+without loading the training code.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from routecat.corpus import Document
-from routecat.taxonomy import NodeId, Taxonomy
+if TYPE_CHECKING:
+    from routecat.corpus import Document
+    from routecat.taxonomy import NodeId, Taxonomy
+
+
+class Mode(str, enum.Enum):
+    POSITIVE_ONLY = "positive-only"
+    BINARY = "binary"
 
 
 class PolicyKind(str, enum.Enum):

@@ -22,6 +22,9 @@ int operations per draw.  Lane ``i`` holds a 64-bit value in its low half:
   the multiply could carry them upwards;
 * the last xor-shift leaves such bits too, and the unpacking reads only the
   low 8 bytes of each 16-byte lane, in explicit little-endian order.
+
+The integer checks of seeds, corpus sizes and loaded counts live here too:
+this module imports no other routecat module, so any of them can import it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ _LANE_MASK = _MASK64 * _ONES
 # k * GAMMA in lane k - 1, not yet reduced mod 2**64
 _GAMMA_RAMP = _GAMMA * int.from_bytes(_LANE_LAYOUT.pack(*range(1, LANES + 1)), "little")
 _BLOCK_STRIDE = LANES * _GAMMA & _MASK64
+
+
+def checked_int(value: object, what: str) -> int:
+    """``value`` if it is an integer (true and false, which JSON loads as bool, a subclass of int, are not)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def checked_seed(seed: object) -> int:

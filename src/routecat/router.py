@@ -26,7 +26,8 @@ from routecat.centroid import (
     model_identity,
     vocabulary_digest,
 )
-from routecat.corpus import Document, SparseVector, checked_int, vectorize
+from routecat.corpus import Document, SparseVector, vectorize
+from routecat.prng import checked_int
 from routecat.taxonomy import NodeId, Taxonomy
 
 CALIBRATION_FORMAT_VERSION = 2

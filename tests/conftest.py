@@ -15,8 +15,9 @@ import pytest
 from hypothesis import strategies as st
 
 from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus
-from routecat.evaluation import SyntheticSpec, TrainedRun, generate_synthetic, train_and_calibrate
+from routecat.evaluation import TrainedRun, train_and_calibrate
 from routecat.policies import PolicyKind
+from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import Taxonomy, parse_taxonomy
 
 T0_TEXT = "ROOT\tA\nROOT\tB\nA\tA1\nA\tA2\nB\tB1\n"

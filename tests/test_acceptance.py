@@ -11,9 +11,10 @@ import time
 from conftest import naive_training_set, random_labeled_docs, random_taxonomy, sweep_oracle, synthetic_run
 from routecat.cli import main as cli_main
 from routecat.corpus import vectorize
-from routecat.evaluation import SyntheticSpec, evaluate, flat_predictions, leaf_centroids
+from routecat.evaluation import evaluate, flat_predictions, leaf_centroids
 from routecat.policies import PolicyKind, build_training_set
 from routecat.router import confidence_score, decode, eer_threshold
+from routecat.synthetic import SyntheticSpec
 
 
 def verdict(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -34,8 +34,8 @@ from routecat.centroid import (
     train,
 )
 from routecat.corpus import Document, SparseVector, Vocabulary, build_vocabulary, index_training, load_corpus, vectorize
-from routecat.evaluation import SyntheticSpec, generate_synthetic
 from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
+from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, parse_taxonomy
 
 

@@ -253,6 +253,7 @@ def test_vectorize_with_precomputed_idf_equals_the_formula(train_texts, query):
     vocab = build_vocabulary(docs)
     # every term of positive idf, on its position and with the formula's idf; a term in every document is absent
     idf = [math.log((vocab.n_docs + 1) / (df + 1)) for df in vocab.doc_frequency]
+    assert vocab.idf_by_index == tuple(idf)
     assert vocab.index_and_idf == {term: (k, idf[k]) for k, term in enumerate(vocab.terms) if idf[k] > 0.0}
     for doc in [*docs, Document("q", "A", query)]:
         assert vectorize(doc, vocab) == vectorize_by_the_formula(doc, vocab)

@@ -16,13 +16,11 @@ from routecat.evaluation import (
     ComparisonRow,
     EvalSummary,
     SummaryRow,
-    SyntheticSpec,
     comparison_csv,
     evaluate,
     flat_accuracy,
     flat_baseline,
     flat_predictions,
-    generate_synthetic,
     leaf_centroids,
     render_report,
     report_rows,
@@ -32,6 +30,7 @@ from routecat.evaluation import (
 )
 from routecat.policies import PolicyKind
 from routecat.router import ACCEPT_ALL, build_calibration
+from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import parse_taxonomy
 
 

@@ -9,7 +9,7 @@ from conftest import import_perfbench, refuse_json_constant, sweep_oracle, synth
 from routecat import centroid
 from routecat.centroid import CentroidModel, Mode, group_scores, model_identity, node_score, vocabulary_digest
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, load_corpus, scorer, vectorize
-from routecat.evaluation import SyntheticSpec, flat_predictions, generate_synthetic, leaf_centroids
+from routecat.evaluation import flat_predictions, leaf_centroids
 from routecat.policies import PolicyKind
 from routecat.router import (
     ACCEPT_ALL,
@@ -27,6 +27,7 @@ from routecat.router import (
     loads_calibration,
     reliability,
 )
+from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import parse_taxonomy
 
 
