@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the pinned sha256 of every CLI artifact in ``tests/pins.json``, using only the standard library.
+"""Check the pinned sha256 of every CLI artifact in ``tests/pins.json``, and the tokenizer, using only the standard library.
 
 Each entry of the file gives the flags of a ``generate`` run and the sha256
 of the files and output it must produce.  An entry with ``train`` flags
@@ -9,6 +9,11 @@ also runs ``train``, ``evaluate`` (both with its ``split`` flags) and
 - ``ci_artifacts``: the CI spec under every training mode and policy;
 - ``bench_artifacts``: each benchmark workload's corpus at seed 0;
 - ``generated_bytes``: the taxonomy and corpus text of ``generate`` alone.
+
+It also checks that ``routecat.corpus.tokenize`` gives the tokens of
+``[^\\W_]{2,}`` over the lowered text on every string of one or two ASCII
+characters, which covers its ASCII branch on this interpreter, and prints
+the first string where they differ.
 
 The tests assert the same pins under pytest; this script needs neither
 pytest nor hypothesis, so every interpreter can run it.  It prints each
@@ -25,10 +30,12 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
 
+from routecat import corpus
 from routecat.cli import main
 
 PINS = Path(__file__).resolve().parent.parent / "tests" / "pins.json"
@@ -80,12 +87,23 @@ def mismatches(pins: dict) -> list[str]:
     return found
 
 
+def token_mismatches() -> list[str]:
+    """The first string of one or two ASCII characters on which ``tokenize`` and ``[^\\W_]{2,}`` disagree, if any."""
+    unicode_token = re.compile(r"[^\W_]{2,}")
+    ascii = [chr(c) for c in range(128)]
+    for text in ascii + [a + b for a in ascii for b in ascii]:
+        expected, actual = unicode_token.findall(text.lower()), corpus.tokenize(text)
+        if actual != expected:
+            return [f"tokenize({text!r}) gives {actual}, [^\\W_]{{2,}} gives {expected}"]
+    return []
+
+
 def check(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pins", type=Path, default=PINS, help="pins file (default: tests/pins.json)")
     args = parser.parse_args(argv)
     pins = json.loads(args.pins.read_text(encoding="utf-8"))
-    found = mismatches(pins)
+    found = token_mismatches() + mismatches(pins)
     for line in found:
         print(f"mismatch: {line}")
     count = sum(len(entry["sha256"]) for entries in pins.values() for entry in entries.values())

@@ -212,7 +212,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         vec = vectorize(Document(doc_id=doc_id, label="", text=body), model.vocabulary)
         decision = classify_with_reject(model, calibration, vec)
         verdict = "ACCEPT" if decision.accepted else "REJECT"
-        print(f"{doc_id}\t{decision.leaf}\t{decision.reliability:.6f}\t{verdict}")
+        # one write per line: under PYTHONUNBUFFERED, print's separate newline is a second write(2)
+        sys.stdout.write(f"{doc_id}\t{decision.leaf}\t{decision.reliability:.6f}\t{verdict}\n")
     return 0
 
 

@@ -24,6 +24,8 @@ from routecat.taxonomy import NodeId, Taxonomy, tsv_lines
 
 # maximal runs of two or more Unicode alphanumerics; underscore is not a word character here
 _TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
+# the same runs in lowercased ASCII text, where the alphanumerics are exactly a-z and 0-9
+_ASCII_TOKEN = re.compile(r"[a-z0-9]{2,}")
 
 
 class CorpusError(Exception):
@@ -41,9 +43,11 @@ def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop tokens shorter than 2.
 
     No stemming and no stopword removal, so the same bytes always produce
-    the same token sequence.
+    the same token sequence.  ASCII text, almost every input, skips the
+    Unicode character class and gets the same tokens.
     """
-    return _TOKEN.findall(text.lower())
+    text = text.lower()
+    return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)
 
 
 @dataclass(frozen=True)

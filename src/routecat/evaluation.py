@@ -21,7 +21,7 @@ from routecat.corpus import (
     vectorize,
 )
 from routecat.policies import PolicyKind, most_specific_examples
-from routecat.router import Calibration, build_calibration, classify_with_reject, routed_correctly
+from routecat.router import Calibration, build_calibration, classify_with_reject, first_max, routed_correctly
 # the benchmark reads the generator through this module
 from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import NodeId, Taxonomy
@@ -121,12 +121,7 @@ def flat_predictions(
     """
     leaves = taxonomy.leaves
     index = scorer([centroid_of[leaf] for leaf in leaves])
-    positions = range(len(leaves))
-    predictions = []
-    for d in vectors:
-        scores = index.dots(d)
-        predictions.append(leaves[max(positions, key=scores.__getitem__)])
-    return predictions
+    return [leaves[first_max(index.dots(d))] for d in vectors]
 
 
 def flat_accuracy(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from routecat.centroid import (
     CentroidModel,
@@ -40,13 +40,23 @@ class CalibrationError(Exception):
     """Calibration data missing, malformed, or inconsistent with the model."""
 
 
-@dataclass(frozen=True)
-class LevelStep:
-    """One routing decision: the chosen node, its sibling group's scores, and its confidence."""
+class LevelStep(NamedTuple):
+    """One routing decision: the chosen node, its sibling group and their scores, and its confidence.
+
+    ``scores`` is the list :func:`~routecat.centroid.group_scores` returned,
+    in ``group`` order.  A tuple is cheaper to build than a dataclass, and
+    every document builds one per level.
+    """
 
     chosen: NodeId
-    group_scores: Mapping[NodeId, float]
+    group: tuple[NodeId, ...]
+    scores: list[float]
     confidence: float
+
+    @property
+    def group_scores(self) -> dict[NodeId, float]:
+        """``{child: score}`` for the sibling group, built on each read; decoding never reads it."""
+        return dict(zip(self.group, self.scores))
 
 
 @dataclass(frozen=True)
@@ -110,10 +120,20 @@ def confidence_score(group_scores: Mapping[NodeId, float], chosen: NodeId) -> fl
     """
     if chosen not in group_scores:
         raise ValueError(f"chosen node {chosen!r} is not in its sibling group")
-    total = math.fsum(group_scores.values())
+    return _share(group_scores.values(), group_scores[chosen])
+
+
+def _share(scores: Collection[float], score: float) -> float:
+    """``score`` over the ``fsum`` of ``scores``, or 1/|scores| when that sum is 0: the confidence of a step."""
+    total = math.fsum(scores)
     if total <= 0.0:
-        return 1.0 / len(group_scores)
-    return group_scores[chosen] / total
+        return 1.0 / len(scores)
+    return score / total
+
+
+def first_max(scores: Sequence[float]) -> int:
+    """Position of the largest score; ties go to the earliest position."""
+    return scores.index(max(scores))
 
 
 def decode(model: CentroidModel, d: SparseVector) -> tuple[LevelStep, ...]:
@@ -126,17 +146,17 @@ def decode(model: CentroidModel, d: SparseVector) -> tuple[LevelStep, ...]:
     root without children, so there is at least one step.  The chosen
     nodes are the leaf's :meth:`~routecat.taxonomy.Taxonomy.path`.
     """
-    t = model.taxonomy
-    parent = t.root
-    group = t.children(parent)
+    children_of = model.taxonomy.children_of  # every chosen node is a taxonomy node: no membership check
+    parent = model.taxonomy.root
+    group = children_of[parent]
     steps: list[LevelStep] = []
     while group:
-        values = group_scores(model, d, parent)
-        chosen = group[values.index(max(values))]  # the first of tied children
-        scores = dict(zip(group, values))
-        steps.append(LevelStep(chosen=chosen, group_scores=scores, confidence=confidence_score(scores, chosen)))
+        scores = group_scores(model, d, parent)
+        position = first_max(scores)
+        chosen = group[position]
+        steps.append(LevelStep(chosen, group, scores, _share(scores, scores[position])))
         parent = chosen
-        group = t.children(parent)
+        group = children_of[parent]
     return tuple(steps)
 
 

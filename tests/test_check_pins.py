@@ -55,3 +55,20 @@ def test_check_pins_reports_a_command_that_fails(tmp_path):
     assert result.returncode == 1
     assert "mismatch: ci_artifacts/binary-exclusive: routecat train" in result.stdout
     assert "binary mode requires a training policy" in result.stdout
+
+
+def test_check_pins_reports_the_first_ascii_string_a_tokenizer_splits_differently(tmp_path):
+    path = tmp_path / "pins.json"
+    path.write_text(json.dumps({"generated_bytes": {"depth-4": PINS["generated_bytes"]["depth-4"]}}), encoding="utf-8")
+    # the script run with an ASCII branch that drops digits
+    code = "\n".join([
+        "import re, runpy, sys",
+        "from routecat import corpus",
+        "corpus._ASCII_TOKEN = re.compile('[a-z]{2,}')",
+        f"sys.argv = [{str(SCRIPT)!r}, '--pins', {str(path)!r}]",
+        f"runpy.run_path({str(SCRIPT)!r}, run_name='__main__')",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert result.returncode == 1
+    assert result.stdout.startswith("mismatch: tokenize('00') gives [], [^\\W_]{2,} gives ['00']\n")
+    assert result.stdout.endswith(": 1 mismatch\n")

@@ -106,6 +106,25 @@ def test_tokenize_keeps_the_runs_of_two_or_more_alphanumerics(text):
     assert tokenize(text) == [t for t in runs if len(t) >= 2]
 
 
+ASCII = [chr(c) for c in range(128)]
+
+
+def test_tokenize_agrees_with_the_unicode_pattern_on_every_ascii_string_of_one_or_two_characters():
+    unicode_token = re.compile(r"[^\W_]{2,}")
+    for text in ASCII + [a + b for a in ASCII for b in ASCII]:
+        assert tokenize(text) == unicode_token.findall(text.lower()), repr(text)
+
+
+@given(st.text(alphabet=st.sampled_from("aZq09_ -.,;!?'\t\x00\x7f"), max_size=60) | st.text(alphabet=st.sampled_from(ASCII)))
+@example("Foo_BAR9 x1 __a9b__ 12,34")
+def test_tokenize_agrees_with_the_unicode_pattern_on_ascii_text(text):
+    assert tokenize(text) == re.findall(r"[^\W_]{2,}", text.lower())
+
+
+def test_tokenize_keeps_unicode_alphanumerics_in_non_ascii_text():
+    assert tokenize("Ünïcode_naïve ÇA x1") == ["ünïcode", "naïve", "ça", "x1"]
+
+
 def _vocab_two_docs():
     return build_vocabulary(
         [Document("d1", "A1", "cat"), Document("d2", "A1", "cat dog")]

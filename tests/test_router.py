@@ -31,14 +31,18 @@ from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import parse_taxonomy
 
 
-def model_with_scores(taxonomy_text, centroids, vocab=None):
-    """Hand-built model whose node scores are fully controlled by the test."""
+def model_with_scores(taxonomy_text, centroids, vocab=None, negatives=None):
+    """Hand-built model whose node scores are fully controlled by the test; binary when ``negatives`` is given."""
     t = parse_taxonomy(taxonomy_text)
     if vocab is None:
         vocab = vocabulary_of_size(1)
-    full = {node: centroids.get(node, SparseVector()) for node in t.nodes if node != t.root}
+    nodes = [node for node in t.nodes if node != t.root]
+    full = {node: centroids.get(node, SparseVector()) for node in nodes}
+    if negatives is None:
+        return CentroidModel(taxonomy=t, vocabulary=vocab, mode=Mode.POSITIVE_ONLY, policy=None, centroid_of=full)
     return CentroidModel(
-        taxonomy=t, vocabulary=vocab, mode=Mode.POSITIVE_ONLY, policy=None, centroid_of=full
+        taxonomy=t, vocabulary=vocab, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS, centroid_of=full,
+        negative_centroid_of={node: negatives.get(node, SparseVector()) for node in nodes},
     )
 
 
@@ -91,7 +95,7 @@ def node_score_decode(model, d):
         for node in group[1:]:
             if scores[node] > scores[chosen]:
                 chosen = node
-        steps.append(LevelStep(chosen=chosen, group_scores=scores, confidence=confidence_score(scores, chosen)))
+        steps.append(LevelStep(chosen, group, list(scores.values()), confidence_score(scores, chosen)))
         group = t.children(chosen)
     return tuple(steps)
 
@@ -107,6 +111,78 @@ def test_decode_equals_the_node_score_reference_on_a_binary_siblings_corpus():
         d = vectorize(doc, run.model.vocabulary)
         # steps hold every group score and confidence, so == compares each float
         assert decode(run.model, d) == node_score_decode(run.model, d)
+
+
+def reference_decision(model, calibration, d):
+    """The reference route's leaf, verdict and reliability (as ``float.hex``), its confidences weighed level by level."""
+    steps = node_score_decode(model, d)
+    rel = 0.0
+    for depth, step in enumerate(steps, start=1):
+        rel += calibration.level_weights[depth] * step.confidence
+    return steps[-1].chosen, rel > calibration.threshold, rel.hex()
+
+
+# leaves at depths 1 (b), 2 (a2) and 3 (x, y)
+UNEVEN_TAXONOMY = "R\ta\nR\tb\na\ta1\na\ta2\na1\tx\na1\ty\n"
+UNEVEN_CENTROIDS = {
+    "a": vec((0, 0.6), (1, 0.8)), "b": vec((2, 1.0)),
+    "a1": vec((0, 1.0)), "a2": vec((1, 0.5), (2, 0.5)),
+    "x": vec((1, 1.0)), "y": vec((0, 0.3), (2, 0.9)),
+}
+UNEVEN_VECTORS = [
+    vec((0, 1.0)), vec((1, 1.0)), vec((2, 1.0)), vec((0, 0.6), (2, 0.8)), vec((0, 0.5), (1, 0.5), (2, 0.7)),
+    SparseVector(),
+]
+UNEVEN_CALIBRATION = Calibration(level_weights={1: 0.9, 2: 0.6, 3: 0.3}, threshold=0.8, eer_gap=0.1, validation_size=6)
+
+
+def uneven_binary_model():
+    """The uneven tree in binary mode; the negatives of ``x`` and ``y`` outweigh their centroids, so ``a1``'s group always scores 0."""
+    return model_with_scores(
+        UNEVEN_TAXONOMY, UNEVEN_CENTROIDS, vocabulary_of_size(3),
+        negatives={"b": vec((0, 0.5)), "a2": vec((0, 0.4)), "x": vec((0, 1.0), (1, 1.0), (2, 1.0)),
+                   "y": vec((0, 1.0), (1, 1.0), (2, 1.0))},
+    )
+
+
+def synthetic_case(spec, **training):
+    run = synthetic_run(spec, 0.2, 0.2, **training)
+    return run.model, run.calibration, [vectorize(doc, run.model.vocabulary) for doc in run.split.test]
+
+
+@pytest.mark.parametrize("case", ["positive-only", "binary-siblings", "uneven", "uneven-binary"])
+def test_classify_with_reject_equals_the_reference_decision(case):
+    if case == "positive-only":
+        model, calibration, vectors = synthetic_case(
+            SyntheticSpec(depth=2, branching=3, docs_per_leaf=8, tokens_per_doc=10, noise_fraction=0.7, seed=4)
+        )
+    elif case == "binary-siblings":
+        model, calibration, vectors = synthetic_case(BINARY_SIBLINGS_SPEC, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
+    else:
+        model = (
+            uneven_binary_model() if case == "uneven-binary"
+            else model_with_scores(UNEVEN_TAXONOMY, UNEVEN_CENTROIDS, vocabulary_of_size(3))
+        )
+        calibration, vectors = UNEVEN_CALIBRATION, UNEVEN_VECTORS
+    verdicts = set()
+    for d in vectors:
+        decision = classify_with_reject(model, calibration, d)
+        leaf, accepted, rel = reference_decision(model, calibration, d)
+        assert (decision.leaf, decision.accepted, decision.reliability.hex()) == (leaf, accepted, rel)
+        verdicts.add(accepted)
+        for step in decode(model, d):
+            assert type(step.group_scores) is dict
+            assert step.group_scores == {node: node_score(model, d, node) for node in step.group}
+    assert verdicts == {True, False}
+
+
+def test_a_binary_group_scoring_all_zero_takes_its_first_child_with_the_uniform_confidence():
+    model = uneven_binary_model()
+    steps = decode(model, vec((0, 1.0)))
+    assert [step.chosen for step in steps] == ["a", "a1", "x"]
+    assert steps[2].group_scores == {"x": 0.0, "y": 0.0}
+    assert steps[2].confidence == 0.5
+    assert steps == node_score_decode(model, vec((0, 1.0)))
 
 
 BENCH = import_perfbench("workloads")
@@ -260,8 +336,8 @@ def test_reliability_weighted_sum():
     from routecat.router import LevelStep
 
     steps = (
-        LevelStep("x", {"x": 3.0, "y": 2.0}, 0.6),
-        LevelStep("y", {"y": 1.0, "z": 1.0}, 0.5),
+        LevelStep("x", ("x", "y"), [3.0, 2.0], 0.6),
+        LevelStep("y", ("y", "z"), [1.0, 1.0], 0.5),
     )
     assert reliability(steps, {1: 1.0, 2: 0.8}) == pytest.approx(1.0)
     assert reliability((steps[0],), {1: 0.9}) == pytest.approx(0.9 * 0.6)
@@ -411,7 +487,7 @@ def test_calibration_keeps_the_weights_it_checked():
     cal = Calibration(level_weights=weights, threshold=0.5, eer_gap=0.0, validation_size=3)
     weights[1] = 7.0  # outside [0, 1], which the constructor refuses
     assert cal.level_weights == {1: 1.0, 2: 0.5}
-    assert reliability((LevelStep("x", {"x": 1.0}, 1.0),), cal.level_weights) == 1.0
+    assert reliability((LevelStep("x", ("x",), [1.0], 1.0),), cal.level_weights) == 1.0
     with pytest.raises(TypeError):
         cal.level_weights[1] = 7.0
 
