@@ -15,9 +15,12 @@ It also checks that ``routecat.corpus.tokenize`` gives the tokens of
 characters, which covers its ASCII branch on this interpreter, and prints
 the first string where they differ.
 
-The tests assert the same pins under pytest; this script needs neither
-pytest nor hypothesis, so every interpreter can run it.  It prints each
-mismatch and exits 1, or exits 0 when every pin holds.
+This script needs neither pytest nor hypothesis, so every interpreter can
+run it, and it is the only code that runs and hashes the pinned commands:
+the tests import it and assert that :func:`entry_mismatches` of each entry
+and :func:`token_mismatches` are empty, so a check added here runs under
+pytest too.  It prints each mismatch and exits 1, or exits 0 when every
+pin holds.
 
 Example:
     PYTHONPATH=src python scripts/check_pins.py
@@ -41,14 +44,14 @@ from routecat.cli import main
 PINS = Path(__file__).resolve().parent.parent / "tests" / "pins.json"
 
 
-def cli(*argv: str) -> str:
-    """Run one routecat command in this process and return its stdout; a nonzero exit status raises."""
+def cli(*argv: str) -> bytes:
+    """Run one routecat command in this process and return its stdout as UTF-8; a nonzero exit status raises."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(list(argv))
     if code != 0:
         raise RuntimeError(f"routecat {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
-    return out.getvalue()
+    return out.getvalue().encode()
 
 
 def artifacts(entry: dict, work: Path) -> dict[str, bytes]:
@@ -56,7 +59,7 @@ def artifacts(entry: dict, work: Path) -> dict[str, bytes]:
     data, run, report = work / "data", work / "run", work / "report"
     cli("generate", *entry["generate"], "--out-dir", str(data))
     files = [data / "taxonomy.tsv", data / "corpus.tsv"]
-    classify = ""
+    outputs = {}
     if "train" in entry:
         corpus = str(data / "corpus.tsv")
         model, calibration = str(run / "model.json"), str(run / "calibration.json")
@@ -64,27 +67,33 @@ def artifacts(entry: dict, work: Path) -> dict[str, bytes]:
             "--out-dir", str(run))
         cli("evaluate", "--model", model, "--calibration", calibration, "--corpus", corpus, *entry["split"],
             "--out-dir", str(report))
-        classify = cli("classify", "--model", model, "--calibration", calibration, "--input", corpus)
+        outputs["classify"] = cli("classify", "--model", model, "--calibration", calibration, "--input", corpus)
         files += [run / "model.json", run / "calibration.json", report / "summary.csv", report / "comparison.csv"]
-    return {"classify": classify.encode("utf-8"), **{path.name: path.read_bytes() for path in files}}
+    return {**outputs, **{path.name: path.read_bytes() for path in files}}
+
+
+def entry_mismatches(table: str, name: str, entry: dict) -> list[str]:
+    """One line per pinned sha256 of one entry that its commands do not reproduce, naming table, entry and artifact."""
+    with tempfile.TemporaryDirectory() as work:
+        try:
+            produced = artifacts(entry, Path(work))
+        except RuntimeError as exc:
+            return [f"{table}/{name}: {exc}"]
+    found = []
+    for artifact, pinned in entry["sha256"].items():
+        if artifact not in produced:
+            found.append(f"{table}/{name} {artifact}: pinned {pinned}, but the entry's commands make no {artifact}")
+            continue
+        actual = hashlib.sha256(produced[artifact]).hexdigest()
+        if actual != pinned:
+            found.append(f"{table}/{name} {artifact}: pinned {pinned}, got {actual}")
+    return found
 
 
 def mismatches(pins: dict) -> list[str]:
-    """One line per pinned sha256 the commands do not reproduce: table, entry, artifact, pinned and actual hash."""
-    found = []
-    for table, entries in pins.items():
-        for name, entry in entries.items():
-            with tempfile.TemporaryDirectory() as work:
-                try:
-                    produced = artifacts(entry, Path(work))
-                except RuntimeError as exc:
-                    found.append(f"{table}/{name}: {exc}")
-                    continue
-            for artifact, pinned in entry["sha256"].items():
-                actual = hashlib.sha256(produced[artifact]).hexdigest()
-                if actual != pinned:
-                    found.append(f"{table}/{name} {artifact}: pinned {pinned}, got {actual}")
-    return found
+    """The :func:`entry_mismatches` of every entry of every table."""
+    return [line for table, entries in pins.items() for name, entry in entries.items()
+            for line in entry_mismatches(table, name, entry)]
 
 
 def token_mismatches() -> list[str]:

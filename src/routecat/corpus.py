@@ -124,31 +124,31 @@ def idf(n_docs: int, df: int) -> float:
     return math.log((n_docs + 1) / (df + 1))
 
 
-def _index_terms(train: Sequence[Document], counts: list | None) -> Vocabulary:
-    """The vocabulary of one pass over the training text, each document tokenized once.
+def _index_terms(train: Sequence[Document]) -> tuple[Vocabulary, list]:
+    """The vocabulary of one pass over the training text, each document tokenized once, and each document's term counts.
 
     A term's index is its first appearance, so it is known the first time the
-    term is seen.  When ``counts`` is a list, each document's term indices and
-    their frequencies, in order of first appearance in the document, are
-    appended to it as two packed ``array('I')``.
+    term is seen.  A document's counts are its term indices and their
+    frequencies, in order of first appearance in the document, as two packed
+    ``array('I')``.
     """
     if not train:
         raise ValueError("cannot build a vocabulary from an empty training set")
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__  # an unseen term gets the next index, assigned in C
     df: Counter[int] = Counter()
+    counts = []
     for doc in train:
         tf = Counter(map(index.__getitem__, tokenize(doc.text)))
         # a new index first reaches df here, after every smaller one, so df lists its counts in index order
         df.update(tf.keys())
-        if counts is not None:
-            counts.append((array("I", tf.keys()), array("I", tf.values())))
-    return Vocabulary(terms=tuple(index), doc_frequency=tuple(df.values()), n_docs=len(train))
+        counts.append((array("I", tf.keys()), array("I", tf.values())))
+    return Vocabulary(terms=tuple(index), doc_frequency=tuple(df.values()), n_docs=len(train)), counts
 
 
 def build_vocabulary(train: Sequence[Document]) -> Vocabulary:
     """Index every distinct training token; ids follow first appearance."""
-    return _index_terms(train, None)
+    return _index_terms(train)[0]
 
 
 def index_training(train: Sequence[Document]) -> tuple[Vocabulary, list[SparseVector]]:
@@ -158,8 +158,7 @@ def index_training(train: Sequence[Document]) -> tuple[Vocabulary, list[SparseVe
     once it ends, idf is known, and each document's counts are replaced by
     its vector as the vector is built.
     """
-    vectors: list = []
-    vocabulary = _index_terms(train, vectors)
+    vocabulary, vectors = _index_terms(train)
     idf_by_index = vocabulary.idf_by_index
     for k, (indices, tfs) in enumerate(vectors):
         vectors[k] = _unit_vector(

@@ -1,4 +1,4 @@
-"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, vocabularies of any size, hand-packed model centroids, a naive policy oracle, an exhaustive EER oracle, a strict JSON hook, synthetic runs, and the benchmark's modules."""
+"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, vocabularies of any size, hand-packed model centroids, a naive policy oracle, an exhaustive EER oracle, a strict JSON hook, synthetic runs, and the modules of the benchmark and of scripts/."""
 
 from __future__ import annotations
 
@@ -197,13 +197,14 @@ def synthetic_run(spec: SyntheticSpec, val_fraction: float, test_fraction: float
     return train_and_calibrate(taxonomy, docs, val_fraction, test_fraction, spec.seed, **training)
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH, SCRIPTS = ROOT / "perfbench", ROOT / "scripts"
 
 
-def import_perfbench(name: str) -> ModuleType:
-    """A module of the benchmark (``perfbench/<name>.py``), which is a directory of scripts, not a package."""
-    sys.path.insert(0, str(PERFBENCH))
+def import_script(directory: Path, name: str) -> ModuleType:
+    """The module ``<directory>/<name>.py`` of a directory of scripts, not a package: ``PERFBENCH`` or ``SCRIPTS``."""
+    sys.path.insert(0, str(directory))
     try:
         return importlib.import_module(name)
     finally:
-        sys.path.remove(str(PERFBENCH))
+        sys.path.remove(str(directory))

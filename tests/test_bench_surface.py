@@ -12,7 +12,7 @@ import importlib
 
 import pytest
 
-from conftest import PERFBENCH, import_perfbench
+from conftest import PERFBENCH, import_script
 
 
 def routecat_reads(source: str) -> list[tuple[str, str]]:
@@ -34,7 +34,7 @@ def routecat_reads(source: str) -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("table", ["STAGES", "HOT"])
 def test_every_traced_function_exists(table):
-    entries = getattr(import_perfbench("tracing"), table)
+    entries = getattr(import_script(PERFBENCH, "tracing"), table)
     assert entries
     missing = [label for owner, attr, label in entries if not hasattr(owner, attr)]
     assert missing == []

@@ -1,17 +1,55 @@
-"""scripts/check_pins.py, run as a subprocess on a pins file of its own shape."""
+"""The pins of tests/pins.json, checked by scripts/check_pins.py in this process; their flags against the benchmark's
+workloads; and the script run as a subprocess on a pins file of its own shape."""
 
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "check_pins.py"
+from conftest import PERFBENCH, ROOT, SCRIPTS, import_script
+
+SCRIPT = SCRIPTS / "check_pins.py"
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-PINS = json.loads((ROOT / "tests" / "pins.json").read_text(encoding="utf-8"))
+CHECK_PINS = import_script(SCRIPTS, "check_pins")
+BENCH = import_script(PERFBENCH, "workloads")
+# tests/pins.json holds the sha256 of every pinned artifact and the flags that make it.  scripts/check_pins.py is the
+# only code that runs those commands and hashes what they make: the tests call its functions, so a check added to the
+# script runs both under pytest and on an interpreter without pytest.  A refactor of the vector layout, the scoring
+# kernels or the model format must leave every pin alone.
+PINS = json.loads(CHECK_PINS.PINS.read_text(encoding="utf-8"))
+
+
+# ci_artifacts pins the CI spec at seed 0 under each mode; for the binary policies other than siblings only the model,
+# each summing its sets directly or as the total minus the labels outside them
+@pytest.mark.parametrize("table, name", [(table, name) for table, entries in PINS.items() for name in entries])
+def test_pinned_commands_reproduce_every_pin(table, name):
+    assert CHECK_PINS.entry_mismatches(table, name, PINS[table][name]) == []
+
+
+def test_every_benchmark_workload_is_pinned():
+    # each workload's corpus at seed 0, trained with its flags and split by the benchmark's fractions at --seed 0
+    split = ["--val-fraction", str(BENCH.VAL_FRACTION), "--test-fraction", str(BENCH.TEST_FRACTION), "--seed", "0"]
+    assert {name: (pin["generate"], pin["split"], pin["train"]) for name, pin in PINS["bench_artifacts"].items()} == {
+        name: ([*w.generate_flags(), "--seed", "0"], split, w.train_flags()) for name, w in BENCH.WORKLOADS.items()
+    }
+
+
+# the generated corpora that are not a workload's: the CI spec (--depth 2 --branching 3 --docs-per-leaf 20
+# --tokens-per-doc 8 --noise 0.6) at two edges of the splitmix64 stream, the benchmark's traffic seed and the largest
+# seed, and a depth-4 spec with odd sizes, whose chains are four topics long
+OTHER_GENERATED = ("ci-spec-1000003", "ci-spec-18446744073709551615", "depth-4")
+
+
+def test_generated_pins_follow_the_benchmark_workloads():
+    # each workload's corpus at seeds 0 and 1, at 1,000,003 (the traffic of the benchmark's seed 0) and at the largest
+    generated = PINS["generated_bytes"]
+    assert {name: pin["generate"] for name, pin in generated.items() if name not in OTHER_GENERATED} == {
+        f"{name}-{seed}": [*w.generate_flags(), "--seed", str(seed)]
+        for name, w in BENCH.WORKLOADS.items()
+        for seed in (0, 1, 1_000_003, 2**64 - 1)
+    }
 
 
 def check(tmp_path, pins):
@@ -46,6 +84,17 @@ def test_check_pins_names_each_mismatch_and_exits_1(tmp_path, table, name, artif
     result = check(tmp_path, pins)
     assert result.returncode == 1
     assert f"mismatch: {table}/{name} {artifact}: pinned {wrong}, got {pinned}\n" in result.stdout
+    assert result.stdout.endswith(": 1 mismatch\n")
+
+
+def test_check_pins_names_an_artifact_the_commands_do_not_make(tmp_path):
+    pinned = PINS["ci_artifacts"]["binary-exclusive"]["sha256"]["model.json"]
+    entry = PINS["generated_bytes"]["depth-4"]
+    entry = {**entry, "sha256": {**entry["sha256"], "model.json": pinned}}  # generate alone writes no model
+    result = check(tmp_path, {"generated_bytes": {"depth-4": entry}})
+    assert result.returncode == 1
+    missing = f"generated_bytes/depth-4 model.json: pinned {pinned}, but the entry's commands make no model.json"
+    assert result.stdout.startswith(f"mismatch: {missing}\n")
     assert result.stdout.endswith(": 1 mismatch\n")
 
 

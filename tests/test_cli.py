@@ -1,6 +1,5 @@
 import base64
 import csv
-import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import entries, import_perfbench, packed_centroid, refuse_json_constant
+from conftest import entries, packed_centroid, refuse_json_constant
 from routecat.centroid import dumps_model, train, vocabulary_digest
 from routecat.cli import main
 from routecat.corpus import Document, build_vocabulary
@@ -170,64 +169,6 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, mode):
                                       report / "summary.csv", report / "comparison.csv")]
         )
     assert outputs[0] == outputs[1]
-
-
-# tests/pins.json holds the sha256 of every pinned artifact and the flags that make it; scripts/check_pins.py checks the
-# same pins without pytest.  A refactor of the vector layout, the scoring kernels or the model format must leave them
-# all alone.
-PINS = json.loads((Path(__file__).resolve().parent / "pins.json").read_text(encoding="utf-8"))
-
-
-# the CI spec (generate --depth 2 --branching 3 --docs-per-leaf 20 --tokens-per-doc 8 --noise 0.6 --seed 0, then
-# train, evaluate and classify at --seed 0) under each mode; for the binary policies other than siblings only the
-# model, each summing its sets directly or as the total minus the labels outside them
-@pytest.mark.parametrize("name", sorted(PINS["ci_artifacts"]))
-def test_ci_spec_artifacts_keep_their_bytes(tmp_path, capsys, name):
-    pin = PINS["ci_artifacts"][name]
-    artifacts = cli_artifacts(tmp_path, capsys, pin["generate"], pin["split"], pin["train"])
-    assert {key: hashlib.sha256(artifacts[key]).hexdigest() for key in pin["sha256"]} == pin["sha256"]
-
-
-def cli_artifacts(tmp_path, capsys, generate_flags, split, mode):
-    """generate, train, evaluate and classify the corpus itself: each artifact's bytes."""
-    data, run, report = (tmp_path / part for part in ("data", "run", "report"))
-    model, calibration = str(run / "model.json"), str(run / "calibration.json")
-    assert run_cli("generate", *generate_flags, "--out-dir", str(data)) == 0
-    corpus = str(data / "corpus.tsv")
-    assert run_cli("train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", corpus, *split, *mode,
-                   "--out-dir", str(run)) == 0
-    assert run_cli("evaluate", "--model", model, "--calibration", calibration, "--corpus", corpus, *split,
-                   "--out-dir", str(report)) == 0
-    capsys.readouterr()
-    assert run_cli("classify", "--model", model, "--calibration", calibration, "--input", corpus) == 0
-    return {
-        "model.json": (run / "model.json").read_bytes(),
-        "calibration.json": (run / "calibration.json").read_bytes(),
-        "summary.csv": (report / "summary.csv").read_bytes(),
-        "comparison.csv": (report / "comparison.csv").read_bytes(),
-        "classify": capsys.readouterr().out.encode("utf-8"),
-    }
-
-
-BENCH = import_perfbench("workloads")
-
-
-# every artifact of each benchmark workload's corpus at seed 0, trained with its flags and split by the benchmark's
-# fractions at --seed 0; classify reads the corpus itself
-@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
-def test_bench_workload_artifacts_keep_their_bytes(tmp_path, capsys, workload):
-    w, pin = BENCH.WORKLOADS[workload], PINS["bench_artifacts"][workload]
-    split = ["--val-fraction", str(BENCH.VAL_FRACTION), "--test-fraction", str(BENCH.TEST_FRACTION), "--seed", "0"]
-    # the pins follow the workloads the benchmark runs
-    assert pin["generate"] == [*w.generate_flags(), "--seed", "0"]
-    assert (pin["split"], pin["train"]) == (split, w.train_flags())
-    artifacts = cli_artifacts(tmp_path, capsys, pin["generate"], pin["split"], pin["train"])
-    hashes = {key: hashlib.sha256(value).hexdigest() for key, value in artifacts.items()}
-    assert hashes == pin["sha256"]
-
-
-def test_every_benchmark_workload_is_pinned():
-    assert sorted(PINS["bench_artifacts"]) == sorted(BENCH.WORKLOADS)
 
 
 def test_train_missing_corpus(tmp_path, capsys):

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import LINE_SEPARATORS, SMALLEST_NORMAL, T0_TEXT, entries, sparse_vectors, vec
+from conftest import LINE_SEPARATORS, SCRIPTS, SMALLEST_NORMAL, T0_TEXT, entries, import_script, sparse_vectors, vec
 from routecat.centroid import Mode, dumps_model, train
 from routecat.corpus import (
     DENSE_MIN_FILL,
@@ -110,9 +110,7 @@ ASCII = [chr(c) for c in range(128)]
 
 
 def test_tokenize_agrees_with_the_unicode_pattern_on_every_ascii_string_of_one_or_two_characters():
-    unicode_token = re.compile(r"[^\W_]{2,}")
-    for text in ASCII + [a + b for a in ASCII for b in ASCII]:
-        assert tokenize(text) == unicode_token.findall(text.lower()), repr(text)
+    assert import_script(SCRIPTS, "check_pins").token_mismatches() == []
 
 
 @given(st.text(alphabet=st.sampled_from("aZq09_ -.,;!?'\t\x00\x7f"), max_size=60) | st.text(alphabet=st.sampled_from(ASCII)))

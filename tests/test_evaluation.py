@@ -1,15 +1,11 @@
 import dataclasses
-import hashlib
-import json
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import import_perfbench, random_labeled_docs, random_taxonomy, synthetic_run, vec
+from conftest import random_labeled_docs, random_taxonomy, synthetic_run, vec
 from routecat import corpus, evaluation
-from routecat.cli import build_parser, corpus_spec
 from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary, vectorize
 from routecat.centroid import Mode, train
 from routecat.evaluation import (
@@ -253,33 +249,6 @@ def test_synthetic_spec_refuses_a_seed_that_is_not_an_int(seed):
     # 1.5 failed at the first draw, and True generated the corpus of seed 1
     with pytest.raises(TypeError, match=f"^seed must be an integer, not {seed}$"):
         SyntheticSpec(depth=1, branching=2, docs_per_leaf=5, seed=seed)
-
-
-BENCH = import_perfbench("workloads")
-# tests/pins.json holds the sha256 of the taxonomy and corpus text of every benchmark workload's corpus at seeds 0 and
-# 1, at 1,000,003 (the traffic of the benchmark's seed 0) and at the largest seed, and of a depth-4 spec with odd
-# sizes, whose chains are four topics long; each with the generate flags that make it
-PINS = json.loads((Path(__file__).resolve().parent / "pins.json").read_text(encoding="utf-8"))
-GENERATED_BYTES = PINS["generated_bytes"]
-
-
-@pytest.mark.parametrize("name", sorted(GENERATED_BYTES))
-def test_generated_corpora_keep_their_bytes(name):
-    pin = GENERATED_BYTES[name]
-    args = build_parser().parse_args(["generate", *pin["generate"], "--out-dir", "unused"])
-    taxonomy_text, corpus_text = generate_synthetic(corpus_spec(args, args.seed))
-    hashes = {name: hashlib.sha256(text.encode()).hexdigest()
-              for name, text in (("taxonomy.tsv", taxonomy_text), ("corpus.tsv", corpus_text))}
-    assert hashes == pin["sha256"]
-
-
-def test_generated_pins_follow_the_benchmark_workloads():
-    workload_flags = {name: pin["generate"] for name, pin in GENERATED_BYTES.items() if name != "depth-4"}
-    assert workload_flags == {
-        f"{name}-{seed}": [*w.generate_flags(), "--seed", str(seed)]
-        for name, w in BENCH.WORKLOADS.items()
-        for seed in (0, 1, 1_000_003, 2**64 - 1)
-    }
 
 
 def test_noise_free_flat_accuracy_is_perfect():

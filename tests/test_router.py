@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import import_perfbench, refuse_json_constant, sweep_oracle, synthetic_run, vec, vocabulary_of_size
+from conftest import PERFBENCH, import_script, refuse_json_constant, sweep_oracle, synthetic_run, vec, vocabulary_of_size
 from routecat import centroid
 from routecat.centroid import CentroidModel, Mode, group_scores, model_identity, node_score, vocabulary_digest
 from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, load_corpus, scorer, vectorize
@@ -185,7 +185,7 @@ def test_a_binary_group_scoring_all_zero_takes_its_first_child_with_the_uniform_
     assert steps == node_score_decode(model, vec((0, 1.0)))
 
 
-BENCH = import_perfbench("workloads")
+BENCH = import_script(PERFBENCH, "workloads")
 # the kernel each benchmark workload's flat baseline gets
 BENCH_LEAF_KERNEL = {"docs-heavy": TermTable, "node-heavy": InvertedIndex, "binary-siblings": InvertedIndex}
 
