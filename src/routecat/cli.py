@@ -230,6 +230,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{args.corpus}: the model was not trained on this split's training part; "
             "give evaluate the corpus, --val-fraction, --test-fraction and --seed that train was given"
         )
+    # the training parts agree, so a validation part of another size moves documents between validation and test
+    if len(split.validation) != calibration.validation_size:
+        raise CliError(
+            f"{args.corpus}: the calibration was computed on {calibration.validation_size} validation documents, "
+            f"not on this split's {len(split.validation)}; give evaluate the --val-fraction, --test-fraction "
+            "and --seed that train was given"
+        )
     summary_rows, comparison_rows = evaluation.report_rows(args.problem, model, calibration, split)
     out = Path(args.out_dir)
     _write_text(out / "summary.csv", evaluation.summary_csv(summary_rows))

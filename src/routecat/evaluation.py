@@ -266,8 +266,7 @@ def render_report(summary_rows: Sequence[SummaryRow], comparison_rows: Sequence[
 
     The tables escape control characters in a problem name, so that each row
     stays on one line; the CSV sections keep the name as it is, quoted as
-    RFC 4180 requires.  The comparison section is omitted when no baseline
-    rows are supplied.
+    RFC 4180 requires.
     """
     out: list[str] = []
     out.append("Rejection summary")
@@ -283,13 +282,12 @@ def render_report(summary_rows: Sequence[SummaryRow], comparison_rows: Sequence[
     out.append("")
     out.append("summary.csv")
     out.append(summary_csv(summary_rows).rstrip("\n"))
-    if comparison_rows:
-        out.append("")
-        out.append("Method comparison (recognition rate, %)")
-        out.append(f"{'problem':<16}{'flat':>8}{'LCN':>8}{'proposed':>10}")
-        for row in comparison_rows:
-            out.append(f"{_table_name(row.problem):<16}{row.flat:>8.1f}{row.lcn:>8.1f}{row.proposed:>10.1f}")
-        out.append("")
-        out.append("comparison.csv")
-        out.append(comparison_csv(comparison_rows).rstrip("\n"))
+    out.append("")
+    out.append("Method comparison (recognition rate, %)")
+    out.append(f"{'problem':<16}{'flat':>8}{'LCN':>8}{'proposed':>10}")
+    for row in comparison_rows:
+        out.append(f"{_table_name(row.problem):<16}{row.flat:>8.1f}{row.lcn:>8.1f}{row.proposed:>10.1f}")
+    out.append("")
+    out.append("comparison.csv")
+    out.append(comparison_csv(comparison_rows).rstrip("\n"))
     return "\n".join(out) + "\n"

@@ -53,11 +53,6 @@ class LevelStep(NamedTuple):
     scores: list[float]
     confidence: float
 
-    @property
-    def group_scores(self) -> dict[NodeId, float]:
-        """``{child: score}`` for the sibling group, built on each read; decoding never reads it."""
-        return dict(zip(self.group, self.scores))
-
 
 @dataclass(frozen=True)
 class Calibration:
@@ -112,19 +107,12 @@ class Decision:
     reliability: float
 
 
-def confidence_score(group_scores: Mapping[NodeId, float], chosen: NodeId) -> float:
-    """Share of the sibling group's score mass held by ``chosen``.
+def confidence(scores: Collection[float], score: float) -> float:
+    """The confidence of a step: the share of its sibling group's score mass held by ``score``, one of ``scores``.
 
-    A zero-mass group falls back to the uniform value 1/|group| so the
-    result is always in (0, 1].
+    That is ``score`` over the ``fsum`` of ``scores``; a zero-mass group falls
+    back to the uniform value 1/|scores|, so the result is always in (0, 1].
     """
-    if chosen not in group_scores:
-        raise ValueError(f"chosen node {chosen!r} is not in its sibling group")
-    return _share(group_scores.values(), group_scores[chosen])
-
-
-def _share(scores: Collection[float], score: float) -> float:
-    """``score`` over the ``fsum`` of ``scores``, or 1/|scores| when that sum is 0: the confidence of a step."""
     total = math.fsum(scores)
     if total <= 0.0:
         return 1.0 / len(scores)
@@ -154,7 +142,7 @@ def decode(model: CentroidModel, d: SparseVector) -> tuple[LevelStep, ...]:
         scores = group_scores(model, d, parent)
         position = first_max(scores)
         chosen = group[position]
-        steps.append(LevelStep(chosen, group, scores, _share(scores, scores[position])))
+        steps.append(LevelStep(chosen, group, scores, confidence(scores, scores[position])))
         parent = chosen
         group = children_of[parent]
     return tuple(steps)

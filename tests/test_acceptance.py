@@ -13,7 +13,7 @@ from routecat.cli import main as cli_main
 from routecat.corpus import vectorize
 from routecat.evaluation import evaluate, flat_predictions, leaf_centroids
 from routecat.policies import PolicyKind, build_training_set
-from routecat.router import confidence_score, decode, eer_threshold
+from routecat.router import confidence, decode, eer_threshold
 from routecat.synthetic import SyntheticSpec
 
 
@@ -55,14 +55,14 @@ def test_criterion_2_confidence_normalization():
         nodes = [f"n{i}" for i in range(size)]
         zero_group = rng.random() < 0.05
         scores = {n: 0.0 if zero_group else rng.random() * rng.choice([1e-3, 1.0, 1e3]) for n in nodes}
-        total = math.fsum(confidence_score(scores, n) for n in nodes)
+        total = math.fsum(confidence(scores.values(), scores[n]) for n in nodes)
         worst_sum_err = max(worst_sum_err, abs(total - 1.0))
 
         chosen = max(nodes, key=lambda n: (scores[n], -nodes.index(n)))
         factor = 10.0 ** rng.uniform(-6, 6)
         scaled = {n: s * factor for n, s in scores.items()}
         rescaled_chosen = max(nodes, key=lambda n: (scaled[n], -nodes.index(n)))
-        cs_delta = abs(confidence_score(scaled, chosen) - confidence_score(scores, chosen))
+        cs_delta = abs(confidence(scaled.values(), scaled[chosen]) - confidence(scores.values(), scores[chosen]))
         invariance_failures += (rescaled_chosen != chosen) or (cs_delta > 1e-9)
     verdict(
         2,

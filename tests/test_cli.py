@@ -479,15 +479,22 @@ def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
     assert "centroid of 'B'" in captured.err and "negative" in captured.err
 
 
+NOT_THE_TRAINING_PART = "not trained on this split's training part"
+
+
 @pytest.mark.parametrize(
-    "split, corpus_seed",
+    "split, corpus_seed, message",
     [
-        (("--val-fraction", "0.3", "--test-fraction", "0.3", "--seed", "5"), "5"),  # other fractions
-        (("--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "6"), "5"),  # other seed
-        (("--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "5"), "6"),  # other corpus
+        (("--val-fraction", "0.3", "--test-fraction", "0.3", "--seed", "5"), "5", NOT_THE_TRAINING_PART),
+        (("--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "6"), "5", NOT_THE_TRAINING_PART),
+        (("--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "5"), "6", NOT_THE_TRAINING_PART),
+        # the same training part, but a validation part of another size: the split is not the one train made
+        (("--val-fraction", "0.3", "--test-fraction", "0.2", "--seed", "5"), "5",
+         "the calibration was computed on 36 validation documents, not on this split's 54"),
     ],
+    ids=["other-fractions", "other-seed", "other-corpus", "swapped-fractions"],
 )
-def test_evaluate_refuses_a_split_the_model_was_not_trained_on(tmp_path, capsys, split, corpus_seed):
+def test_evaluate_refuses_a_split_the_model_was_not_trained_on(tmp_path, capsys, split, corpus_seed, message):
     run = train_into(tmp_path, generate(tmp_path))
     other = generate(tmp_path / "other", **{"--seed": corpus_seed})
     capsys.readouterr()
@@ -503,7 +510,7 @@ def test_evaluate_refuses_a_split_the_model_was_not_trained_on(tmp_path, capsys,
     assert code == 1
     assert captured.out == "" and not (tmp_path / "report").exists()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "not trained on this split's training part" in captured.err
+    assert message in captured.err
 
 
 def test_accept_all_evaluate_has_zero_boost(tmp_path):

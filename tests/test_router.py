@@ -20,7 +20,7 @@ from routecat.router import (
     check_matching_vocabulary,
     check_pairing,
     classify_with_reject,
-    confidence_score,
+    confidence,
     decode,
     dumps_calibration,
     eer_threshold,
@@ -46,12 +46,10 @@ def model_with_scores(taxonomy_text, centroids, vocab=None, negatives=None):
     )
 
 
-def test_confidence_score_examples():
-    assert confidence_score({"A": 0.6, "B": 0.3, "C": 0.1}, "A") == 0.6
-    assert confidence_score({"X": 0.4}, "X") == 1.0
-    assert confidence_score({"A": 0.0, "B": 0.0}, "A") == 0.5
-    with pytest.raises(ValueError, match="not in its sibling group"):
-        confidence_score({"A": 1.0}, "B")
+def test_confidence_examples():
+    assert confidence([0.6, 0.3, 0.1], 0.6) == 0.6
+    assert confidence([0.4], 0.4) == 1.0
+    assert confidence([0.0, 0.0], 0.0) == 0.5
 
 
 def test_decode_worked_example(t0):
@@ -62,8 +60,8 @@ def test_decode_worked_example(t0):
     steps = decode(model, vec((0, 1.0)))
     assert tuple(s.chosen for s in steps) == ("A", "A1") == model.taxonomy.path("A1")
     assert [s.confidence for s in steps] == [pytest.approx(0.75), pytest.approx(1.0)]
-    assert steps[0].group_scores == {"A": 0.6, "B": 0.2}
-    assert steps[1].group_scores == {"A1": 0.5, "A2": 0.0}
+    assert (steps[0].group, steps[0].scores) == (("A", "B"), [0.6, 0.2])
+    assert (steps[1].group, steps[1].scores) == (("A1", "A2"), [0.5, 0.0])
 
 
 def test_decode_zero_scores_fall_back_to_first_child():
@@ -95,7 +93,7 @@ def node_score_decode(model, d):
         for node in group[1:]:
             if scores[node] > scores[chosen]:
                 chosen = node
-        steps.append(LevelStep(chosen, group, list(scores.values()), confidence_score(scores, chosen)))
+        steps.append(LevelStep(chosen, group, list(scores.values()), confidence(scores.values(), scores[chosen])))
         group = t.children(chosen)
     return tuple(steps)
 
@@ -171,8 +169,7 @@ def test_classify_with_reject_equals_the_reference_decision(case):
         assert (decision.leaf, decision.accepted, decision.reliability.hex()) == (leaf, accepted, rel)
         verdicts.add(accepted)
         for step in decode(model, d):
-            assert type(step.group_scores) is dict
-            assert step.group_scores == {node: node_score(model, d, node) for node in step.group}
+            assert step.scores == [node_score(model, d, node) for node in step.group]
     assert verdicts == {True, False}
 
 
@@ -180,7 +177,7 @@ def test_a_binary_group_scoring_all_zero_takes_its_first_child_with_the_uniform_
     model = uneven_binary_model()
     steps = decode(model, vec((0, 1.0)))
     assert [step.chosen for step in steps] == ["a", "a1", "x"]
-    assert steps[2].group_scores == {"x": 0.0, "y": 0.0}
+    assert (steps[2].group, steps[2].scores) == (("x", "y"), [0.0, 0.0])
     assert steps[2].confidence == 0.5
     assert steps == node_score_decode(model, vec((0, 1.0)))
 
@@ -400,7 +397,7 @@ def test_eer_matches_exhaustive_sweep(samples):
     )
 )
 def test_confidence_scores_sum_to_one(group):
-    total = math.fsum(confidence_score(group, member) for member in group)
+    total = math.fsum(confidence(group.values(), score) for score in group.values())
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -427,7 +424,8 @@ def test_confidence_argmax_invariant_under_scaling(group, factor):
     chosen = argmax(group)
     # scaling keeps the order of the scores, though rounding may tie two neighbours
     assert scaled[chosen] == max(scaled.values())
-    assert confidence_score(scaled, chosen) == pytest.approx(confidence_score(group, chosen), abs=1e-9)
+    expected = confidence(group.values(), group[chosen])
+    assert confidence(scaled.values(), scaled[chosen]) == pytest.approx(expected, abs=1e-9)
 
 
 def test_classify_accept_reject_boundary():
