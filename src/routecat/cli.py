@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -91,6 +90,8 @@ def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
 
 def _load_model_and_calibration(args: argparse.Namespace) -> tuple[CentroidModel, Calibration]:
     """Load ``--model`` and its paired ``--calibration``, then apply ``--threshold``/``--accept-all`` if given."""
+    from dataclasses import replace
+
     from routecat.centroid import loads_model
     from routecat.router import check_pairing, loads_calibration
 

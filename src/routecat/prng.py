@@ -90,10 +90,6 @@ class SplitMix64:
             raise ValueError("randrange() bound must be positive")
         return self.next_u64() % n
 
-    def random(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def shuffle(self, items: MutableSequence) -> None:
         """In-place Fisher-Yates shuffle, iterating from the last index down."""
         for i in range(len(items) - 1, 0, -1):

@@ -7,13 +7,24 @@ starts without loading them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from routecat.prng import SplitMix64, checked_int, checked_seed
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+# typing.NamedTuple refuses a __new__ in the class body, so SyntheticSpec's checks live in a subclass
+class _SpecFields(NamedTuple):
+    depth: int
+    branching: int
+    docs_per_leaf: int
+    vocab_per_topic: int = 30
+    noise_vocab_size: int = 150
+    noise_fraction: float = 0.0
+    tokens_per_doc: int = 40
+    seed: int = 0
+
+
+class SyntheticSpec(_SpecFields):
     """Parameters of the seeded synthetic benchmark generator.
 
     Every non-root node owns ``vocab_per_topic`` private terms, disjoint
@@ -26,27 +37,26 @@ class SyntheticSpec:
     near the leaves.
     """
 
-    depth: int
-    branching: int
-    docs_per_leaf: int
-    vocab_per_topic: int = 30
-    noise_vocab_size: int = 150
-    noise_fraction: float = 0.0
-    tokens_per_doc: int = 40
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> SyntheticSpec:
         """Refuse every spec :func:`generate_synthetic` cannot build.
 
         That is a size that is not an integer of at least 1, a noise fraction
-        outside [0, 1), and a seed :class:`~routecat.prng.SplitMix64` refuses.
+        that is not an int or float in [0, 1), and a seed
+        :class:`~routecat.prng.SplitMix64` refuses.
         """
+        spec = super().__new__(cls, *args, **kwargs)
         for name in ("depth", "branching", "docs_per_leaf", "vocab_per_topic", "noise_vocab_size", "tokens_per_doc"):
-            if checked_int(getattr(self, name), name) < 1:
+            if checked_int(getattr(spec, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.noise_fraction < 1.0:
+        # a Fraction or Decimal would be rounded when generate_synthetic scales it, and a bool is no fraction
+        if type(spec.noise_fraction) not in (int, float):
+            raise ValueError(f"noise_fraction must be a number, not {spec.noise_fraction!r}")
+        if not 0.0 <= spec.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
-        checked_seed(self.seed)
+        checked_seed(spec.seed)
+        return spec
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:
@@ -67,19 +77,21 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[str, str]:
         level = next_level
 
     noise_terms = [f"z{j}" for j in range(spec.noise_vocab_size)]
-    rng = SplitMix64(spec.seed)
+    n_noise, vocab = spec.noise_vocab_size, spec.vocab_per_topic
+    draw = SplitMix64(spec.seed).next_u64
+    # a draw u stands for the float (u >> 11) * 2**-53, and scaling both sides by 2**53 is exact
+    noise_cut = spec.noise_fraction * 2.0**53
     corpus_lines: list[str] = []
     # every leaf lies at the last level, which lists them in the taxonomy's depth-first order
     for leaf, chain in level:
         # chain level k has weight 2**k, so a pick p below 2**len(chain) - 1 lands on level (p + 1).bit_length() - 1
         picks = (1 << len(chain)) - 1
         for _ in range(spec.docs_per_leaf):
-            tokens = []
-            for _ in range(spec.tokens_per_doc):
-                if rng.random() < spec.noise_fraction:
-                    tokens.append(noise_terms[rng.randrange(len(noise_terms))])
-                else:
-                    terms = chain[(rng.randrange(picks) + 1).bit_length() - 1]
-                    tokens.append(terms[rng.randrange(len(terms))])
+            # per token one draw against the noise cut, then one noise term, or one level and one of its terms
+            tokens = [
+                noise_terms[draw() % n_noise] if draw() >> 11 < noise_cut
+                else chain[(draw() % picks + 1).bit_length() - 1][draw() % vocab]
+                for _ in range(spec.tokens_per_doc)
+            ]
             corpus_lines.append(f"d{len(corpus_lines):06d}\t{leaf}\t{' '.join(tokens)}")
     return "\n".join(taxonomy_lines) + "\n", "\n".join(corpus_lines) + "\n"

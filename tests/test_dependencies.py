@@ -71,6 +71,11 @@ def test_generate_loads_neither_the_model_nor_the_scoring_modules(tmp_path):
     unneeded = {f"routecat.{m}" for m in ("corpus", "centroid", "router", "evaluation", "policies", "taxonomy")}
     assert loaded & (unneeded | {"hashlib", "json", "base64"}) == set()
     assert "routecat.synthetic" in loaded
+    # nor the dataclass machinery, unless a bare interpreter of this environment already holds it at start-up
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert (loaded - set(bare)) & {"dataclasses", "inspect"} == set()
 
 
 def test_classify_loads_no_evaluation_code(tmp_path):

@@ -1,6 +1,9 @@
 import dataclasses
 import random
+import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -233,10 +236,15 @@ def test_generate_synthetic_deterministic():
         ({"seed": 2**64}, r"^seed must lie in 0\.\.2\*\*64-1, not 18446744073709551616$"),
         ({"depth": 2.0}, r"^depth must be an integer, not 2\.0$"),
         ({"tokens_per_doc": True}, "^tokens_per_doc must be an integer, not True$"),
+        *(
+            ({"noise_fraction": value}, f"^{re.escape(f'noise_fraction must be a number, not {value!r}')}$")
+            for value in ("0.5", False, Fraction(1, 2), Decimal("0.5"))
+        ),
     ],
 )
 def test_synthetic_spec_refuses_what_generate_synthetic_cannot_build(changes, message):
-    # each constructed, and generate_synthetic refused it only once a corpus was asked for, or failed inside range()
+    # each constructed, and generate_synthetic refused it only once a corpus was asked for, or failed inside range();
+    # a str failed in the range check with a bare TypeError, and False was noise 0
     with pytest.raises(ValueError, match=message):
         SyntheticSpec(**{"depth": 1, "branching": 2, "docs_per_leaf": 5, **changes})
 
