@@ -6,7 +6,8 @@ of the files and output it must produce.  An entry with ``train`` flags
 also runs ``train``, ``evaluate`` (both with its ``split`` flags) and
 ``classify`` on the corpus itself, all through ``routecat.cli.main``:
 
-- ``ci_artifacts``: the CI spec under every training mode and policy;
+- ``ci_artifacts``: the CI spec under every training mode and policy, and
+  a 200-leaf spec whose scores run on postings;
 - ``bench_artifacts``: each benchmark workload's corpus at seed 0;
 - ``generated_bytes``: the taxonomy and corpus text of ``generate`` alone.
 

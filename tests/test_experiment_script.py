@@ -10,9 +10,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_boost_experiment.py"
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+# a warning in the child fails its run, as filterwarnings fails the tests
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
 
-# sha256 of the script's stdout: the call CI makes, and the script's own defaults over one seed
+# sha256 of the script's stdout: a depth-2 corpus over two seeds, and the script's own defaults over one seed
 PINNED_STDOUT = {
     ("--depth", "2", "--branching", "3", "--docs-per-leaf", "20", "--seeds", "2"):
         "0292912094db4f8e1780f4e19311515cbc42c15de65b94974bb053ac8fa0f89b",
