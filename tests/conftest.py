@@ -1,4 +1,7 @@
-"""Shared fixtures: the toy taxonomy, random instances, sparse vectors and their pairs, vocabularies of any size, hand-packed model centroids, a naive policy oracle, an exhaustive EER oracle, a strict JSON hook, synthetic runs, and the modules of the benchmark and of scripts/."""
+"""Shared fixtures: the toy taxonomy, random instances, sparse vectors, their pairs and their conversion from reference vectors, vocabularies of any size, hand-packed model centroids, a strict JSON hook, synthetic runs, and the modules of the benchmark and of scripts/.
+
+The reference the tests compare routecat against is ``reference.py`` beside this file.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from hypothesis import strategies as st
 
 from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus
 from routecat.evaluation import TrainedRun, train_and_calibrate
-from routecat.policies import PolicyKind
 from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import Taxonomy, parse_taxonomy
 
@@ -41,6 +43,11 @@ def vec(*pairs: tuple[int, float]) -> SparseVector:
 def entries(v: SparseVector) -> tuple[tuple[int, float], ...]:
     """The ``(index, weight)`` pairs of ``v``, in index order."""
     return tuple(zip(v.indices, v.weights))
+
+
+def sparse(weights: dict[int, float]) -> SparseVector:
+    """The sparse vector of a reference vector, a dict of weights by term index; ``dict(entries(v))`` is the inverse."""
+    return vec(*sorted(weights.items()))
 
 
 # A small index space, so supports often overlap and sometimes are disjoint or empty.
@@ -103,82 +110,6 @@ def random_labeled_docs(rng: random.Random, t: Taxonomy, max_docs: int = 200) ->
         Document(f"d{i}", rng.choice(labels), f"w{rng.randint(0, 20)} w{rng.randint(0, 20)}")
         for i in range(count)
     ]
-
-
-def naive_training_set(train_docs, t: Taxonomy, node, policy: PolicyKind):
-    """Independent oracle: evaluates each policy's membership predicate per document.
-
-    Works off its own parent map, built from ``t.children_of``, instead of the
-    library's relation queries, so it cannot share bugs with them.
-    """
-    parent_of = {child: parent for parent, kids in t.children_of.items() for child in kids}
-
-    def chain_up(label):
-        out = []
-        while label != t.root:
-            label = parent_of[label]
-            out.append(label)
-        return out
-
-    node_parent = parent_of[node]
-    positives, negatives = set(), set()
-    for d in train_docs:
-        lab = d.label
-        ancestors_of_label = chain_up(lab)
-        is_lam = lab == node
-        is_below = node in ancestors_of_label
-        is_above = lab in chain_up(node)
-        is_sibling = lab != node and lab != t.root and parent_of.get(lab) == node_parent
-        # walk up from the label; the first node sharing node's parent tells us
-        # whether the label sits under node itself or under one of its siblings
-        is_sibling_or_below = False
-        for member in [lab] + ancestors_of_label:
-            if member == t.root:
-                break
-            if parent_of.get(member) == node_parent:
-                is_sibling_or_below = member != node
-                break
-
-        if policy is PolicyKind.EXCLUSIVE:
-            pos, neg = is_lam, not is_lam
-        elif policy is PolicyKind.LESS_EXCLUSIVE:
-            pos, neg = is_lam, not (is_lam or is_below)
-        elif policy is PolicyKind.LESS_INCLUSIVE:
-            pos, neg = is_lam or is_below, not (is_lam or is_below)
-        elif policy is PolicyKind.INCLUSIVE:
-            pos, neg = is_lam or is_below, not (is_lam or is_below or is_above)
-        elif policy is PolicyKind.SIBLINGS:
-            pos, neg = is_lam or is_below, is_sibling_or_below
-        else:
-            assert policy is PolicyKind.EXCLUSIVE_SIBLINGS
-            pos, neg = is_lam, is_sibling
-        if pos:
-            positives.add(d.doc_id)
-        elif neg:
-            negatives.add(d.doc_id)
-    return frozenset(positives), frozenset(negatives)
-
-
-def sweep_oracle(samples: list[tuple[float, bool]]) -> dict[float, float]:
-    """|FA - FR| at every observed reliability, every midpoint between neighbours, and both infinities.
-
-    Counts each rate from scratch under the classifier's accept rule: a
-    sample is accepted iff its reliability is above the threshold.
-    """
-    correct = [r for r, ok in samples if ok]
-    incorrect = [r for r, ok in samples if not ok]
-    distinct = sorted({r for r, _ in samples})
-    candidates = (
-        [float("-inf"), float("inf")]
-        + distinct
-        + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
-    )
-    gaps = {}
-    for tau in candidates:
-        fa = sum(r > tau for r in incorrect) / len(incorrect)
-        fr = sum(r <= tau for r in correct) / len(correct)
-        gaps[tau] = abs(fa - fr)
-    return gaps
 
 
 def refuse_json_constant(name: str):

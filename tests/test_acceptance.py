@@ -9,14 +9,14 @@ import math
 import random
 import time
 
-from conftest import (
-    SCRIPTS, import_script, naive_training_set, random_labeled_docs, random_taxonomy, sweep_oracle, synthetic_run,
-)
-from routecat.corpus import vectorize
-from routecat.evaluation import evaluate, flat_predictions, leaf_centroids
+import reference
+from conftest import SCRIPTS, import_script, random_labeled_docs, random_taxonomy, sparse, synthetic_run
+from routecat.corpus import load_corpus, vectorize
+from routecat.evaluation import evaluate, flat_predictions, train_and_calibrate
 from routecat.policies import PolicyKind, build_training_set
 from routecat.router import confidence, decode, eer_threshold
-from routecat.synthetic import SyntheticSpec
+from routecat.synthetic import SyntheticSpec, generate_synthetic
+from routecat.taxonomy import parse_taxonomy
 
 CHECK_PINS = import_script(SCRIPTS, "check_pins")
 
@@ -39,7 +39,7 @@ def test_criterion_1_policy_oracle_equivalence():
                 continue
             for policy in PolicyKind:
                 ts = build_training_set(docs, t, node, policy)
-                pos, neg = naive_training_set(docs, t, node, policy)
+                pos, neg = reference.training_sets(docs, t, node, policy)
                 mismatches += (ts.positives, ts.negatives) != (pos, neg)
     elapsed = time.perf_counter() - started
     verdict(
@@ -85,10 +85,7 @@ def test_criterion_3_eer_matches_exhaustive_sweep():
         samples = [(rng.random() * 2.0, rng.random() < 0.6) for _ in range(n)]
         if all(ok for _, ok in samples) or not any(ok for _, ok in samples):
             continue
-        tau, gap = eer_threshold(samples)
-        gaps = sweep_oracle(samples)
-        least = min(gaps.values())
-        failures += gap != least or gaps[tau] != least
+        failures += eer_threshold(samples) != reference.eer_threshold(samples)
     elapsed = time.perf_counter() - started
     verdict(
         3,
@@ -118,25 +115,27 @@ def test_criterion_4_boosted_accuracy_identity():
 
 
 def test_criterion_5_depth_one_equivalence():
-    disagreements = 0
-    checked = 0
+    disagreements = deeper = checked = 0
     for seed in range(5):
         run = synthetic_run(
             SyntheticSpec(depth=1, branching=5, docs_per_leaf=20, noise_fraction=0.2, seed=seed),
             0.2,
             0.3,
         )
-        t, vocab = run.model.taxonomy, run.model.vocabulary
-        vectors = [vectorize(doc, vocab) for doc in run.split.test]
-        flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), vectors, t)
+        t, train = run.model.taxonomy, run.split.train
+        leaf_means = reference.flat_centroids(train, t, reference.vocabulary(train))
+        vectors = [vectorize(doc, run.model.vocabulary) for doc in run.split.test]
+        flats = flat_predictions({leaf: sparse(c) for leaf, c in leaf_means.items()}, vectors, t)
         for d, flat_leaf in zip(vectors, flats):
-            disagreements += decode(run.model, d)[-1].chosen != flat_leaf
+            steps = decode(run.model, d)
+            deeper += len(steps) != 1
+            disagreements += steps[-1].chosen != flat_leaf
             checked += 1
     verdict(
         5,
         "depth-1 decode equals flat argmax",
-        disagreements == 0,
-        f"{disagreements} disagreements over {checked} documents, 5 seeds",
+        disagreements == 0 and deeper == 0,
+        f"{disagreements} disagreements and {deeper} routes of more than one step over {checked} documents, 5 seeds",
     )
 
 
@@ -194,10 +193,6 @@ def test_criterion_8_cli_byte_determinism():
 
 def test_criterion_9_scale_sanity():
     spec = SyntheticSpec(depth=2, branching=10, docs_per_leaf=100, noise_fraction=0.3, seed=3)
-    from routecat.corpus import load_corpus
-    from routecat.evaluation import generate_synthetic, train_and_calibrate
-    from routecat.taxonomy import parse_taxonomy
-
     tax_text, corpus_text = generate_synthetic(spec)
     taxonomy = parse_taxonomy(tax_text)
     docs = load_corpus(corpus_text, taxonomy)

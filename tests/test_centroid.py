@@ -2,20 +2,20 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 import random
 from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from conftest import (
     SMALLEST_NORMAL,
     T0_TEXT,
     entries,
     packed_centroid,
-    random_labeled_docs,
     random_taxonomy,
+    sparse,
     sparse_vectors,
     vec,
     vocabulary_of_size,
@@ -23,7 +23,6 @@ from conftest import (
 from routecat.centroid import (
     CentroidModel,
     LabelSums,
-    Mode,
     ModelFormatError,
     documents_digest,
     dumps_model,
@@ -34,7 +33,7 @@ from routecat.centroid import (
     train,
 )
 from routecat.corpus import Document, SparseVector, Vocabulary, build_vocabulary, index_training, load_corpus, vectorize
-from routecat.policies import PolicyKind, build_training_set, positives_for_centroid
+from routecat.policies import Mode, PolicyKind
 from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import Taxonomy, TaxonomyError, UnknownNodeError, parse_taxonomy
 
@@ -110,45 +109,7 @@ def test_train_empty_positive_set_gives_empty_centroid(t0, t0_docs):
     model = train(docs, t0, build_vocabulary(docs))
     assert model.centroid_of["B"] == SparseVector()
     assert model.centroid_of["B1"] == SparseVector()
-    assert node_score(model, vec((0, 1.0)), "B") == 0.0
-
-
-def reference_train(train_docs, taxonomy, vocabulary, mode=Mode.POSITIVE_ONLY, policy=None):
-    """The per-node training loop: :func:`mean_vector` over each node's own document sets, selected per node."""
-    vectors = {d.doc_id: vectorize(d, vocabulary) for d in train_docs}
-    centroids, negatives = {}, {}
-    for node in taxonomy.nodes:
-        if node == taxonomy.root:
-            continue
-        if mode is Mode.POSITIVE_ONLY:
-            centroids[node] = mean_vector(positives_for_centroid(train_docs, taxonomy, node), vectors)
-        else:
-            ts = build_training_set(train_docs, taxonomy, node, policy)
-            centroids[node] = mean_vector(ts.positives, vectors)
-            negatives[node] = mean_vector(ts.negatives, vectors)
-    return CentroidModel(
-        taxonomy=taxonomy,
-        vocabulary=vocabulary,
-        mode=mode,
-        policy=policy,
-        centroid_of=centroids,
-        negative_centroid_of=negatives if mode is Mode.BINARY else None,
-        training_digest=documents_digest(train_docs),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([None, *PolicyKind]))
-def test_train_equals_the_per_node_reference(seed, policy):
-    # uneven trees with documents labeled at internal nodes too; every policy sums some sets directly and
-    # takes others as the total minus the labels outside them
-    rng = random.Random(seed)
-    t = random_taxonomy(rng)
-    docs = random_labeled_docs(rng, t)
-    vocab = build_vocabulary(docs)
-    mode = Mode.POSITIVE_ONLY if policy is None else Mode.BINARY
-    expected = dumps_model(reference_train(docs, t, vocab, mode, policy))
-    assert dumps_model(train(docs, t, vocab, mode, policy)) == expected
+    assert group_scores(model, vec((0, 1.0)), "ROOT")[1] == 0.0  # B
 
 
 LABEL_SUM_WEIGHTS = [
@@ -169,22 +130,18 @@ def test_label_sums_are_rounded_once(t0, weights):
         vec(*((j, weights[(k + j) % len(weights)]) for j in range(5)), *[(5, weights[k])] * (d.label == "B"))
         for k, d in enumerate(docs)
     ]
-    by_id = {d.doc_id: v for d, v in zip(docs, vectors)}
+    by_id = {d.doc_id: dict(entries(v)) for d, v in zip(docs, vectors)}
     sums = LabelSums(docs, vectors)
     for r in range(len(labels) + 1):
         for chosen in itertools.combinations(labels, r):
             ids = frozenset(d.doc_id for d in docs if d.label in chosen)
             mean = sums.mean_of(ids)
-            assert mean == mean_vector(ids, by_id)
-            weight_of = dict(zip(mean.indices, mean.weights))
-            assert set(weight_of) == ({*range(5), *[5] * ("B" in chosen)} if ids else set())
-            for term, weight in weight_of.items():
-                members = (v for d, v in zip(docs, vectors) if d.doc_id in ids)
-                ws = [w for v in members for t, w in zip(v.indices, v.weights) if t == term]
-                assert weight == math.fsum(ws) / len(ids)
+            assert mean == sparse(reference.mean([by_id[doc_id] for doc_id in ids]))
+            assert set(mean.indices) == ({*range(5), *[5] * ("B" in chosen)} if ids else set())
     subtree = sums.subtree_means(t0)
+    path_of = reference.paths(t0)
     for node in ("A", "B", "A1", "A2", "B1"):
-        assert subtree[node] == mean_vector(positives_for_centroid(docs, t0, node), by_id)
+        assert subtree[node] == sparse(reference.mean([by_id[d.doc_id] for d in docs if node in path_of[d.label]]))
 
 
 @pytest.mark.parametrize("smallest", [2.0**-919, SMALLEST_NORMAL, 5e-324])
@@ -684,13 +641,10 @@ def test_unit_vectors_give_unit_bounded_similarity(t0, t0_docs):
     # every document vector is unit; centroids average unit vectors, so norms
     # stay <= 1 and inner products stay in [0, 1]
     model = _toy_model(t0, t0_docs)
-    vocab = model.vocabulary
-    from routecat.corpus import vectorize
-
     for doc in t0_docs:
-        d = vectorize(doc, vocab)
-        for node, centroid in model.centroid_of.items():
-            assert -1e-12 <= d.dot(centroid) <= 1.0 + 1e-12
+        d = vectorize(doc, model.vocabulary)
+        for parent in ("ROOT", "A", "B"):  # every centroid's group
+            assert all(-1e-12 <= score <= 1.0 + 1e-12 for score in group_scores(model, d, parent))
 
 
 def group_model(mode, centroids, negatives):
@@ -722,10 +676,14 @@ def group_model(mode, centroids, negatives):
 @example(vec((0, 1.0), (1, 1.0), (2, 1.0)), [(vec((0, 1.0), (1, 1e-16), (2, 1e-16)), SparseVector())], Mode.BINARY)
 # c0 scores 0.25 - 0.5, which clamps to 0.0
 @example(vec((0, 1.0)), [(vec((0, 0.25)), vec((0, 0.5))), (vec((0, 0.5)), vec((0, 0.25)))], Mode.BINARY)
-def test_group_scores_equal_node_score_bit_for_bit(d, children, mode):
+def test_group_scores_equal_the_reference_scores_bit_for_bit(d, children, mode):
     model = group_model(mode, *zip(*children))
-    group = model.taxonomy.children("R")
-    assert group_scores(model, d, "R") == [node_score(model, d, node) for node in group]
+    binary = mode is Mode.BINARY
+    expected = [
+        reference.score(dict(entries(d)), dict(entries(positive)), dict(entries(negative)) if binary else None)
+        for positive, negative in children
+    ]
+    assert group_scores(model, d, "R") == expected
 
 
 def test_group_scores_clamp_binary_contrast_at_zero():

@@ -4,8 +4,11 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import LINE_SEPARATORS, SCRIPTS, SMALLEST_NORMAL, T0_TEXT, entries, import_script, sparse_vectors, vec
-from routecat.centroid import Mode, dumps_model, train
+import reference
+from conftest import (
+    LINE_SEPARATORS, SCRIPTS, SMALLEST_NORMAL, T0_TEXT, entries, import_script, sparse, sparse_vectors, vec,
+)
+from routecat.centroid import dumps_model, train
 from routecat.corpus import (
     DENSE_MIN_FILL,
     CorpusError,
@@ -23,7 +26,7 @@ from routecat.corpus import (
     tokenize,
     vectorize,
 )
-from routecat.policies import PolicyKind
+from routecat.policies import Mode, PolicyKind
 from routecat.taxonomy import parse_taxonomy
 
 
@@ -247,33 +250,17 @@ def test_vectorize_norm_is_unit_or_empty(train_texts, query):
         assert abs(math.sqrt(math.fsum(w * w for w in vec.weights)) - 1.0) <= 1e-9
 
 
-def vectorize_by_the_formula(doc, vocab):
-    """vectorize with ln((N + 1) / (df + 1)) computed for every term of the document."""
-    position = {term: k for k, term in enumerate(vocab.terms)}
-    counts = {}
-    for term in tokenize(doc.text):
-        if term in position:
-            counts[term] = counts.get(term, 0) + 1
-    weights = {}
-    for term, tf in counts.items():
-        k = position[term]
-        w = tf * math.log((vocab.n_docs + 1) / (vocab.doc_frequency[k] + 1))
-        if w > 0.0:
-            weights[k] = w
-    norm = math.sqrt(math.fsum(w * w for w in weights.values()))
-    return vec(*((i, weights[i] / norm) for i in sorted(weights)))
-
-
 @given(st.lists(texts, min_size=1, max_size=8), texts)
 def test_vectorize_with_precomputed_idf_equals_the_formula(train_texts, query):
     docs = [Document(f"d{i}", "A", text) for i, text in enumerate(train_texts)]
     vocab = build_vocabulary(docs)
+    expected = reference.vocabulary(docs)
     # every term of positive idf, on its position and with the formula's idf; a term in every document is absent
-    idf = [math.log((vocab.n_docs + 1) / (df + 1)) for df in vocab.doc_frequency]
+    idf = [reference.idf(expected, k) for k in expected.index_of.values()]
     assert vocab.idf_by_index == tuple(idf)
-    assert vocab.index_and_idf == {term: (k, idf[k]) for k, term in enumerate(vocab.terms) if idf[k] > 0.0}
+    assert vocab.index_and_idf == {term: (k, idf[k]) for term, k in expected.index_of.items() if idf[k] > 0.0}
     for doc in [*docs, Document("q", "A", query)]:
-        assert vectorize(doc, vocab) == vectorize_by_the_formula(doc, vocab)
+        assert vectorize(doc, vocab) == sparse(reference.vectorize(doc.text, expected))
 
 
 @given(st.lists(texts, min_size=1, max_size=8))
@@ -281,12 +268,11 @@ def test_vectorize_with_precomputed_idf_equals_the_formula(train_texts, query):
 def test_build_vocabulary_numbers_terms_by_first_appearance_and_counts_each_document_once(train_texts):
     docs = [Document(f"d{i}", "A", text) for i, text in enumerate(train_texts)]
     vocab = build_vocabulary(docs)
-    stream = [term for doc in docs for term in tokenize(doc.text)]
-    first_appearance = sorted(set(stream), key=stream.index)
+    expected = reference.vocabulary(docs)
     # a term's index is its position in terms
-    assert vocab.terms == tuple(first_appearance)
-    assert vocab.doc_frequency == tuple(sum(term in tokenize(doc.text) for doc in docs) for term in first_appearance)
-    assert vocab.n_docs == len(docs)
+    assert (vocab.terms, vocab.doc_frequency, vocab.n_docs) == (
+        tuple(expected.index_of), tuple(expected.doc_frequency), expected.n_docs
+    )
 
 
 # repeated tokens, non-ASCII letters and digits, and words that are no token, so a text may have none
@@ -311,19 +297,19 @@ def test_index_training_is_build_vocabulary_and_vectorize_bit_for_bit(train_text
     labels = ["A", "A1", "A2", "B", "B1"]  # internal nodes and leaves
     docs = [Document(f"d{i}", labels[i % len(labels)], text) for i, text in enumerate(texts)]
     vocab, vectors = index_training(docs)
-    expected = build_vocabulary(docs)
-    assert (vocab.terms, vocab.doc_frequency, vocab.n_docs) == (expected.terms, expected.doc_frequency, expected.n_docs)
-    stream = [term for doc in docs for term in tokenize(doc.text)]
-    assert vocab.terms == tuple(sorted(set(stream), key=stream.index))
-    assert vocab.doc_frequency == tuple(sum(term in tokenize(doc.text) for doc in docs) for term in vocab.terms)
+    expected = reference.vocabulary(docs)
+    assert (vocab.terms, vocab.doc_frequency, vocab.n_docs) == (
+        tuple(expected.index_of), tuple(expected.doc_frequency), expected.n_docs
+    )
     if shared:
         assert vocab.doc_frequency[vocab.terms.index("everywhere")] == len(docs)
     bits = [(v.indices.tobytes(), v.weights.tobytes()) for v in vectors]
-    assert bits == [(v.indices.tobytes(), v.weights.tobytes()) for v in (vectorize(d, expected) for d in docs)]
+    expected_vectors = [sparse(reference.vectorize(d.text, expected)) for d in docs]
+    assert bits == [(v.indices.tobytes(), v.weights.tobytes()) for v in expected_vectors]
     mode, policy = training
     t0 = parse_taxonomy(T0_TEXT)
     one_pass = train(docs, t0, vocab, mode=mode, policy=policy, vectors=vectors)
-    assert dumps_model(one_pass) == dumps_model(train(docs, t0, expected, mode=mode, policy=policy))
+    assert dumps_model(one_pass) == dumps_model(train(docs, t0, build_vocabulary(docs), mode=mode, policy=policy))
 
 
 def test_index_training_empty():
@@ -393,7 +379,7 @@ def test_split_deterministic_and_seed_sensitive(seed, n):
 
 
 def dot_examples(test):
-    """The explicit (document, vectors) cases every dot kernel must score as ``SparseVector.dot`` does."""
+    """The explicit (document, vectors) cases every dot kernel must score as the reference's inner product does."""
     cases = [
         # an empty document, and an empty vector
         (SparseVector(), [SparseVector(), vec((0, 1.0))]),
@@ -415,19 +401,15 @@ def dot_examples(test):
 @given(sparse_vectors, st.lists(sparse_vectors, max_size=8))
 @dot_examples
 def test_inverted_index_scores_equal_dot_bit_for_bit(d, vectors):
-    scores = InvertedIndex(vectors).dots(d)
-    assert len(scores) == len(vectors)
-    for score, v in zip(scores, vectors):
-        assert score == d.dot(v)
+    weights = dict(entries(d))
+    assert InvertedIndex(vectors).dots(d) == [reference.inner_product(weights, dict(entries(v))) for v in vectors]
 
 
 @given(sparse_vectors, st.lists(sparse_vectors, max_size=8))
 @dot_examples
 def test_term_table_scores_equal_dot_bit_for_bit(d, vectors):
-    scores = TermTable(vectors).dots(d)
-    assert len(scores) == len(vectors)
-    for score, v in zip(scores, vectors):
-        assert score == d.dot(v)
+    weights = dict(entries(d))
+    assert TermTable(vectors).dots(d) == [reference.inner_product(weights, dict(entries(v))) for v in vectors]
 
 
 def test_scorer_gives_dense_rows_from_the_threshold_fill():

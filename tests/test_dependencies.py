@@ -5,7 +5,8 @@ one would pass every other test and fail only on a clean install.  The same
 holds for pytest in a script: CI installs it before it runs the scripts,
 which must run on an interpreter without it.  And each CLI command imports
 only the modules it runs, checked in a fresh interpreter, since this one
-has imported them all.
+has imported them all.  And the tests' reference of the method imports
+none of the code it checks.
 """
 
 import ast
@@ -96,3 +97,26 @@ def test_moved_names_are_read_back_as_the_same_objects():
     assert evaluation.SyntheticSpec is synthetic.SyntheticSpec
     assert evaluation.generate_synthetic is synthetic.generate_synthetic
     assert centroid.Mode is policies.Mode
+
+
+REFERENCE = ROOT / "tests" / "reference.py"
+# the input's types and parsing, the tokenizer and the split; never centroid, router or evaluation, whose bugs
+# the reference would then share
+REFERENCE_MAY_BORROW = {
+    "routecat.taxonomy": {"Taxonomy", "parse_taxonomy"},
+    "routecat.corpus": {"Document", "load_corpus", "split_corpus", "tokenize"},
+    "routecat.policies": {"Mode", "PolicyKind"},
+}
+
+
+def test_the_reference_borrows_from_routecat_only_the_input_the_tokenizer_and_the_split():
+    borrowed = set()
+    for node in ast.walk(ast.parse(REFERENCE.read_text(encoding="utf-8"), filename=str(REFERENCE))):
+        if isinstance(node, ast.Import):  # a whole module, which no entry allows
+            borrowed.update((alias.name, "*") for alias in node.names if alias.name.partition(".")[0] == "routecat")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "routecat"):
+            borrowed.update((node.module, alias.name) for alias in node.names)
+    allowed = {(module, name) for module, names in REFERENCE_MAY_BORROW.items() for name in names}
+    assert borrowed and borrowed <= allowed, sorted(borrowed - allowed)
+    # nor a test module, such as conftest, that imports the rest of routecat
+    assert imported_top_level_modules(REFERENCE) <= {"routecat"} | sys.stdlib_module_names

@@ -6,11 +6,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_labeled_docs, random_taxonomy, synthetic_run, vec
+import reference
+from conftest import random_labeled_docs, random_taxonomy, sparse, synthetic_run, vec
 from routecat import corpus, evaluation
 from routecat.corpus import Document, SparseVector, load_corpus, split_corpus, build_vocabulary, vectorize
-from routecat.centroid import Mode, train
+from routecat.centroid import train
 from routecat.evaluation import (
     ComparisonRow,
     EvalSummary,
@@ -27,7 +29,7 @@ from routecat.evaluation import (
     summary_csv,
     train_and_calibrate,
 )
-from routecat.policies import PolicyKind
+from routecat.policies import Mode, PolicyKind
 from routecat.router import ACCEPT_ALL, build_calibration, classify_with_reject
 from routecat.synthetic import SyntheticSpec, generate_synthetic
 from routecat.taxonomy import parse_taxonomy
@@ -291,9 +293,10 @@ def test_model_leaf_centroids_equal_the_retrained_ones(policy):
         vocab = build_vocabulary(docs)
         model = train(docs, t, vocab, mode=mode, policy=policy)
         retrained = leaf_centroids(docs, t, vocab)
-        assert list(retrained) == list(t.leaves)
+        expected = reference.flat_centroids(docs, t, reference.vocabulary(docs))
+        assert list(retrained) == list(t.leaves) == list(expected)
         for leaf in t.leaves:
-            assert model.centroid_of[leaf] == retrained[leaf]
+            assert model.centroid_of[leaf] == retrained[leaf] == sparse(expected[leaf])
 
 
 def test_report_rows_flat_equals_flat_baseline():
@@ -430,3 +433,59 @@ def test_node_and_document_names_steer_no_decision(depth, branching, training):
         assert [(d.leaf, d.accepted, d.reliability) for d in decisions2] == [
             (node[d.leaf], d.accepted, d.reliability) for d in decisions
         ]
+
+
+def in_every_mode_at_seed_0(test):
+    """One run in each mode of seed 0's 14-node tree and 194 documents, a quarter each validated and tested."""
+    for policy in [None, *PolicyKind]:
+        test = example(0, policy, 0.25, 0.25)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([None, *PolicyKind]),
+    st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+    st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+)
+@in_every_mode_at_seed_0
+def test_whole_runs_equal_the_reference_bit_for_bit(seed, policy, val_fraction, test_fraction):
+    # uneven trees with documents labeled at internal nodes too, in positive-only mode and under every policy
+    rng = random.Random(seed)
+    t = random_taxonomy(rng)
+    docs = random_labeled_docs(rng, t)
+    training = {} if policy is None else {"mode": Mode.BINARY, "policy": policy}
+    split = (val_fraction, test_fraction, seed)
+    try:
+        expected = reference.train_and_calibrate(t, docs, *split, **training)
+    except ValueError:  # no training or no validation document
+        with pytest.raises(ValueError):
+            train_and_calibrate(t, docs, *split, **training)
+        return
+    run = train_and_calibrate(t, docs, *split, **training)
+    model, calibration = run.model, run.calibration
+
+    assert model.centroid_of == {node: sparse(c) for node, c in expected.model.centroids.items()}
+    negatives = expected.model.negatives
+    assert model.negative_centroid_of == (None if negatives is None else {n: sparse(c) for n, c in negatives.items()})
+    assert (dict(calibration.level_weights), calibration.threshold, calibration.eer_gap, calibration.source) == (
+        expected.level_weights, expected.threshold, expected.eer_gap, expected.source
+    )
+
+    try:
+        expected_summary, expected_rates = reference.report(expected)
+    except ValueError:  # no test document
+        with pytest.raises(ValueError):
+            report_rows("p", model, calibration, run.split)
+    else:
+        [summary_row], [comparison] = report_rows("p", model, calibration, run.split)
+        assert dataclasses.asdict(summary_row.summary) == expected_summary
+        assert (comparison.flat, comparison.lcn, comparison.proposed) == expected_rates
+
+    # every step of the document of no known term is a tie among zero scores
+    for doc in [*docs, Document("unknown", "", "no known term")]:
+        decision = classify_with_reject(model, calibration, vectorize(doc, model.vocabulary))
+        d = reference.vectorize(doc.text, expected.vocabulary)
+        leaf, accepted, reliability = reference.decide(expected.model, expected.level_weights, expected.threshold, d)
+        assert (decision.leaf, decision.accepted, decision.reliability.hex()) == (leaf, accepted, reliability.hex())

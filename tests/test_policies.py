@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_training_set, random_labeled_docs, random_taxonomy
+import reference
+from conftest import random_labeled_docs, random_taxonomy
 from routecat.policies import (
     PolicyKind,
     build_training_set,
@@ -60,7 +61,7 @@ def test_policies_match_naive_oracle(seed):
             continue
         for policy in PolicyKind:
             ts = build_training_set(docs, t, node, policy)
-            oracle_pos, oracle_neg = naive_training_set(docs, t, node, policy)
+            oracle_pos, oracle_neg = reference.training_sets(docs, t, node, policy)
             assert ts.positives == oracle_pos, (node, policy)
             assert ts.negatives == oracle_neg, (node, policy)
 

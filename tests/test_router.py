@@ -5,12 +5,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PERFBENCH, import_script, refuse_json_constant, sweep_oracle, synthetic_run, vec, vocabulary_of_size
+import reference
+from conftest import (
+    PERFBENCH, entries, import_script, refuse_json_constant, sparse, synthetic_run, vec, vocabulary_of_size,
+)
 from routecat import centroid
-from routecat.centroid import CentroidModel, Mode, group_scores, model_identity, node_score, vocabulary_digest
-from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, load_corpus, scorer, vectorize
-from routecat.evaluation import flat_predictions, leaf_centroids
-from routecat.policies import PolicyKind
+from routecat.centroid import CentroidModel, group_scores, model_identity, vocabulary_digest
+from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vocabulary, scorer, vectorize
+from routecat.evaluation import flat_predictions
+from routecat.policies import Mode, PolicyKind
 from routecat.router import (
     ACCEPT_ALL,
     Calibration,
@@ -27,7 +30,7 @@ from routecat.router import (
     loads_calibration,
     reliability,
 )
-from routecat.synthetic import SyntheticSpec, generate_synthetic
+from routecat.synthetic import SyntheticSpec
 from routecat.taxonomy import parse_taxonomy
 
 
@@ -43,6 +46,16 @@ def model_with_scores(taxonomy_text, centroids, vocab=None, negatives=None):
     return CentroidModel(
         taxonomy=t, vocabulary=vocab, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS, centroid_of=full,
         negative_centroid_of={node: negatives.get(node, SparseVector()) for node in nodes},
+    )
+
+
+def reference_model(model):
+    """The reference's model of the same taxonomy and centroids, each centroid a dict of weights."""
+    negatives = model.negative_centroid_of
+    return reference.Model(
+        model.taxonomy,
+        {node: dict(entries(v)) for node, v in model.centroid_of.items()},
+        None if negatives is None else {node: dict(entries(v)) for node, v in negatives.items()},
     )
 
 
@@ -71,55 +84,6 @@ def test_decode_zero_scores_fall_back_to_first_child():
     assert steps[0].confidence == 0.25
 
 
-def test_decode_depth_one_equals_flat_argmax():
-    run = synthetic_run(SyntheticSpec(depth=1, branching=5, docs_per_leaf=20, noise_fraction=0.2, seed=3), 0.2, 0.3)
-    t, vocab = run.model.taxonomy, run.model.vocabulary
-    vectors = [vectorize(doc, vocab) for doc in run.split.test]
-    flats = flat_predictions(leaf_centroids(run.split.train, t, vocab), vectors, t)
-    for d, flat_leaf in zip(vectors, flats):
-        steps = decode(run.model, d)
-        assert len(steps) == 1
-        assert steps[-1].chosen == flat_leaf
-
-
-def node_score_decode(model, d):
-    """The specification of :func:`decode`: every group member scored by its own ``node_score`` call."""
-    t = model.taxonomy
-    group = t.children(t.root)
-    steps = []
-    while group:
-        scores = {node: node_score(model, d, node) for node in group}
-        chosen = group[0]
-        for node in group[1:]:
-            if scores[node] > scores[chosen]:
-                chosen = node
-        steps.append(LevelStep(chosen, group, list(scores.values()), confidence(scores.values(), scores[chosen])))
-        group = t.children(chosen)
-    return tuple(steps)
-
-
-BINARY_SIBLINGS_SPEC = SyntheticSpec(depth=2, branching=4, docs_per_leaf=6, tokens_per_doc=12, noise_fraction=0.75, seed=5)
-
-
-def test_decode_equals_the_node_score_reference_on_a_binary_siblings_corpus():
-    run = synthetic_run(BINARY_SIBLINGS_SPEC, 0.2, 0.2, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
-    _, corpus_text = generate_synthetic(BINARY_SIBLINGS_SPEC)
-    docs = load_corpus(corpus_text, run.model.taxonomy)
-    for doc in docs:
-        d = vectorize(doc, run.model.vocabulary)
-        # steps hold every group score and confidence, so == compares each float
-        assert decode(run.model, d) == node_score_decode(run.model, d)
-
-
-def reference_decision(model, calibration, d):
-    """The reference route's leaf, verdict and reliability (as ``float.hex``), its confidences weighed level by level."""
-    steps = node_score_decode(model, d)
-    rel = 0.0
-    for depth, step in enumerate(steps, start=1):
-        rel += calibration.level_weights[depth] * step.confidence
-    return steps[-1].chosen, rel > calibration.threshold, rel.hex()
-
-
 # leaves at depths 1 (b), 2 (a2) and 3 (x, y)
 UNEVEN_TAXONOMY = "R\ta\nR\tb\na\ta1\na\ta2\na1\tx\na1\ty\n"
 UNEVEN_CENTROIDS = {
@@ -143,33 +107,22 @@ def uneven_binary_model():
     )
 
 
-def synthetic_case(spec, **training):
-    run = synthetic_run(spec, 0.2, 0.2, **training)
-    return run.model, run.calibration, [vectorize(doc, run.model.vocabulary) for doc in run.split.test]
-
-
-@pytest.mark.parametrize("case", ["positive-only", "binary-siblings", "uneven", "uneven-binary"])
+@pytest.mark.parametrize("case", ["uneven", "uneven-binary"])
 def test_classify_with_reject_equals_the_reference_decision(case):
-    if case == "positive-only":
-        model, calibration, vectors = synthetic_case(
-            SyntheticSpec(depth=2, branching=3, docs_per_leaf=8, tokens_per_doc=10, noise_fraction=0.7, seed=4)
-        )
-    elif case == "binary-siblings":
-        model, calibration, vectors = synthetic_case(BINARY_SIBLINGS_SPEC, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
-    else:
-        model = (
-            uneven_binary_model() if case == "uneven-binary"
-            else model_with_scores(UNEVEN_TAXONOMY, UNEVEN_CENTROIDS, vocabulary_of_size(3))
-        )
-        calibration, vectors = UNEVEN_CALIBRATION, UNEVEN_VECTORS
+    model = (
+        uneven_binary_model() if case == "uneven-binary"
+        else model_with_scores(UNEVEN_TAXONOMY, UNEVEN_CENTROIDS, vocabulary_of_size(3))
+    )
+    expected = reference_model(model)
+    weights, threshold = UNEVEN_CALIBRATION.level_weights, UNEVEN_CALIBRATION.threshold
     verdicts = set()
-    for d in vectors:
-        decision = classify_with_reject(model, calibration, d)
-        leaf, accepted, rel = reference_decision(model, calibration, d)
-        assert (decision.leaf, decision.accepted, decision.reliability.hex()) == (leaf, accepted, rel)
+    for d in UNEVEN_VECTORS:
+        decision = classify_with_reject(model, UNEVEN_CALIBRATION, d)
+        leaf, accepted, rel = reference.decide(expected, weights, threshold, dict(entries(d)))
+        assert (decision.leaf, decision.accepted, decision.reliability.hex()) == (leaf, accepted, rel.hex())
         verdicts.add(accepted)
-        for step in decode(model, d):
-            assert step.scores == [node_score(model, d, node) for node in step.group]
+        # steps hold every group score and confidence, so == compares each float
+        assert decode(model, d) == reference.decode(expected, dict(entries(d)))
     assert verdicts == {True, False}
 
 
@@ -179,7 +132,7 @@ def test_a_binary_group_scoring_all_zero_takes_its_first_child_with_the_uniform_
     assert [step.chosen for step in steps] == ["a", "a1", "x"]
     assert (steps[2].group, steps[2].scores) == (("x", "y"), [0.0, 0.0])
     assert steps[2].confidence == 0.5
-    assert steps == node_score_decode(model, vec((0, 1.0)))
+    assert steps == reference.decode(reference_model(model), {0: 1.0})
 
 
 BENCH = import_script(PERFBENCH, "workloads")
@@ -211,15 +164,19 @@ def test_scorer_gives_bench_leaves_their_kernel_and_every_sibling_group_dense_ro
 
 def test_decode_over_a_wide_sparse_group_on_postings_equals_the_reference_and_the_flat_argmax():
     run = synthetic_run(SyntheticSpec(depth=1, branching=240, docs_per_leaf=3, tokens_per_doc=8, noise_fraction=0.6, seed=2), 0.2, 0.2)
-    model, t = run.model, run.model.taxonomy
+    model, t, train = run.model, run.model.taxonomy, run.split.train
     vectors = [vectorize(doc, model.vocabulary) for doc in run.split.validation + run.split.test]
     decoded = [decode(model, d) for d in vectors]
     assert type(model.group_tables[t.root]) is InvertedIndex
     # steps hold every group score and confidence, so == compares each float
-    assert decoded == [node_score_decode(model, d) for d in vectors]
-    flats = flat_predictions(leaf_centroids(run.split.train, t, model.vocabulary), vectors, t)
+    assert decoded == [reference.decode(reference_model(model), dict(entries(d))) for d in vectors]
+    leaf_means = reference.flat_centroids(train, t, reference.vocabulary(train))
+    flats = flat_predictions({leaf: sparse(c) for leaf, c in leaf_means.items()}, vectors, t)
     assert [steps[-1].chosen for steps in decoded] == flats
     assert all(tuple(s.chosen for s in steps) == t.path(steps[-1].chosen) for steps in decoded)
+
+
+BINARY_SIBLINGS_SPEC = SyntheticSpec(depth=2, branching=4, docs_per_leaf=6, tokens_per_doc=12, noise_fraction=0.75, seed=5)
 
 
 def test_decode_builds_each_group_table_once_per_model(monkeypatch):
@@ -380,12 +337,8 @@ def test_eer_undefined():
 def test_eer_matches_exhaustive_sweep(samples):
     if not any(ok for _, ok in samples) or all(ok for _, ok in samples):
         return
-    tau, gap = eer_threshold(samples)
-    gaps = sweep_oracle(samples)
-    least = min(gaps.values())
-    assert gap == least and gaps[tau] == least
     # ties go to the larger threshold: of -inf and the distinct reliabilities, the largest at the minimum
-    assert tau == max(c for c in [-math.inf, *(r for r, _ in samples)] if gaps[c] == least)
+    assert eer_threshold(samples) == reference.eer_threshold(samples)
 
 
 @given(
