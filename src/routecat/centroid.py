@@ -24,12 +24,12 @@ from routecat.corpus import Document, InvertedIndex, SparseVector, TermTable, Vo
 from routecat.policies import Mode, PolicyKind, build_training_set
 from routecat.taxonomy import NodeId, Taxonomy, TaxonomyError, UnknownNodeError, format_taxonomy, parse_taxonomy
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 T = TypeVar("T")
 
 
-class ModelFormatError(Exception):
+class ModelFormatError(ValueError):
     """Model file is not readable by this version of the code."""
 
 
@@ -395,7 +395,7 @@ def loads_artifact(text: str, kind: str, version: int, error: type[Exception], b
         return build(payload)
     except KeyError as exc:
         raise error(f"{kind} file has no field {exc}") from exc
-    except (TypeError, ValueError, OverflowError, AttributeError, TaxonomyError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise error(f"malformed {kind} file: {exc}") from exc
 
 
@@ -406,10 +406,7 @@ def dumps_model(model: CentroidModel) -> str:
         "mode": model.mode.value,
         "policy": model.policy.value if model.policy is not None else None,
         "taxonomy": format_taxonomy(model.taxonomy),
-        "vocabulary": {
-            "n_docs": vocab.n_docs,
-            "terms": [[term, idx, df] for idx, (term, df) in enumerate(zip(vocab.terms, vocab.doc_frequency))],
-        },
+        "vocabulary": {"n_docs": vocab.n_docs, "terms": vocab.terms, "doc_frequency": vocab.doc_frequency},
         "vocabulary_digest": vocabulary_digest(vocab),
         "training_digest": model.training_digest,
         "centroids": {node: _packed(vec) for node, vec in model.centroid_of.items()},
@@ -451,28 +448,24 @@ def _from_little_endian(typecode: str, data: bytes) -> array:
 def loads_model(text: str) -> CentroidModel:
     """Inverse of :func:`dumps_model`.
 
-    Unknown formats and versions, missing or wrongly typed fields, a
-    vocabulary term whose index is not its position, a stored
-    ``vocabulary_digest`` that is not the vocabulary's own, a centroid that
-    is not two base64 strings of n term indices and n weights (see
-    :func:`_packed`), and any vocabulary :class:`~routecat.corpus.Vocabulary`
-    or model :class:`CentroidModel` refuses (they hold the vocabulary and
-    centroid entry rules) raise :class:`ModelFormatError`.  Vocabulary values
-    are checked as JSON typed them, never converted.
+    Unknown formats and versions, missing or wrongly typed fields, vocabulary
+    ``terms`` that are not a list, a stored ``vocabulary_digest`` that is not
+    the vocabulary's own, a centroid that is not two base64 strings of n term
+    indices and n weights (see :func:`_packed`), and any vocabulary
+    :class:`~routecat.corpus.Vocabulary` or model :class:`CentroidModel`
+    refuses (they hold the vocabulary and centroid entry rules) raise
+    :class:`ModelFormatError`.  Vocabulary values are checked as JSON typed
+    them, never converted.
     """
     return loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
 
 
 def _model_from_payload(payload: dict) -> CentroidModel:
     vocab_payload = payload["vocabulary"]
-    terms: list[str] = []
-    doc_frequency: list[int] = []
-    for position, (term, idx, df) in enumerate(vocab_payload["terms"]):
-        if type(idx) is not int or idx != position:
-            raise ValueError(f"vocabulary term {term!r} has index {idx!r} at position {position}")
-        terms.append(term)
-        doc_frequency.append(df)
-    vocabulary = Vocabulary(terms=tuple(terms), doc_frequency=tuple(doc_frequency), n_docs=vocab_payload["n_docs"])
+    terms = vocab_payload["terms"]
+    if type(terms) is not list:  # tuple() would read a string's characters or an object's keys as terms
+        raise ValueError(f"vocabulary terms must be a list, not {type(terms).__name__}")
+    vocabulary = Vocabulary(terms=terms, doc_frequency=vocab_payload["doc_frequency"], n_docs=vocab_payload["n_docs"])
     if payload["vocabulary_digest"] != vocabulary.digest:
         raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
 

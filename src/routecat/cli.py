@@ -8,8 +8,9 @@ stdout.
 Each command imports only the modules it runs, so that start-up costs no
 more than the command needs: ``generate`` loads the generator and
 :mod:`routecat.prng` alone, ``classify`` no evaluation code.  A command's
-flags are added to its parser only once the command is chosen, and the
-library's error classes are imported only to match an error raised.
+flags are added to its parser only once the command is chosen.  Every
+library error for bad input is a ``ValueError``, so no error class is
+imported to catch one.
 """
 
 from __future__ import annotations
@@ -70,21 +71,11 @@ positive_int = _reader(int, "an integer", "must be >= 1", lambda n: n >= 1)
 _seed = _reader(int, "an integer", "seed must lie in 0..2**64-1", lambda n: 0 <= n < 2**64)
 
 
-def _format_errors() -> tuple[type[Exception], ...]:
-    """The library's errors for malformed input, imported only when an ``except`` clause tests a raised error."""
-    from routecat.centroid import ModelFormatError
-    from routecat.corpus import CorpusError
-    from routecat.router import CalibrationError
-    from routecat.taxonomy import TaxonomyError
-
-    return TaxonomyError, CorpusError, ModelFormatError, CalibrationError
-
-
 def _load(path: Path, what: str, parse: Callable[[str], T]) -> T:
     """Parse a file, prefixing any format error with the file's path."""
     try:
         return parse(_read_text(path, what))
-    except _format_errors() as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -189,7 +180,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         out / "calibration.json",
         dumps_calibration(calibration, vocabulary_digest(run.model.vocabulary)),
     )
-    weights = " ".join(f"L{d}={w:.4f}" for d, w in sorted(calibration.level_weights.items()))
+    weights = " ".join(f"L{d}={w:.4f}" for d, w in enumerate(calibration.level_weights, start=1))
     print(
         f"trained on {len(run.split.train)} docs, calibrated on {len(run.split.validation)}: "
         f"{weights} threshold={calibration.threshold:.6f} gap={calibration.eer_gap:.6f} "
@@ -324,7 +315,7 @@ def run(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) 
         code = command(args)
         sys.stdout.flush()  # a closed pipe must fail here, not in the flush at exit
         return code
-    except (CliError, *_format_errors(), ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -28,7 +28,7 @@ _TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
 _ASCII_TOKEN = re.compile(r"[a-z0-9]{2,}")
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Malformed corpus input."""
 
 
@@ -71,7 +71,7 @@ class Vocabulary:
         ``doc_frequency`` of different lengths, a term that is not a string or
         repeats, and a document frequency that is not an integer in 1..``n_docs``.
         """
-        # tuple() of a tuple is the same object, so the loader and build_vocabulary copy nothing
+        # tuple() of a tuple is the same object, so build_vocabulary's tuples are not copied again
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "doc_frequency", tuple(self.doc_frequency))
         n_docs = checked_int(self.n_docs, "n_docs")

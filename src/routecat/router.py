@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from routecat.centroid import (
     CentroidModel,
@@ -30,13 +29,13 @@ from routecat.corpus import Document, SparseVector, vectorize
 from routecat.prng import checked_int
 from routecat.taxonomy import NodeId, Taxonomy
 
-CALIBRATION_FORMAT_VERSION = 2
+CALIBRATION_FORMAT_VERSION = 3
 
 #: Threshold sentinel that accepts every document (reliability > -inf always).
 ACCEPT_ALL = float("-inf")
 
 
-class CalibrationError(Exception):
+class CalibrationError(ValueError):
     """Calibration data missing, malformed, or inconsistent with the model."""
 
 
@@ -58,16 +57,16 @@ class LevelStep(NamedTuple):
 class Calibration:
     """Per-depth weight factors plus the acceptance threshold.
 
+    ``level_weights[k]`` is the weight of depth k + 1.  It is kept as a
+    tuple, so editing a list passed in changes nothing.
     ``source`` records how the validation sweep chose the threshold: "eer",
     or "eer-all-correct"/"eer-all-incorrect" when every validation document
     was routed right (accept everything) or wrong (reject everything).
-    ``level_weights`` is kept as a read-only copy, so editing the mapping
-    passed in changes nothing.
     ``model_identity`` is the :func:`~routecat.centroid.model_identity`
     of the model the weights and threshold were computed for.
     """
 
-    level_weights: Mapping[int, float]
+    level_weights: tuple[float, ...]
     threshold: float
     eer_gap: float
     validation_size: int
@@ -77,15 +76,16 @@ class Calibration:
     def __post_init__(self) -> None:
         """Refuse what :func:`build_calibration` never makes.
 
-        That is a level weight keyed by anything but a depth of at least 1 or
-        not a float in [0, 1], a NaN threshold, an EER gap that is not a float
-        in [0, 1], a validation size that is not an integer of at least 1, and
-        a ``source`` or ``model_identity`` that is not a string.
+        That is no level weight, a level weight that is not a float in [0, 1],
+        a NaN threshold, an EER gap that is not a float in [0, 1], a validation
+        size that is not an integer of at least 1, and a ``source`` or
+        ``model_identity`` that is not a string.
         """
-        object.__setattr__(self, "level_weights", MappingProxyType(dict(self.level_weights)))
-        for depth, weight in self.level_weights.items():
-            if type(depth) is not int or depth < 1:
-                raise ValueError(f"level weight key {str(depth)!r} is not a depth")  # as the file spells the key
+        # tuple() of a tuple is the same object, so build_calibration's weights are not copied
+        object.__setattr__(self, "level_weights", tuple(self.level_weights))
+        if not self.level_weights:
+            raise ValueError("level_weights must hold a weight for depth 1 at least")
+        for depth, weight in enumerate(self.level_weights, start=1):
             _checked_rate(weight, f"level weight {depth}")
         # NaN compares false with everything, so it would silently reject every document
         if math.isnan(self.threshold):
@@ -98,9 +98,11 @@ class Calibration:
                 raise TypeError(f"{name} must be a string, not {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Accept/reject outcome for one document; the decoded leaf is kept either way."""
+class Decision(NamedTuple):
+    """Accept/reject outcome for one document; the decoded leaf is kept either way.
+
+    A tuple, as :class:`LevelStep` is, because every classified document builds one.
+    """
 
     accepted: bool
     leaf: NodeId
@@ -153,13 +155,13 @@ def routed_correctly(taxonomy: Taxonomy, label: NodeId, leaf: NodeId) -> bool:
     return label in taxonomy.path(leaf)
 
 
-def reliability(steps: Sequence[LevelStep], level_weights: Mapping[int, float]) -> float:
-    """Weighted sum of step confidences along a decoded route."""
+def reliability(steps: Sequence[LevelStep], level_weights: Sequence[float]) -> float:
+    """Weighted sum of step confidences along a decoded route; ``level_weights[k]`` weighs the step at depth k + 1."""
+    if len(steps) > len(level_weights):
+        raise CalibrationError(f"no weight calibrated for depth {len(level_weights) + 1}")
     total = 0.0
-    for depth, step in enumerate(steps, start=1):
-        if depth not in level_weights:
-            raise CalibrationError(f"no weight calibrated for depth {depth}")
-        total += level_weights[depth] * step.confidence
+    for weight, step in zip(level_weights, steps):
+        total += weight * step.confidence
     return total
 
 
@@ -228,10 +230,9 @@ def build_calibration(model: CentroidModel, validation: Sequence[Document]) -> C
             if depth <= len(route) and route[depth - 1] == node:
                 correct[depth] += 1
         decoded.append((steps, routed_correctly(t, doc.label, leaf)))
-    weights = {
-        depth: (correct[depth] / eligible[depth] if eligible[depth] else 0.0)
-        for depth in range(1, t.max_depth + 1)
-    }
+    weights = tuple(
+        correct[depth] / eligible[depth] if eligible[depth] else 0.0 for depth in range(1, t.max_depth + 1)
+    )
     n_correct = sum(ok for _, ok in decoded)
     if n_correct == len(decoded):
         threshold, gap, source = ACCEPT_ALL, 0.0, "eer-all-correct"
@@ -269,7 +270,7 @@ def _threshold_from_json(value: object) -> float:
 def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
     """Serialize calibration to canonical standard JSON, tagged with the model's vocabulary digest."""
     fields = {
-        "level_weights": {str(depth): w for depth, w in calibration.level_weights.items()},
+        "level_weights": calibration.level_weights,
         "threshold": _threshold_to_json(calibration.threshold),
         "eer_gap": calibration.eer_gap,
         "validation_size": calibration.validation_size,
@@ -283,10 +284,10 @@ def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:
 def loads_calibration(text: str) -> tuple[Calibration, str]:
     """Inverse of :func:`dumps_calibration`; returns the calibration and its digest.
 
-    Unknown formats and versions, missing or wrongly typed fields, a weight
-    key not written as a plain integer, and any calibration
-    :class:`Calibration` refuses (it holds the rules for the weights, the
-    gap, the size and the two strings) raise :class:`CalibrationError`.
+    Unknown formats and versions, missing or wrongly typed fields, and any
+    calibration :class:`Calibration` refuses (it holds the rules for the
+    weights, the gap, the size and the two strings) raise
+    :class:`CalibrationError`.
     """
     return loads_artifact(
         text, "calibration", CALIBRATION_FORMAT_VERSION, CalibrationError, _calibration_from_payload
@@ -294,14 +295,8 @@ def loads_calibration(text: str) -> tuple[Calibration, str]:
 
 
 def _calibration_from_payload(payload: dict) -> tuple[Calibration, str]:
-    level_weights = {}
-    for key, weight in payload["level_weights"].items():
-        depth = int(key)
-        if str(depth) != key:  # "01" or " 1": a depth is written as a plain integer
-            raise ValueError(f"level weight key {key!r} is not a depth")
-        level_weights[depth] = weight
     calibration = Calibration(
-        level_weights=level_weights,
+        level_weights=payload["level_weights"],
         threshold=_threshold_from_json(payload["threshold"]),
         eer_gap=payload["eer_gap"],
         validation_size=payload["validation_size"],
@@ -334,8 +329,8 @@ def check_matching_vocabulary(model: CentroidModel, calibration_digest: str) -> 
 def check_pairing(model: CentroidModel, calibration: Calibration, calibration_digest: str) -> None:
     """Refuse a calibration that was not computed for ``model`` or cannot weigh every step of its routes.
 
-    Checks the vocabulary digest, the model identity, and a level weight for
-    each depth 1..``taxonomy.max_depth``, so a mismatch stops a command
+    Checks the vocabulary digest, the model identity, and one level weight
+    for each depth 1..``taxonomy.max_depth``, so a mismatch stops a command
     before its first decision.
     """
     check_matching_vocabulary(model, calibration_digest)
@@ -344,6 +339,6 @@ def check_pairing(model: CentroidModel, calibration: Calibration, calibration_di
             "model mismatch: the calibration was computed for a model with other training documents, "
             "taxonomy, mode or policy"
         )
-    for depth in range(1, model.taxonomy.max_depth + 1):
-        if depth not in calibration.level_weights:
-            raise CalibrationError(f"no weight calibrated for depth {depth}")
+    n, depth = len(calibration.level_weights), model.taxonomy.max_depth
+    if n != depth:
+        raise CalibrationError(f"level weights are calibrated to depth {n}, the taxonomy's depth is {depth}")

@@ -14,7 +14,7 @@ from typing import Iterator, Mapping
 NodeId = str
 
 
-class TaxonomyError(Exception):
+class TaxonomyError(ValueError):
     """Structurally invalid taxonomy."""
 
 

@@ -482,16 +482,16 @@ def test_model_centroid_encoding_is_pinned():
 
 def test_model_version_check(t0, t0_docs):
     text = dumps_model(_toy_model(t0, t0_docs))
-    tampered = text.replace('"format_version":3', '"format_version":99')
+    tampered = text.replace('"format_version":4', '"format_version":99')
     with pytest.raises(ModelFormatError, match="version"):
         loads_model(tampered)
     with pytest.raises(ModelFormatError):
         loads_model('{"format":"something-else"}')
     with pytest.raises(ModelFormatError):
         loads_model("not json at all")
-    for old in (1, 2):
-        with pytest.raises(ModelFormatError, match=f"unsupported model format version {old}, expected 3"):
-            loads_model(text.replace('"format_version":3', f'"format_version":{old}'))
+    for old in (1, 2, 3):
+        with pytest.raises(ModelFormatError, match=f"unsupported model format version {old}, expected 4"):
+            loads_model(text.replace('"format_version":4', f'"format_version":{old}'))
 
 
 EMPTY = packed_centroid()  # ["", ""]
@@ -503,16 +503,16 @@ EMPTY = packed_centroid()  # ["", ""]
         ("taxonomy", None, "no field 'taxonomy'"),
         ("taxonomy", 5, "malformed"),
         ("mode", "ternary", "malformed"),
-        ("vocabulary", {"n_docs": "many", "terms": []}, "malformed"),
-        ("vocabulary", {"n_docs": 1, "terms": [["x"]]}, "malformed"),
+        ("vocabulary", {"n_docs": "many", "terms": [], "doc_frequency": []}, "malformed"),
+        ("vocabulary", {"n_docs": 1, "terms": ["x"], "doc_frequency": []}, "malformed"),
         ("centroids", [], "malformed"),
         ("centroids", {"A": EMPTY}, "no centroid for node"),
         ("negative_centroids", None, "negative centroid"),
-        ("vocabulary", {"n_docs": 4.0, "terms": []}, "n_docs must be an integer, not 4.0"),
-        ("vocabulary", {"n_docs": True, "terms": []}, "n_docs must be an integer, not True"),
+        ("vocabulary", {"n_docs": 4.0, "terms": [], "doc_frequency": []}, "n_docs must be an integer, not 4.0"),
+        ("vocabulary", {"n_docs": True, "terms": [], "doc_frequency": []}, "n_docs must be an integer, not True"),
         # ln((n_docs + 1) / (df + 1)) raised "math domain error" at n_docs = -1
-        ("vocabulary", {"n_docs": -1, "terms": []}, "n_docs must be at least 1, not -1"),
-        ("vocabulary", {"n_docs": 0, "terms": []}, "n_docs must be at least 1, not 0"),
+        ("vocabulary", {"n_docs": -1, "terms": [], "doc_frequency": []}, "n_docs must be at least 1, not -1"),
+        ("vocabulary", {"n_docs": 0, "terms": [], "doc_frequency": []}, "n_docs must be at least 1, not 0"),
         ("training_digest", None, "no field 'training_digest'"),
         ("training_digest", 7, "training_digest must be a string"),
         ("policy", None, "no field 'policy'"),
@@ -615,24 +615,33 @@ def test_model_refuses_centroid_arrays_of_different_lengths(t0, t0_docs, field, 
 
 
 @pytest.mark.parametrize(
-    "position, column, value, message",
+    "field, position, value, message",
     [
-        (3, 1, 2.7, "'two' has index 2.7 at position 3"),  # int() made it 2, the index of 'uno'
-        (1, 1, 0, "'one' has index 0 at position 1"),  # two terms on one index: vectorize("alpha one") lost one
-        (1, 1, True, "'one' has index True at position 1"),
-        (1, 0, "alpha", "'alpha' is not a string or repeats"),
-        (0, 0, 7, "7 is not a string"),
-        (2, 2, 1.0, "document frequency of 'uno' must be an integer, not 1.0"),
-        (2, 2, "1", "document frequency of 'uno' must be an integer"),
+        ("terms", 1, "alpha", "'alpha' is not a string or repeats"),
+        ("terms", 0, 7, "7 is not a string"),
+        ("doc_frequency", 2, 1.0, "document frequency of 'uno' must be an integer, not 1.0"),
+        ("doc_frequency", 2, "1", "document frequency of 'uno' must be an integer"),
         # idf divided by df + 1 = 0 and ended classify in a ZeroDivisionError
-        (0, 2, -1, "document frequency -1 of 'alpha' lies outside 1..4"),
-        (0, 2, 0, "document frequency 0 of 'alpha' lies outside 1..4"),
-        (1, 2, 5, "document frequency 5 of 'one' lies outside 1..4"),
+        ("doc_frequency", 0, -1, "document frequency -1 of 'alpha' lies outside 1..4"),
+        ("doc_frequency", 0, 0, "document frequency 0 of 'alpha' lies outside 1..4"),
+        ("doc_frequency", 1, 5, "document frequency 5 of 'one' lies outside 1..4"),
+        # a whole list replaced: tuple() reads a string as its characters and an object as its keys, and the six
+        # one-letter terms would fit the digest, the document frequencies and every centroid
+        ("terms", None, "abcdef", "vocabulary terms must be a list, not str"),
+        ("terms", None, dict.fromkeys("abcdef", 1), "vocabulary terms must be a list, not dict"),
+        ("doc_frequency", None, "311111", "document frequency of 'alpha' must be an integer, not '3'"),
     ],
 )
-def test_model_vocabulary_is_validated(t0, t0_docs, position, column, value, message):
+def test_model_vocabulary_is_validated(t0, t0_docs, field, position, value, message):
     payload = json.loads(dumps_model(_toy_model(t0, t0_docs)))
-    payload["vocabulary"]["terms"][position][column] = value
+    vocab = payload["vocabulary"]
+    if position is None:
+        vocab[field] = value
+    else:
+        vocab[field][position] = value
+    # the stored digest is the edited vocabulary's, read as tuple() reads it, so that only a vocabulary rule refuses it
+    lines = (f"{term}\t{index}\t{df}\n" for index, (term, df) in enumerate(zip(vocab["terms"], vocab["doc_frequency"])))
+    payload["vocabulary_digest"] = hashlib.sha256(("".join(lines) + str(vocab["n_docs"])).encode("utf-8")).hexdigest()
     with pytest.raises(ModelFormatError, match=f"malformed model file: .*{message}"):
         loads_model(json.dumps(payload))
 

@@ -325,36 +325,38 @@ def test_calibration_lacking_a_depth_is_refused_before_any_decision(tmp_path):
     )
     run = train_into(tmp_path, data)
     payload = json.loads((run / "calibration.json").read_text())
-    del payload["level_weights"]["2"]
+    del payload["level_weights"][1]
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps(payload))
     result = run_subprocess(
         "classify", "--model", str(run / "model.json"), "--calibration", str(stale), "--input", str(data / "corpus.tsv")
     )
-    assert_one_line_error(result, "no weight calibrated for depth 2")
+    assert_one_line_error(result, "level weights are calibrated to depth 1, the taxonomy's depth is 2")
 
 
-def test_calibration_format_1_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("old", [1, 2])
+def test_calibration_format_1_is_refused(tmp_path, capsys, old):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
     calibration = run / "calibration.json"
-    calibration.write_text(calibration.read_text().replace('"format_version":2', '"format_version":1'))
+    calibration.write_text(calibration.read_text().replace('"format_version":3', f'"format_version":{old}'))
     capsys.readouterr()
     code = run_cli(
         "classify", "--model", str(run / "model.json"), "--calibration", str(calibration),
         "--input", str(data / "corpus.tsv"),
     )
     assert code == 1
-    assert "unsupported calibration format version 1, expected 2" in capsys.readouterr().err
+    assert f"unsupported calibration format version {old}, expected 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old", [2, 3])
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
-def test_model_format_2_is_refused(tmp_path, command):
+def test_model_format_2_is_refused(tmp_path, command, old):
     inputs = command_inputs(tmp_path, command)
     model = tmp_path / "run" / "model.json"
-    model.write_text(model.read_text().replace('"format_version":3', '"format_version":2'))
+    model.write_text(model.read_text().replace('"format_version":4', f'"format_version":{old}'))
     result = run_subprocess(command, *inputs)
-    assert_one_line_error(result, "unsupported model format version 2, expected 3")
+    assert_one_line_error(result, f"unsupported model format version {old}, expected 4")
     assert str(model) in result.stderr
 
 
@@ -601,7 +603,7 @@ def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
     artifact = tmp_path / f"bad-{bad}.json"
-    version = {"model": 3, "calibration": 2}[bad]
+    version = {"model": 4, "calibration": 3}[bad]
     artifact.write_text(f'{{"format":"routecat-{bad}","format_version":{version}}}')
     paths = {"model": run / "model.json", "calibration": run / "calibration.json", bad: artifact}
     result = run_subprocess(
@@ -679,8 +681,8 @@ def test_model_with_an_impossible_document_count_is_a_one_line_error(tmp_path, c
         vocab["n_docs"] = -1  # idf raised "math domain error", naming no file
         rule = "n_docs must be at least 1, not -1"
     else:
-        vocab["terms"][0][2] = -1  # idf divided by df + 1 = 0 and ended in a traceback
-        rule = f"document frequency -1 of {vocab['terms'][0][0]!r} lies outside 1.."
+        vocab["doc_frequency"][0] = -1  # idf divided by df + 1 = 0 and ended in a traceback
+        rule = f"document frequency -1 of {vocab['terms'][0]!r} lies outside 1.."
     # the stored digests are left as they are: Vocabulary refuses the edit before the loader compares them
     model.write_text(json.dumps(payload))
     result = run_subprocess(command, *inputs)
@@ -696,7 +698,7 @@ NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents
     [
         (None, NOISY, "eer", None, ()),
         (None, {"--noise": "0.0"}, "eer-all-correct", "-inf", ()),
-        # a threshold set by hand is not train's to write, but a file an older train wrote with one is read back
+        # a threshold set by hand is not train's to write, but a calibration file that holds one is read back
         (ACCEPT_ALL, NOISY, "accept-all", "-inf", ()),
         (float("inf"), NOISY, "manual", "inf", ()),
         # or is given to classify, whose flag wins over the file's threshold

@@ -426,8 +426,8 @@ def test_node_and_document_names_steer_no_decision(depth, branching, training):
         calibration2, summary2, comparison2, decisions2 = run_and_decide(
             renamed_taxonomy, renamed_corpus, seed, training
         )
-        assert (dict(calibration2.level_weights), calibration2.threshold, calibration2.eer_gap) == (
-            dict(calibration.level_weights), calibration.threshold, calibration.eer_gap
+        assert (calibration2.level_weights, calibration2.threshold, calibration2.eer_gap) == (
+            calibration.level_weights, calibration.threshold, calibration.eer_gap
         )
         assert (summary2, comparison2) == (summary, comparison)
         assert [(d.leaf, d.accepted, d.reliability) for d in decisions2] == [
@@ -462,7 +462,8 @@ def test_whole_runs_equal_the_reference_bit_for_bit(policy, seed, val_fraction, 
     assert model.centroid_of == {node: sparse(c) for node, c in expected.model.centroids.items()}
     negatives = expected.model.negatives
     assert model.negative_centroid_of == (None if negatives is None else {n: sparse(c) for n, c in negatives.items()})
-    assert (dict(calibration.level_weights), calibration.threshold, calibration.eer_gap, calibration.source) == (
+    weights = dict(enumerate(calibration.level_weights, start=1))
+    assert (weights, calibration.threshold, calibration.eer_gap, calibration.source) == (
         expected.level_weights, expected.threshold, expected.eer_gap, expected.source
     )
 

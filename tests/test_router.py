@@ -95,7 +95,7 @@ UNEVEN_VECTORS = [
     vec((0, 1.0)), vec((1, 1.0)), vec((2, 1.0)), vec((0, 0.6), (2, 0.8)), vec((0, 0.5), (1, 0.5), (2, 0.7)),
     SparseVector(),
 ]
-UNEVEN_CALIBRATION = Calibration(level_weights={1: 0.9, 2: 0.6, 3: 0.3}, threshold=0.8, eer_gap=0.1, validation_size=6)
+UNEVEN_CALIBRATION = Calibration(level_weights=(0.9, 0.6, 0.3), threshold=0.8, eer_gap=0.1, validation_size=6)
 
 
 def uneven_binary_model():
@@ -114,7 +114,7 @@ def test_classify_with_reject_equals_the_reference_decision(case):
         else model_with_scores(UNEVEN_TAXONOMY, UNEVEN_CENTROIDS, vocabulary_of_size(3))
     )
     expected = reference_model(model)
-    weights, threshold = UNEVEN_CALIBRATION.level_weights, UNEVEN_CALIBRATION.threshold
+    weights, threshold = dict(enumerate(UNEVEN_CALIBRATION.level_weights, start=1)), UNEVEN_CALIBRATION.threshold
     verdicts = set()
     for d in UNEVEN_VECTORS:
         decision = classify_with_reject(model, UNEVEN_CALIBRATION, d)
@@ -247,11 +247,8 @@ def test_calibrate_weights_examples():
         Document("v3", "A2", "ta t2"),
         Document("v4", "A1", "ta t2"),  # routed to A2 at depth 2: the one mistake
     ]
-    weights = build_calibration(model, validation).level_weights
-    assert weights[1] == 1.0
-    assert weights[2] == 0.75
-    assert weights[3] == 0.0  # nobody's true label reaches depth 3
-    assert set(weights) == {1, 2, 3}
+    # depth 2 has the one mistake, and nobody's true label reaches depth 3
+    assert build_calibration(model, validation).level_weights == (1.0, 0.75, 0.0)
 
 
 def test_calibrate_weights_on_an_uneven_tree():
@@ -262,10 +259,8 @@ def test_calibrate_weights_on_an_uneven_tree():
         Document("v2", "A1a", "ta t2"),  # routed A, A2: its route stops at depth 2
         Document("v3", "A2", "ta t2"),
     ]
-    weights = build_calibration(model, validation).level_weights
-    assert weights[1] == 1.0
-    assert weights[2] == 2 / 3
-    assert weights[3] == 0.5  # A1a is reached by v1 only, the decoded leaf A2 of v2 has no depth 3
+    # at depth 3, A1a is reached by v1 only, the decoded leaf A2 of v2 has no depth 3
+    assert build_calibration(model, validation).level_weights == (1.0, 2 / 3, 0.5)
 
 
 def test_calibrate_weights_empty():
@@ -279,10 +274,10 @@ def test_reliability_examples():
         vec((0, 1.0)),
     )
     # confidences are (0.6/0.6, 0.5/0.5) = (1.0, 1.0); use crafted weights instead
-    assert reliability(steps, {1: 1.0, 2: 0.8}) == pytest.approx(1.8)
-    assert reliability(steps, {1: 0.0, 2: 0.0}) == 0.0
+    assert reliability(steps, (1.0, 0.8)) == pytest.approx(1.8)
+    assert reliability(steps, (0.0, 0.0)) == 0.0
     with pytest.raises(CalibrationError, match="depth 2"):
-        reliability(steps, {1: 1.0})
+        reliability(steps, (1.0,))
 
 
 def test_reliability_weighted_sum():
@@ -293,8 +288,8 @@ def test_reliability_weighted_sum():
         LevelStep("x", ("x", "y"), [3.0, 2.0], 0.6),
         LevelStep("y", ("y", "z"), [1.0, 1.0], 0.5),
     )
-    assert reliability(steps, {1: 1.0, 2: 0.8}) == pytest.approx(1.0)
-    assert reliability((steps[0],), {1: 0.9}) == pytest.approx(0.9 * 0.6)
+    assert reliability(steps, (1.0, 0.8)) == pytest.approx(1.0)
+    assert reliability((steps[0],), (0.9,)) == pytest.approx(0.9 * 0.6)
 
 
 def test_eer_separated_groups():
@@ -384,7 +379,7 @@ def test_confidence_argmax_invariant_under_scaling(group, factor):
 def test_classify_accept_reject_boundary():
     model = model_with_scores("R\tA\nR\tB\n", {"A": vec((0, 0.9)), "B": vec((0, 0.1))})
     d = vec((0, 1.0))
-    weights = {1: 1.0}
+    weights = (1.0,)
 
     accepted = classify_with_reject(model, Calibration(weights, 0.5, 0.0, 1), d)
     assert accepted.accepted and accepted.leaf == "A"
@@ -393,7 +388,7 @@ def test_classify_accept_reject_boundary():
     boundary = classify_with_reject(model, Calibration(weights, accepted.reliability, 0.0, 1), d)
     assert not boundary.accepted  # strictly-greater rule
 
-    zero_weights = classify_with_reject(model, Calibration({1: 0.0}, ACCEPT_ALL, 0.0, 1), d)
+    zero_weights = classify_with_reject(model, Calibration((0.0,), ACCEPT_ALL, 0.0, 1), d)
     assert zero_weights.accepted
     assert zero_weights.reliability == 0.0
 
@@ -409,7 +404,7 @@ def test_raising_threshold_never_accepts_more(rels):
 
 def test_reliability_bounded_by_weight_sum():
     run = synthetic_run(SyntheticSpec(depth=3, branching=3, docs_per_leaf=10, noise_fraction=0.3, seed=5), 0.2, 0.2)
-    weight_sum = math.fsum(run.calibration.level_weights.values())
+    weight_sum = math.fsum(run.calibration.level_weights)
     assert weight_sum <= run.model.taxonomy.max_depth
     for doc in run.split.test:
         decision = classify_with_reject(run.model, run.calibration, vectorize(doc, run.model.vocabulary))
@@ -434,17 +429,17 @@ def test_build_calibration_all_incorrect_rejects_everything():
 
 
 def test_calibration_keeps_the_weights_it_checked():
-    weights = {1: 1.0, 2: 0.5}
+    weights = [1.0, 0.5]
     cal = Calibration(level_weights=weights, threshold=0.5, eer_gap=0.0, validation_size=3)
-    weights[1] = 7.0  # outside [0, 1], which the constructor refuses
-    assert cal.level_weights == {1: 1.0, 2: 0.5}
+    weights[0] = 7.0  # outside [0, 1], which the constructor refuses
+    assert cal.level_weights == (1.0, 0.5)
     assert reliability((LevelStep("x", ("x",), [1.0], 1.0),), cal.level_weights) == 1.0
     with pytest.raises(TypeError):
-        cal.level_weights[1] = 7.0
+        cal.level_weights[0] = 7.0
 
 
 def test_calibration_round_trip():
-    cal = Calibration(level_weights={1: 1.0, 2: 0.75}, threshold=-math.inf, eer_gap=0.25, validation_size=9, source="manual")
+    cal = Calibration(level_weights=(1.0, 0.75), threshold=-math.inf, eer_gap=0.25, validation_size=9, source="manual")
     text = dumps_calibration(cal, "abc123")
     loaded, digest = loads_calibration(text)
     assert loaded == cal
@@ -456,10 +451,10 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
     from routecat.corpus import build_vocabulary
     from routecat.centroid import train
 
-    text = dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "bogus")
-    for version in (7, 1):
-        with pytest.raises(CalibrationError, match=f"unsupported calibration format version {version}, expected 2"):
-            loads_calibration(text.replace('"format_version":2', f'"format_version":{version}'))
+    text = dumps_calibration(Calibration((1.0,), 0.5, 0.0, 3), "bogus")
+    for version in (7, 1, 2):
+        with pytest.raises(CalibrationError, match=f"unsupported calibration format version {version}, expected 3"):
+            loads_calibration(text.replace('"format_version":3', f'"format_version":{version}'))
     model = train(t0_docs, t0, build_vocabulary(t0_docs))
     cal, digest = loads_calibration(text)
     with pytest.raises(CalibrationError, match="vocabulary mismatch"):
@@ -478,29 +473,27 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("vocabulary_digest", None, "no field 'vocabulary_digest'"),
         ("vocabulary_digest", 7, "vocabulary_digest must be a string, not 7"),
         # values JSON has typed are checked, not converted
-        ("level_weights", {"1": "0.5"}, "level weight 1 must be a finite float"),
-        ("level_weights", {"1": True}, "level weight 1 must be a finite float"),
-        ("level_weights", {"01": 1.0}, "'01' is not a depth"),
+        ("level_weights", ["0.5"], "level weight 1 must be a finite float"),
+        ("level_weights", [True], "level weight 1 must be a finite float"),
+        # tuple() reads an object as its keys, the map format 2 wrote
+        ("level_weights", {"1": 0.5}, "level weight 1 must be a finite float, not '1'"),
         ("eer_gap", "0.25", "eer_gap must be a finite float"),
         ("eer_gap", math.nan, "eer_gap must be a finite float"),
         ("validation_size", 3.7, "validation_size must be an integer"),
         ("validation_size", True, "validation_size must be an integer"),
         # values build_calibration never writes: weights and the gap are rates, the size counts documents
-        ("level_weights", {"1": 5.0}, r"level weight 1 must lie in \[0, 1\]"),
-        ("level_weights", {"1": -3.0}, r"level weight 1 must lie in \[0, 1\]"),
+        ("level_weights", [5.0], r"level weight 1 must lie in \[0, 1\]"),
+        ("level_weights", [1.0, -3.0], r"level weight 2 must lie in \[0, 1\]"),
         ("eer_gap", -7.5, r"eer_gap must lie in \[0, 1\]"),
         ("eer_gap", 1.5, r"eer_gap must lie in \[0, 1\]"),
         ("validation_size", -2, "validation_size must be at least 1"),
         ("validation_size", 0, "validation_size must be at least 1"),
         ("model_identity", None, "no field 'model_identity'"),
         ("model_identity", 7, "model_identity must be a string, not 7"),
-        # depths start at 1
-        ("level_weights", {"1": 1.0, "0": 0.5}, "'0' is not a depth"),
-        ("level_weights", {"1": 1.0, "-3": 0.25}, "'-3' is not a depth"),
     ],
 )
 def test_calibration_fields_are_validated(field, value, message):
-    payload = json.loads(dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "abc123"))
+    payload = json.loads(dumps_calibration(Calibration((1.0,), 0.5, 0.0, 3), "abc123"))
     if value is None:
         del payload[field]
     else:
@@ -513,14 +506,13 @@ def test_calibration_fields_are_validated(field, value, message):
     "changes, message",
     [
         # each constructed and dumped, and loads_calibration refused the file
-        ({"level_weights": {1: 2.0}}, r"^level weight 1 must lie in \[0, 1\], not 2.0$"),
+        ({"level_weights": (2.0,)}, r"^level weight 1 must lie in \[0, 1\], not 2.0$"),
         ({"validation_size": 0}, "^validation_size must be at least 1, not 0$"),
-        ({"level_weights": {1: -0.5}}, r"^level weight 1 must lie in \[0, 1\], not -0.5$"),
-        ({"level_weights": {1: math.nan}}, "^level weight 1 must be a finite float, not nan$"),
-        ({"level_weights": {1: 1}}, "^level weight 1 must be a finite float, not 1$"),
-        ({"level_weights": {1: 1.0, 0: 0.5}}, "^level weight key '0' is not a depth$"),
-        ({"level_weights": {"1": 0.5}}, "^level weight key '1' is not a depth$"),
-        ({"level_weights": {True: 0.5}}, "^level weight key 'True' is not a depth$"),
+        ({"level_weights": (-0.5,)}, r"^level weight 1 must lie in \[0, 1\], not -0.5$"),
+        ({"level_weights": (math.nan,)}, "^level weight 1 must be a finite float, not nan$"),
+        ({"level_weights": (1,)}, "^level weight 1 must be a finite float, not 1$"),
+        # every taxonomy has depth 1, and reliability would weigh its steps by nothing
+        ({"level_weights": ()}, "^level_weights must hold a weight for depth 1 at least$"),
         ({"eer_gap": 1.5}, r"^eer_gap must lie in \[0, 1\], not 1.5$"),
         ({"eer_gap": 0}, "^eer_gap must be a finite float, not 0$"),
         ({"validation_size": 2.0}, "^validation_size must be an integer, not 2.0$"),
@@ -528,7 +520,7 @@ def test_calibration_fields_are_validated(field, value, message):
     ],
 )
 def test_calibration_refuses_what_build_calibration_never_makes(changes, message):
-    fields = dict(level_weights={1: 1.0}, threshold=0.5, eer_gap=0.0, validation_size=3)
+    fields = dict(level_weights=(1.0,), threshold=0.5, eer_gap=0.0, validation_size=3)
     with pytest.raises(ValueError, match=message):
         Calibration(**{**fields, **changes})
 
@@ -540,14 +532,14 @@ def test_calibration_refuses_what_build_calibration_never_makes(changes, message
 def test_calibration_refuses_a_source_or_model_identity_that_is_not_a_string(field, value):
     # each constructed, and loads_calibration then refused its own dumped file as malformed
     with pytest.raises(TypeError, match=f"^{field} must be a string, not "):
-        Calibration({1: 1.0}, 0.5, 0.0, 3, **{field: value})
+        Calibration((1.0,), 0.5, 0.0, 3, **{field: value})
 
 
 strings_or_not = st.one_of(st.text(max_size=3), st.integers(), st.none(), st.binary(max_size=2))
 
 
 @given(
-    st.dictionaries(st.integers(-1, 4), st.one_of(st.floats(), st.integers(0, 1)), max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(0, 1)), max_size=4),
     st.one_of(st.floats(), st.just(0)),
     st.one_of(st.integers(-1, 3), st.just(2.0)),
     strings_or_not,
@@ -564,7 +556,8 @@ def test_every_calibration_the_constructor_accepts_loads_back(
         source=source, model_identity=model_identity,
     )
     keeps_rules = (
-        all(depth >= 1 and rate(w) for depth, w in level_weights.items())
+        level_weights
+        and all(rate(w) for w in level_weights)
         and rate(eer_gap)
         and type(validation_size) is int
         and validation_size >= 1
@@ -633,15 +626,16 @@ def test_check_pairing_refuses_another_model():
         check_pairing(model, cal, "bogus")
 
 
-def test_check_pairing_refuses_a_calibration_lacking_a_depth():
+def test_check_pairing_refuses_a_calibration_of_another_depth():
     model = calibration_model()  # max depth 3
     digest = vocabulary_digest(model.vocabulary)
     cal = build_calibration(model, [Document("v1", "A1", "ta t1"), Document("v2", "B", "tb")])
-    assert set(cal.level_weights) == {1, 2, 3}
-    for depth in (1, 3):
-        weights = {d: w for d, w in cal.level_weights.items() if d != depth}
-        with pytest.raises(CalibrationError, match=f"no weight calibrated for depth {depth}"):
-            check_pairing(model, Calibration(weights, cal.threshold, cal.eer_gap, 2, model_identity=cal.model_identity), digest)
+    assert len(cal.level_weights) == 3
+    for weights in (cal.level_weights[:2], cal.level_weights + (0.5,)):
+        with pytest.raises(
+            CalibrationError, match=f"^level weights are calibrated to depth {len(weights)}, the taxonomy's depth is 3$"
+        ):
+            check_pairing(model, replace(cal, level_weights=weights), digest)
 
 
 @pytest.mark.parametrize(
@@ -654,7 +648,7 @@ def test_check_pairing_refuses_a_calibration_lacking_a_depth():
     ],
 )
 def test_calibration_json_is_standard_and_round_trips(threshold, source, written):
-    cal = Calibration({1: 1.0, 2: 0.5}, threshold, 0.0, 3, source)
+    cal = Calibration((1.0, 0.5), threshold, 0.0, 3, source)
     text = dumps_calibration(cal, "abc123")
     json.loads(text, parse_constant=refuse_json_constant)
     assert written in text
@@ -665,7 +659,7 @@ def test_calibration_json_is_standard_and_round_trips(threshold, source, written
     "value", ["NaN", "-Infinity", "Infinity", '"nan"', '"0.5"', "true", pytest.param("1" + "0" * 400, id="1e400-int")]
 )
 def test_calibration_refuses_a_nan_or_non_numeric_threshold(value):
-    text = dumps_calibration(Calibration({1: 1.0}, 0.5, 0.0, 3), "abc123")
+    text = dumps_calibration(Calibration((1.0,), 0.5, 0.0, 3), "abc123")
     with pytest.raises(CalibrationError, match="malformed"):
         loads_calibration(text.replace('"threshold":0.5', f'"threshold":{value}'))
 
