@@ -477,6 +477,10 @@ def test_calibration_version_and_digest_checks(t0, t0_docs):
         ("level_weights", [True], "level weight 1 must be a finite float"),
         # tuple() reads an object as its keys, the map format 2 wrote
         ("level_weights", {"1": 0.5}, "level weight 1 must be a finite float, not '1'"),
+        # and a string as its characters
+        ("level_weights", "0.5", "level weight 1 must be a finite float, not '0'"),
+        ("level_weights", [None], "level weight 1 must be a finite float, not None"),
+        ("level_weights", 0.5, "malformed calibration file: 'float' object is not iterable"),
         ("eer_gap", "0.25", "eer_gap must be a finite float"),
         ("eer_gap", math.nan, "eer_gap must be a finite float"),
         ("validation_size", 3.7, "validation_size must be an integer"),
