@@ -130,11 +130,15 @@ def flat_accuracy(
     vectors: Sequence[SparseVector],
     taxonomy: Taxonomy,
 ) -> float:
-    """Exact-label accuracy of the flat nearest-centroid classifier over the given leaf centroids."""
+    """Accuracy of the flat nearest-centroid classifier over the given leaf centroids.
+
+    A document counts as right when its label lies on the predicted leaf's
+    path, the rule the hierarchy's routes are scored by.
+    """
     if not test:
         raise ValueError("empty test set")
     predictions = flat_predictions(centroid_of, vectors, taxonomy)
-    return sum(p == doc.label for p, doc in zip(predictions, test)) / len(test)
+    return sum(routed_correctly(taxonomy, doc.label, p) for p, doc in zip(predictions, test)) / len(test)
 
 
 def flat_baseline(
@@ -143,7 +147,7 @@ def flat_baseline(
     taxonomy: Taxonomy,
     vocabulary: Vocabulary,
 ) -> float:
-    """Exact-label accuracy of the flat nearest-centroid classifier retrained on ``train``."""
+    """:func:`flat_accuracy` of the flat nearest-centroid classifier retrained on ``train``."""
     vectors = [vectorize(doc, vocabulary) for doc in test]
     return flat_accuracy(leaf_centroids(train, taxonomy, vocabulary), test, vectors, taxonomy)
 

@@ -76,11 +76,15 @@ class Calibration:
     def __post_init__(self) -> None:
         """Refuse what :func:`build_calibration` never makes.
 
-        That is no level weight, a level weight that is not a float in [0, 1],
-        a NaN threshold, an EER gap that is not a float in [0, 1], a validation
-        size that is not an integer of at least 1, and a ``source`` or
-        ``model_identity`` that is not a string.
+        That is level weights that are not a list or a tuple, no level weight,
+        a level weight that is not a float in [0, 1], a NaN threshold, an EER
+        gap that is not a float in [0, 1], a validation size that is not an
+        integer of at least 1, and a ``source`` or ``model_identity`` that is
+        not a string.
         """
+        # tuple() would read a mapping's keys or a string's characters as weights
+        if not isinstance(self.level_weights, (list, tuple)):
+            raise ValueError(f"level_weights must be a list of floats, not {type(self.level_weights).__name__}")
         # tuple() of a tuple is the same object, so build_calibration's weights are not copied
         object.__setattr__(self, "level_weights", tuple(self.level_weights))
         if not self.level_weights:

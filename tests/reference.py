@@ -369,7 +369,7 @@ def report(run: Run) -> tuple[dict, tuple[float, float, float]]:
         d = vectorize(doc.text, run.vocabulary)
         leaf, accepted, _ = decide(run.model, run.level_weights, run.threshold, d)
         outcomes.append((doc.label in path_of[leaf], accepted))
-        flat_hits += flat_argmax(flat, d) == doc.label
+        flat_hits += doc.label in path_of[flat_argmax(flat, d)]
     counts = summary(outcomes)
     rates = (100.0 * (flat_hits / len(test)), 100.0 * counts["overall_accuracy"], 100.0 * counts["boosted_accuracy"])
     return counts, rates

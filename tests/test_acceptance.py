@@ -80,9 +80,16 @@ def test_criterion_3_eer_matches_exhaustive_sweep():
     started = time.perf_counter()
     rng = random.Random(11)
     failures = 0
+    sample_sets = [
+        # adjacent floats: their midpoint rounds onto the smaller one
+        [(0.0, True), (5e-324, False)],
+        # 0.1 and 0.3 both leave a gap of 0.5: ties go to the larger threshold
+        [(0.1, True), (0.3, False), (0.5, True)],
+    ]
     for _ in range(200):
         n = rng.randint(2, 60)
-        samples = [(rng.random() * 2.0, rng.random() < 0.6) for _ in range(n)]
+        sample_sets.append([(rng.random() * 2.0, rng.random() < 0.6) for _ in range(n)])
+    for samples in sample_sets:
         if all(ok for _, ok in samples) or not any(ok for _, ok in samples):
             continue
         failures += eer_threshold(samples) != reference.eer_threshold(samples)

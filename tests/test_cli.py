@@ -58,14 +58,6 @@ def train_into(tmp_path, data, *extra):
     return run
 
 
-def test_generate_counts(tmp_path):
-    data = generate(tmp_path)
-    tax_lines = [l for l in (data / "taxonomy.tsv").read_text().splitlines() if l]
-    corpus_lines = [l for l in (data / "corpus.tsv").read_text().splitlines() if l]
-    assert len(tax_lines) == 3 + 9  # edges of a complete depth-2, branching-3 tree
-    assert len(corpus_lines) == 9 * 20
-
-
 def test_full_pipeline(tmp_path, capsys):
     data = generate(tmp_path)
     run = train_into(tmp_path, data)
@@ -180,21 +172,6 @@ def test_classify_empty_input(tmp_path, capsys):
         "--input", str(empty),
     ) == 0
     assert capsys.readouterr().out == ""
-
-
-def test_classify_accepts_unlabeled_lines(tmp_path, capsys):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
-    unlabeled = tmp_path / "unlabeled.tsv"
-    body = (data / "corpus.tsv").read_text().splitlines()[0].split("\t")[2]
-    unlabeled.write_text(f"q1\t{body}\n")
-    assert run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(unlabeled),
-    ) == 0
-    assert capsys.readouterr().out.startswith("q1\t")
 
 
 def test_classify_refuses_an_empty_doc_id(tmp_path, capsys):

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import reference
 from conftest import random_labeled_docs, random_taxonomy
 from routecat.policies import (
     PolicyKind,
@@ -48,22 +47,6 @@ def test_positives_for_centroid(t0, t0_docs):
     assert positives_for_centroid(t0_docs, t0, "A") == {"d1", "d2", "d3"}
     assert positives_for_centroid(t0_docs, t0, "A1") == {"d1", "d2"}
     assert positives_for_centroid(t0_docs, t0, "B") == {"d4"}
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
-def test_policies_match_naive_oracle(seed):
-    rng = random.Random(seed)
-    t = random_taxonomy(rng)
-    docs = random_labeled_docs(rng, t, max_docs=60)
-    for node in t.nodes:
-        if node == t.root:
-            continue
-        for policy in PolicyKind:
-            ts = build_training_set(docs, t, node, policy)
-            oracle_pos, oracle_neg = reference.training_sets(docs, t, node, policy)
-            assert ts.positives == oracle_pos, (node, policy)
-            assert ts.negatives == oracle_neg, (node, policy)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
