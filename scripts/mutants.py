@@ -90,7 +90,8 @@ CATALOGUE = (
                       "then reached by no command"),
     # what a model, a calibration, a split or a vocabulary must be
     Mutant(CORPUS, " or term in seen:", ":", "a vocabulary allows a repeated term"),
-    Mutant(CENTROID, "if type(terms) is not list:", "if False:", "a model's vocabulary terms need not be a list"),
+    Mutant(CENTROID, 'terms = _json_typed(vocab_payload["terms"], list, "vocabulary terms")',
+           'terms = vocab_payload["terms"]', "a model's vocabulary terms need not be a list"),
     Mutant(CENTROID, "if not previous < i < n_terms:", "if not previous <= i < n_terms:",
            "a centroid may repeat a term index"),
     Mutant(CENTROID, "if not 0.0 <= w <= 1.0:", "if w < 0.0 or w > 1.0:", "a centroid weight may be NaN"),
@@ -103,6 +104,14 @@ CATALOGUE = (
     Mutant(ROUTER, "if n != depth:", "if n < depth:", "check_pairing takes more level weights than depths"),
     Mutant("src/routecat/cli.py", "if len(split.validation) != calibration.validation_size:", "if False:",
            "evaluate skips the validation-size check"),
+    # later entries go last, so that a mutant keeps its number from table to table
+    Mutant(CENTROID, "if type(value) is not kind:", "if False:",
+           "a model's vocabulary, terms, taxonomy and centroids need not have their JSON types"),
+    Mutant(ROUTER, "if type(self.threshold) is not float:", "if False:", "a calibration's threshold need not be a float"),
+    Mutant(CENTROID, "a = array(a.typecode, a)\n        a.byteswap()", "a = array(a.typecode, a)",
+           "a big-endian host stores its native bytes"),
+    Mutant(CENTROID, "a = array(a.typecode, a)\n        a.byteswap()", "a.byteswap()",
+           "a big-endian host swaps the caller's array in place"),
 )
 
 

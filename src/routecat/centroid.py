@@ -460,11 +460,20 @@ def loads_model(text: str) -> CentroidModel:
     return loads_artifact(text, "model", MODEL_FORMAT_VERSION, ModelFormatError, _model_from_payload)
 
 
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _json_typed(value: T, kind: type, name: str) -> T:
+    """``value``, which JSON must have typed as ``kind``; otherwise a ``ValueError`` that names the field ``name``."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_JSON_TYPE_NAMES[kind]}, not {type(value).__name__}")
+    return value
+
+
 def _model_from_payload(payload: dict) -> CentroidModel:
-    vocab_payload = payload["vocabulary"]
-    terms = vocab_payload["terms"]
-    if type(terms) is not list:  # tuple() would read a string's characters or an object's keys as terms
-        raise ValueError(f"vocabulary terms must be a list, not {type(terms).__name__}")
+    vocab_payload = _json_typed(payload["vocabulary"], dict, "vocabulary")
+    # tuple() would read a string's characters or an object's keys as terms
+    terms = _json_typed(vocab_payload["terms"], list, "vocabulary terms")
     vocabulary = Vocabulary(terms=terms, doc_frequency=vocab_payload["doc_frequency"], n_docs=vocab_payload["n_docs"])
     if payload["vocabulary_digest"] != vocabulary.digest:
         raise ValueError(f"vocabulary_digest {payload['vocabulary_digest']!r} is not the digest of the vocabulary")
@@ -484,17 +493,16 @@ def _model_from_payload(payload: dict) -> CentroidModel:
             )
         return SparseVector(_from_little_endian("I", packed_indices), _from_little_endian("d", packed_weights))
 
-    def vectors(mapping: dict) -> dict[NodeId, SparseVector]:
-        return {node: vector(node, value) for node, value in mapping.items()}
+    def vectors(name: str) -> dict[NodeId, SparseVector]:
+        return {node: vector(node, value) for node, value in _json_typed(payload[name], dict, name).items()}
 
     policy = payload["policy"]
-    negative = payload["negative_centroids"]
     return CentroidModel(
-        taxonomy=parse_taxonomy(payload["taxonomy"]),
+        taxonomy=parse_taxonomy(_json_typed(payload["taxonomy"], str, "taxonomy")),
         vocabulary=vocabulary,
         mode=Mode(payload["mode"]),
         policy=PolicyKind(policy) if policy is not None else None,
-        centroid_of=vectors(payload["centroids"]),
-        negative_centroid_of=vectors(negative) if negative is not None else None,
+        centroid_of=vectors("centroids"),
+        negative_centroid_of=vectors("negative_centroids") if payload["negative_centroids"] is not None else None,
         training_digest=payload["training_digest"],
     )

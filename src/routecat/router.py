@@ -77,10 +77,10 @@ class Calibration:
         """Refuse what :func:`build_calibration` never makes.
 
         That is level weights that are not a list or a tuple, no level weight,
-        a level weight that is not a float in [0, 1], a NaN threshold, an EER
-        gap that is not a float in [0, 1], a validation size that is not an
-        integer of at least 1, and a ``source`` or ``model_identity`` that is
-        not a string.
+        a level weight that is not a float in [0, 1], a threshold that is not a
+        float or is NaN, an EER gap that is not a float in [0, 1], a
+        validation size that is not an integer of at least 1, and a ``source``
+        or ``model_identity`` that is not a string.
         """
         # tuple() would read a mapping's keys or a string's characters as weights
         if not isinstance(self.level_weights, (list, tuple)):
@@ -91,6 +91,9 @@ class Calibration:
             raise ValueError("level_weights must hold a weight for depth 1 at least")
         for depth, weight in enumerate(self.level_weights, start=1):
             _checked_rate(weight, f"level weight {depth}")
+        # the int 1 would load back as the float 1.0, and a string would fail in the NaN check below
+        if type(self.threshold) is not float:
+            raise ValueError(f"threshold must be a float, not {type(self.threshold).__name__}")
         # NaN compares false with everything, so it would silently reject every document
         if math.isnan(self.threshold):
             raise ValueError("threshold must not be NaN")

@@ -1,4 +1,4 @@
-"""Shared fixtures: the toy taxonomy, random instances, sparse vectors, their pairs and their conversion from reference vectors, vocabularies of any size, hand-packed model centroids, a strict JSON hook, synthetic runs, and the modules of the benchmark and of scripts/.
+"""Shared fixtures: the toy taxonomy, random instances, sparse vectors, their pairs and their conversion from reference vectors, vocabularies of any size, hand-packed model centroids, a strict JSON hook, synthetic runs, the modules of the benchmark and of scripts/, the in-process CLI runner and the runs the CLI tests share.
 
 The reference the tests compare routecat against is ``reference.py`` beside this file.
 """
@@ -6,17 +6,22 @@ The reference the tests compare routecat against is ``reference.py`` beside this
 from __future__ import annotations
 
 import base64
+import contextlib
+import hashlib
 import importlib
+import io
 import random
 import struct
 import sys
 from array import array
 from pathlib import Path
 from types import ModuleType
+from typing import Iterator, NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
+from routecat.cli import main
 from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus
 from routecat.evaluation import TrainedRun, train_and_calibrate
 from routecat.synthetic import SyntheticSpec, generate_synthetic
@@ -139,3 +144,100 @@ def import_script(directory: Path, name: str) -> ModuleType:
         return importlib.import_module(name)
     finally:
         sys.path.remove(str(directory))
+
+
+def cli(*argv: object) -> tuple[int, str, str]:
+    """``routecat argv`` in this process: its exit status, stdout and stderr.  A usage error is status 2.
+
+    An exception that escapes the command's error policy escapes this call too, and fails the test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main([str(arg) for arg in argv])
+        except SystemExit as exc:  # argparse's exit
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+# the split every CLI test trains on, and the flags of a corpus in which some validation documents are misrouted
+SPLIT = ("--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "5")
+NOISY = ("--noise", "0.6", "--tokens-per-doc", "8")
+
+
+class CliRun(NamedTuple):
+    """A corpus with the model and calibration ``routecat train`` wrote for it on :data:`SPLIT`."""
+
+    taxonomy: Path
+    corpus: Path
+    model: Path
+    calibration: Path
+    train_err: str  # what train printed
+
+    @property
+    def train(self) -> tuple[object, ...]:
+        """The argv that trains on the run's corpus, split by :data:`SPLIT`; ``--out-dir`` is the caller's to add."""
+        return ("train", "--taxonomy", self.taxonomy, "--corpus", self.corpus, *SPLIT)
+
+    @property
+    def classify(self) -> tuple[object, ...]:
+        """The argv that classifies the run's own corpus."""
+        return ("classify", "--model", self.model, "--calibration", self.calibration, "--input", self.corpus)
+
+    @property
+    def evaluate(self) -> tuple[object, ...]:
+        """The argv that evaluates the run on the split it was trained on; ``--out-dir`` is the caller's to add."""
+        return ("evaluate", "--model", self.model, "--calibration", self.calibration, "--corpus", self.corpus, *SPLIT)
+
+
+def generate_corpus(out: Path, *flags: object) -> Path:
+    """``out``, into which ``routecat generate`` wrote the CLI tests' corpus; ``flags`` override its shape and seed."""
+    status, _, err = cli(
+        "generate", "--depth", "2", "--branching", "3", "--docs-per-leaf", "20", "--noise", "0.3", "--seed", "5",
+        *flags, "--out-dir", out,
+    )
+    assert status == 0, err
+    return out
+
+
+def train_corpus(data: Path, out: Path, *flags: object) -> CliRun:
+    """``routecat train`` on ``data``'s taxonomy.tsv and corpus.tsv, split by :data:`SPLIT`, into ``out``."""
+    run = CliRun(data / "taxonomy.tsv", data / "corpus.tsv", out / "model.json", out / "calibration.json", "")
+    status, _, err = cli(*run.train, *flags, "--out-dir", out)
+    assert status == 0, err
+    return run._replace(train_err=err)
+
+
+def _file_digests(root: Path) -> dict[Path, str]:
+    return {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in root.rglob("*") if path.is_file()}
+
+
+def _unedited(root: Path, run: CliRun) -> Iterator[CliRun]:
+    """Yield ``run``, whose files lie under ``root``; at session end, no file there may have changed, come or gone.
+
+    A test that edits an artifact of a shared run edits a copy in its own ``tmp_path``.
+    """
+    built = _file_digests(root)
+    yield run
+    assert _file_digests(root) == built, f"a test edited the shared run in {root}"
+
+
+@pytest.fixture(scope="session")
+def trained(tmp_path_factory) -> Iterator[CliRun]:
+    """The default corpus of :func:`generate_corpus`, trained in positive-only mode."""
+    root = tmp_path_factory.mktemp("trained")
+    yield from _unedited(root, train_corpus(generate_corpus(root / "data"), root / "run"))
+
+
+@pytest.fixture(scope="session")
+def noisy(tmp_path_factory) -> Iterator[CliRun]:
+    """The corpus of :data:`NOISY`, trained in positive-only mode."""
+    root = tmp_path_factory.mktemp("noisy")
+    yield from _unedited(root, train_corpus(generate_corpus(root / "data", *NOISY), root / "run"))
+
+
+@pytest.fixture(scope="session")
+def noisy_binary(tmp_path_factory, noisy) -> Iterator[CliRun]:
+    """``noisy``'s corpus, trained in binary mode under the siblings policy."""
+    root = tmp_path_factory.mktemp("noisy-binary")
+    yield from _unedited(root, train_corpus(noisy.corpus.parent, root, "--mode", "binary", "--policy", "siblings"))

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import random
+import struct
+import sys
 from array import array
 
 import pytest
@@ -23,6 +25,8 @@ from routecat.centroid import (
     CentroidModel,
     LabelSums,
     ModelFormatError,
+    _from_little_endian,
+    _little_endian,
     documents_digest,
     dumps_model,
     group_scores,
@@ -438,6 +442,21 @@ def test_model_centroid_encoding_is_pinned():
     assert loads_model(text).centroid_of == model.centroid_of
 
 
+@pytest.mark.skipif(sys.byteorder != "little", reason="on a big-endian host every model test runs the swap")
+@pytest.mark.parametrize(
+    "typecode, values, stored",
+    [("I", [1, 2], b"\x00\x00\x00\x01\x00\x00\x00\x02"), ("d", [0.01, -2.5], struct.pack(">2d", 0.01, -2.5))],
+    ids=["I", "d"],
+)
+def test_the_big_endian_branches_swap_a_copy(monkeypatch, typecode, values, stored):
+    # told it runs big-endian, this little-endian host swaps its native bytes as a big-endian one swaps its own
+    items = array(typecode, values)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert _little_endian(items) == stored
+    assert items.tolist() == values  # swapped in a copy, not in the caller's array
+    assert _from_little_endian(typecode, stored).tolist() == values
+
+
 def test_model_version_check(t0, t0_docs):
     text = dumps_model(_toy_model(t0, t0_docs))
     tampered = text.replace('"format_version":4', '"format_version":99')
@@ -459,11 +478,11 @@ EMPTY = packed_centroid()  # ["", ""]
     "field, value, message",
     [
         ("taxonomy", None, "no field 'taxonomy'"),
-        ("taxonomy", 5, "malformed"),
+        ("taxonomy", 5, "malformed model file: taxonomy must be a string, not int$"),
         ("mode", "ternary", "malformed"),
         ("vocabulary", {"n_docs": "many", "terms": [], "doc_frequency": []}, "malformed"),
         ("vocabulary", {"n_docs": 1, "terms": ["x"], "doc_frequency": []}, "malformed"),
-        ("centroids", [], "malformed"),
+        ("centroids", [], "malformed model file: centroids must be an object, not list$"),
         ("centroids", {"A": EMPTY}, "no centroid for node"),
         ("negative_centroids", None, "negative centroid"),
         ("vocabulary", {"n_docs": 4.0, "terms": [], "doc_frequency": []}, "n_docs must be an integer, not 4.0"),
@@ -478,6 +497,8 @@ EMPTY = packed_centroid()  # ["", ""]
         ("mode", "positive-only", "malformed model file: policy 'siblings' applies only in binary mode"),
         ("centroids", {n: EMPTY for n in ("ROOT", "A", "B", "A1", "A2", "B1")}, "centroid for 'ROOT', which is the root"),
         ("centroids", {n: EMPTY for n in ("A", "B", "A1", "A2", "B1", "Z")}, "centroid for 'Z', which is the root or not in"),
+        ("negative_centroids", [], "malformed model file: negative_centroids must be an object, not list$"),
+        ("vocabulary", [], "malformed model file: vocabulary must be an object, not list$"),
     ],
 )
 def test_model_fields_are_validated(t0, t0_docs, field, value, message):

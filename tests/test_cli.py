@@ -6,73 +6,37 @@ import subprocess
 import struct
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import ROOT, SCRIPTS, entries, packed_centroid, refuse_json_constant
-from routecat.centroid import dumps_model, train, vocabulary_digest
-from routecat.cli import main
-from routecat.corpus import Document, build_vocabulary
-from routecat.router import ACCEPT_ALL, build_calibration, dumps_calibration, loads_calibration
+from conftest import (
+    NOISY,
+    ROOT,
+    SCRIPTS,
+    cli,
+    entries,
+    generate_corpus,
+    packed_centroid,
+    refuse_json_constant,
+    train_corpus,
+)
+from routecat.centroid import dumps_model, loads_model, train, vocabulary_digest
+from routecat.corpus import Document, build_vocabulary, load_corpus, vectorize
+from routecat.evaluation import comparison_csv, report_rows, summary_csv, train_and_calibrate
+from routecat.router import ACCEPT_ALL, build_calibration, decode, dumps_calibration, loads_calibration, reliability
 from routecat.taxonomy import parse_taxonomy
 
 # `python -m routecat.cli` in a child process imports the routecat under test, installed or not
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
-def run_cli(*argv):
-    return main(list(argv))
+def test_full_pipeline(trained, tmp_path):
+    assert trained.model.exists() and trained.calibration.exists()
+    assert "threshold=" in trained.train_err and "L1=" in trained.train_err
 
-
-def generate(tmp_path, **overrides):
-    data = tmp_path / "data"
-    args = {
-        "--depth": "2",
-        "--branching": "3",
-        "--docs-per-leaf": "20",
-        "--noise": "0.3",
-        "--seed": "5",
-        "--out-dir": str(data),
-    }
-    args.update(overrides)
-    argv = ["generate"]
-    for k, v in args.items():
-        argv += [k, v]
-    assert run_cli(*argv) == 0
-    return data
-
-
-def train_into(tmp_path, data, *extra):
-    run = tmp_path / "run"
-    code = run_cli(
-        "train",
-        "--taxonomy", str(data / "taxonomy.tsv"),
-        "--corpus", str(data / "corpus.tsv"),
-        "--val-fraction", "0.2",
-        "--test-fraction", "0.3",
-        "--seed", "5",
-        "--out-dir", str(run),
-        *extra,
-    )
-    assert code == 0
-    return run
-
-
-def test_full_pipeline(tmp_path, capsys):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
-    assert (run / "model.json").exists() and (run / "calibration.json").exists()
-    err = capsys.readouterr().err
-    assert "threshold=" in err and "L1=" in err
-
-    code = run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(data / "corpus.tsv"),
-    )
-    assert code == 0
-    out = capsys.readouterr().out
+    status, out, _ = cli(*trained.classify)
+    assert status == 0
     lines = out.splitlines()
     assert len(lines) == 180
     for line in lines[:10]:
@@ -82,19 +46,8 @@ def test_full_pipeline(tmp_path, capsys):
         assert verdict in ("ACCEPT", "REJECT")
 
     report = tmp_path / "report"
-    code = run_cli(
-        "evaluate",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--corpus", str(data / "corpus.tsv"),
-        "--val-fraction", "0.2",
-        "--test-fraction", "0.3",
-        "--seed", "5",
-        "--problem", "demo",
-        "--out-dir", str(report),
-    )
-    assert code == 0
-    out = capsys.readouterr().out
+    status, out, _ = cli(*trained.evaluate, "--problem", "demo", "--out-dir", report)
+    assert status == 0
     assert "Rejection summary" in out
     summary = (report / "summary.csv").read_text()
     comparison = (report / "comparison.csv").read_text()
@@ -119,231 +72,131 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, name):
         assert result.stdout.endswith(": all 5 pins hold\n")
 
 
-def test_train_missing_corpus(tmp_path, capsys):
-    data = generate(tmp_path)
-    code = run_cli(
-        "train",
-        "--taxonomy", str(data / "taxonomy.tsv"),
-        "--corpus", str(tmp_path / "nope.tsv"),
-        "--out-dir", str(tmp_path / "run"),
-    )
-    assert code == 1
-    assert "nope.tsv" in capsys.readouterr().err
+def test_train_missing_corpus(trained, tmp_path):
+    status, _, err = cli(*trained._replace(corpus=tmp_path / "nope.tsv").train, "--out-dir", tmp_path / "run")
+    assert status == 1
+    assert "nope.tsv" in err
 
 
-def test_classify_rejects_at_exact_threshold(tmp_path, capsys):
-    from routecat.centroid import loads_model
-    from routecat.corpus import Document, vectorize
-    from routecat.router import decode, loads_calibration, reliability
-
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
+def test_classify_rejects_at_exact_threshold(trained, tmp_path):
     single = tmp_path / "one.tsv"
-    first = (data / "corpus.tsv").read_text().splitlines()[0]
+    first = trained.corpus.read_text().splitlines()[0]
     single.write_text(first + "\n")
 
     # compute the document's exact reliability and use it verbatim as the threshold
-    model = loads_model((run / "model.json").read_text())
-    calibration, _ = loads_calibration((run / "calibration.json").read_text())
+    model = loads_model(trained.model.read_text())
+    calibration, _ = loads_calibration(trained.calibration.read_text())
     doc_id, label, body = first.split("\t")
     steps = decode(model, vectorize(Document(doc_id, label, body), model.vocabulary))
     exact = reliability(steps, calibration.level_weights)
 
-    assert run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(single),
-        "--threshold", repr(exact),
-    ) == 0
-    line = capsys.readouterr().out.strip().splitlines()[-1]
-    assert line.endswith("REJECT")
+    status, out, _ = cli(*trained._replace(corpus=single).classify, "--threshold", repr(exact))
+    assert status == 0
+    assert out.strip().splitlines()[-1].endswith("REJECT")
 
 
-def test_classify_empty_input(tmp_path, capsys):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
+def test_classify_empty_input(trained, tmp_path):
     empty = tmp_path / "empty.tsv"
     empty.write_text("")
-    assert run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(empty),
-    ) == 0
-    assert capsys.readouterr().out == ""
+    assert cli(*trained._replace(corpus=empty).classify)[:2] == (0, "")
 
 
-def test_classify_refuses_an_empty_doc_id(tmp_path, capsys):
+def test_classify_refuses_an_empty_doc_id(trained, tmp_path):
     # "\tw0x1 w0x2" printed "\tc0\t1.000000\tACCEPT" with status 0; load_corpus refuses an empty doc_id as well
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
-    body = (data / "corpus.tsv").read_text().splitlines()[0].split("\t")[2]
+    body = trained.corpus.read_text().splitlines()[0].split("\t")[2]
     queries = tmp_path / "queries.tsv"
     queries.write_text(f"q1\t{body}\n\t{body}\nq3\t{body}\n")
-    capsys.readouterr()
-    assert run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(queries),
-    ) == 1
-    out, err = capsys.readouterr()
+    status, out, err = cli(*trained._replace(corpus=queries).classify)
+    assert status == 1
     assert out.startswith("q1\t") and out.count("\n") == 1
     assert err == f"error: {queries}: line 2: expected doc_id<TAB>[label<TAB>]text\n"
 
 
-def test_classify_keeps_unicode_line_separators_in_text(tmp_path, capsys):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
+def test_classify_keeps_unicode_line_separators_in_text(trained, tmp_path):
     doc = tmp_path / "doc.tsv"
     doc.write_text("q1\tfirst part\u2028second part\n", encoding="utf-8")
-    capsys.readouterr()
-    assert run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(doc),
-    ) == 0
-    out = capsys.readouterr().out
+    status, out, _ = cli(*trained._replace(corpus=doc).classify)
+    assert status == 0
     assert out.startswith("q1\t") and out.count("\n") == 1
 
 
-def model_and_classify_output(tmp_path, capsys, inputs):
-    """``model.json`` trained on ``inputs`` and ``classify``'s output for its corpus."""
-    run = train_into(tmp_path / inputs.name, inputs)
-    capsys.readouterr()
-    assert run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(inputs / "corpus.tsv"),
-    ) == 0
-    return (run / "model.json").read_bytes(), capsys.readouterr().out
+def test_crlf_inputs_read_like_lf(trained, tmp_path):
+    for path in (trained.taxonomy, trained.corpus):
+        (tmp_path / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    crlf = train_corpus(tmp_path, tmp_path / "run")
+    assert crlf.model.read_bytes() == trained.model.read_bytes()
+    lf = cli(*trained.classify)
+    assert lf[0] == 0 and cli(*crlf.classify) == lf
 
 
-def test_crlf_inputs_read_like_lf(tmp_path, capsys):
-    data = generate(tmp_path)
-    crlf = tmp_path / "crlf"
-    crlf.mkdir()
-    for name in ("taxonomy.tsv", "corpus.tsv"):
-        (crlf / name).write_bytes((data / name).read_bytes().replace(b"\n", b"\r\n"))
-    assert model_and_classify_output(tmp_path, capsys, data) == model_and_classify_output(tmp_path, capsys, crlf)
+def test_inputs_with_a_byte_order_mark_read_like_plain(trained, tmp_path):
+    for path in (trained.taxonomy, trained.corpus):
+        (tmp_path / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    bom = train_corpus(tmp_path, tmp_path / "run")
+    assert bom.model.read_bytes() == trained.model.read_bytes()
+    plain = cli(*trained.classify)
+    assert plain[0] == 0 and cli(*bom.classify) == plain
 
 
-def test_inputs_with_a_byte_order_mark_read_like_plain(tmp_path, capsys):
-    data = generate(tmp_path)
-    bom = tmp_path / "bom"
-    bom.mkdir()
-    for name in ("taxonomy.tsv", "corpus.tsv"):
-        (bom / name).write_bytes(b"\xef\xbb\xbf" + (data / name).read_bytes())
-    assert model_and_classify_output(tmp_path, capsys, data) == model_and_classify_output(tmp_path, capsys, bom)
-
-
-def test_mismatched_calibration_rejected(tmp_path, capsys):
-    data = generate(tmp_path)
-    run_a = train_into(tmp_path, data)
-    other = generate(tmp_path / "other", **{"--branching": "2"})
-    run_b = (tmp_path / "other") / "run"
-    assert run_cli(
-        "train",
-        "--taxonomy", str(other / "taxonomy.tsv"),
-        "--corpus", str(other / "corpus.tsv"),
-        "--out-dir", str(run_b),
-    ) == 0
-    code = run_cli(
-        "classify",
-        "--model", str(run_a / "model.json"),
-        "--calibration", str(run_b / "calibration.json"),
-        "--input", str(data / "corpus.tsv"),
-    )
-    assert code == 1
-    assert "vocabulary mismatch" in capsys.readouterr().err
-
-
-def run_subprocess(*argv):
-    return subprocess.run([sys.executable, "-m", "routecat.cli", *argv], capture_output=True, text=True, env=ENV)
-
-
-def assert_one_line_error(result, message):
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert message in result.stderr
+def test_mismatched_calibration_rejected(trained, tmp_path):
+    other = train_corpus(generate_corpus(tmp_path / "data", "--branching", "2"), tmp_path / "run")
+    status, _, err = cli(*trained._replace(calibration=other.calibration).classify)
+    assert status == 1
+    assert "vocabulary mismatch" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
-def test_calibration_of_another_model_on_the_same_split_is_refused(tmp_path, command):
+def test_calibration_of_another_model_on_the_same_split_is_refused(noisy, noisy_binary, tmp_path, command):
     # both models share the training split, so the vocabulary digest cannot tell them apart
-    data = generate(tmp_path, **NOISY)
-    positive = train_into(tmp_path / "positive", data)
-    binary = train_into(tmp_path / "binary", data, "--mode", "binary", "--policy", "siblings")
-    assert json.loads((positive / "calibration.json").read_text())["vocabulary_digest"] == json.loads(
-        (binary / "calibration.json").read_text()
+    assert json.loads(noisy.calibration.read_text())["vocabulary_digest"] == json.loads(
+        noisy_binary.calibration.read_text()
     )["vocabulary_digest"]
-    inputs = {
-        "classify": ["--input", str(data / "corpus.tsv")],
-        "evaluate": ["--corpus", str(data / "corpus.tsv"), "--val-fraction", "0.2", "--test-fraction", "0.3",
-                     "--seed", "5", "--out-dir", str(tmp_path / "report")],
-    }[command]
-    pairing = ["--model", str(binary / "model.json"), "--calibration", str(positive / "calibration.json")]
-    assert_one_line_error(run_subprocess(command, *pairing, *inputs), "model mismatch")
+    paired = noisy_binary._replace(calibration=noisy.calibration)
+    argv = paired.classify if command == "classify" else (*paired.evaluate, "--out-dir", tmp_path / "report")
+    status, out, err = cli(*argv)
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "model mismatch" in err
     assert not (tmp_path / "report").exists()
 
 
 def test_calibration_lacking_a_depth_is_refused_before_any_decision(tmp_path):
     # leaf A sits at depth 1, so a document routed there needs no depth-2 weight
-    data = tmp_path / "data"
-    data.mkdir()
-    (data / "taxonomy.tsv").write_text("R\tA\nR\tB\nB\tB1\nB\tB2\n")
+    (tmp_path / "taxonomy.tsv").write_text("R\tA\nR\tB\nB\tB1\nB\tB2\n")
     topics = {"A": "alpha apple", "B1": "beta bee", "B2": "beta bird"}
-    (data / "corpus.tsv").write_text(
+    (tmp_path / "corpus.tsv").write_text(
         "".join(f"{label}{i}\t{label}\t{text} w{i}\n" for i in range(10) for label, text in topics.items())
     )
-    run = train_into(tmp_path, data)
-    payload = json.loads((run / "calibration.json").read_text())
+    run = train_corpus(tmp_path, tmp_path / "run")
+    payload = json.loads(run.calibration.read_text())
     del payload["level_weights"][1]
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps(payload))
-    result = run_subprocess(
-        "classify", "--model", str(run / "model.json"), "--calibration", str(stale), "--input", str(data / "corpus.tsv")
-    )
-    assert_one_line_error(result, "level weights are calibrated to depth 1, the taxonomy's depth is 2")
+    status, out, err = cli(*run._replace(calibration=stale).classify)
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "level weights are calibrated to depth 1, the taxonomy's depth is 2" in err
 
 
 @pytest.mark.parametrize("old", [1, 2])
-def test_calibration_format_1_is_refused(tmp_path, capsys, old):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
-    calibration = run / "calibration.json"
-    calibration.write_text(calibration.read_text().replace('"format_version":3', f'"format_version":{old}'))
-    capsys.readouterr()
-    code = run_cli(
-        "classify", "--model", str(run / "model.json"), "--calibration", str(calibration),
-        "--input", str(data / "corpus.tsv"),
-    )
-    assert code == 1
-    assert f"unsupported calibration format version {old}, expected 3" in capsys.readouterr().err
+def test_calibration_of_an_older_format_is_refused(trained, tmp_path, old):
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(trained.calibration.read_text().replace('"format_version":3', f'"format_version":{old}'))
+    expected = f"error: {calibration}: unsupported calibration format version {old}, expected 3\n"
+    assert cli(*trained._replace(calibration=calibration).classify) == (1, "", expected)
 
 
 @pytest.mark.parametrize("old", [2, 3])
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
-def test_model_format_2_is_refused(tmp_path, command, old):
-    inputs = command_inputs(tmp_path, command)
-    model = tmp_path / "run" / "model.json"
-    model.write_text(model.read_text().replace('"format_version":4', f'"format_version":{old}'))
-    result = run_subprocess(command, *inputs)
-    assert_one_line_error(result, f"unsupported model format version {old}, expected 4")
-    assert str(model) in result.stderr
+def test_model_of_an_older_format_is_refused(trained, tmp_path, command, old):
+    model = tmp_path / "model.json"
+    model.write_text(trained.model.read_text().replace('"format_version":4', f'"format_version":{old}'))
+    edited = trained._replace(model=model)
+    argv = edited.classify if command == "classify" else (*edited.evaluate, "--out-dir", tmp_path / "report")
+    assert cli(*argv) == (1, "", f"error: {model}: unsupported model format version {old}, expected 4\n")
 
 
-def test_classify_hashes_the_vocabulary_once(tmp_path, monkeypatch):
-    from types import SimpleNamespace
-
+def test_classify_hashes_the_vocabulary_once(trained, monkeypatch):
     from routecat import corpus
 
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
     hashed = []
 
     def counting_sha256(*args):
@@ -352,18 +205,13 @@ def test_classify_hashes_the_vocabulary_once(tmp_path, monkeypatch):
 
     corpus_hashlib = corpus.hashlib
     monkeypatch.setattr(corpus, "hashlib", SimpleNamespace(sha256=counting_sha256))
-    assert run_cli(
-        "classify", "--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
-        "--input", str(data / "corpus.tsv"),
-    ) == 0
+    assert cli(*trained.classify)[0] == 0
     # loads_model checks the stored digest and the calibration pairing reuses it
     assert len(hashed) == 1
 
 
 def test_generate_bad_noise_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("generate", "--noise", "1.5", "--out-dir", str(tmp_path / "x"))
-    assert exc.value.code == 2
+    assert cli("generate", "--noise", "1.5", "--out-dir", tmp_path / "x")[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -373,22 +221,14 @@ def test_generate_bad_noise_is_usage_error(tmp_path):
         (("--mode", "binary"), "binary mode requires a training policy"),
     ],
 )
-def test_train_refuses_policy_and_mode_mismatch(tmp_path, capsys, flags, message):
-    data = generate(tmp_path)
-    capsys.readouterr()
-    code = run_cli(
-        "train",
-        "--taxonomy", str(data / "taxonomy.tsv"),
-        "--corpus", str(data / "corpus.tsv"),
-        "--out-dir", str(tmp_path / "run"),
-        *flags,
-    )
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+def test_train_refuses_policy_and_mode_mismatch(trained, tmp_path, flags, message):
+    status, _, err = cli(*trained.train, "--out-dir", tmp_path / "run", *flags)
+    assert status == 1
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
-def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
+def test_classify_refuses_a_model_with_a_negative_weight(tmp_path):
     taxonomy = parse_taxonomy("R\tA\nR\tB\n")
     texts = [("A", "alpha beta"), ("A", "alpha gamma"), ("B", "delta beta"), ("B", "delta eps")]
     docs = [Document(f"d{k}", label, text) for k, (label, text) in enumerate(texts)]
@@ -402,16 +242,13 @@ def test_classify_refuses_a_model_with_a_negative_weight(tmp_path, capsys):
         dumps_calibration(calibration, vocabulary_digest(model.vocabulary)), encoding="utf-8"
     )
     (tmp_path / "input.tsv").write_text("q1\talpha beta delta\n", encoding="utf-8")
-    code = run_cli(
-        "classify",
-        "--model", str(tmp_path / "model.json"),
-        "--calibration", str(tmp_path / "calibration.json"),
-        "--input", str(tmp_path / "input.tsv"),
+    status, out, err = cli(
+        "classify", "--model", tmp_path / "model.json", "--calibration", tmp_path / "calibration.json",
+        "--input", tmp_path / "input.tsv",
     )
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "centroid of 'B'" in captured.err and "negative" in captured.err
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "centroid of 'B'" in err and "negative" in err
 
 
 NOT_THE_TRAINING_PART = "not trained on this split's training part"
@@ -429,61 +266,31 @@ NOT_THE_TRAINING_PART = "not trained on this split's training part"
     ],
     ids=["other-fractions", "other-seed", "other-corpus", "swapped-fractions"],
 )
-def test_evaluate_refuses_a_split_the_model_was_not_trained_on(tmp_path, capsys, split, corpus_seed, message):
-    run = train_into(tmp_path, generate(tmp_path))
-    other = generate(tmp_path / "other", **{"--seed": corpus_seed})
-    capsys.readouterr()
-    code = run_cli(
-        "evaluate",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--corpus", str(other / "corpus.tsv"),
-        *split,
-        "--out-dir", str(tmp_path / "report"),
-    )
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == "" and not (tmp_path / "report").exists()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert message in captured.err
+def test_evaluate_refuses_a_split_the_model_was_not_trained_on(trained, tmp_path, split, corpus_seed, message):
+    # the shared corpus is the one of seed 5
+    corpus = trained.corpus
+    if corpus_seed != "5":
+        corpus = generate_corpus(tmp_path / "data", "--seed", corpus_seed) / "corpus.tsv"
+    # the last value given of a flag wins, so ``split`` overrides the split train was given
+    status, out, err = cli(*trained._replace(corpus=corpus).evaluate, *split, "--out-dir", tmp_path / "report")
+    assert status == 1
+    assert out == "" and not (tmp_path / "report").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
-def test_accept_all_evaluate_has_zero_boost(tmp_path):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
+def test_accept_all_evaluate_has_zero_boost(trained, tmp_path):
     report = tmp_path / "report"
-    assert run_cli(
-        "evaluate",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--corpus", str(data / "corpus.tsv"),
-        "--val-fraction", "0.2",
-        "--test-fraction", "0.3",
-        "--seed", "5",
-        "--accept-all",
-        "--out-dir", str(report),
-    ) == 0
+    assert cli(*trained.evaluate, "--accept-all", "--out-dir", report)[0] == 0
     line = (report / "summary.csv").read_text().splitlines()[1]
     assert line.endswith(",0.0")
     assert line.split(",")[1] == "0"
 
 
 @pytest.mark.parametrize("problem", ["news, wire", '"wire" news', "news\nwire", "news\rwire"])
-def test_report_csvs_quote_the_problem_name(tmp_path, problem):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
+def test_report_csvs_quote_the_problem_name(trained, tmp_path, problem):
     report = tmp_path / "report"
-    assert run_cli(
-        "evaluate",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--corpus", str(data / "corpus.tsv"),
-        "--val-fraction", "0.2",
-        "--test-fraction", "0.3",
-        "--seed", "5",
-        "--problem", problem,
-        "--out-dir", str(report),
-    ) == 0
+    assert cli(*trained.evaluate, "--problem", problem, "--out-dir", report)[0] == 0
     headers = {"summary.csv": ["problem", "rejected", "TR", "FR", "accuracy_boost"],
                "comparison.csv": ["problem", "flat", "LCN", "proposed"]}
     for name, header in headers.items():
@@ -505,16 +312,13 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "d" / "corpus.tsv").exists()
 
 
-def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
-    texts = [line.split("\t")[2] for line in (data / "corpus.tsv").read_text().splitlines()]
+def test_closed_stdout_pipe_ends_without_traceback(trained, tmp_path):
+    texts = [line.split("\t")[2] for line in trained.corpus.read_text().splitlines()]
     many = tmp_path / "many.tsv"
     # 7,200 decisions of at least 20 bytes: far more than a 64 KiB pipe plus the reader's buffer
     many.write_text("".join(f"q{i}\t{text}\n" for i, text in enumerate(texts * 40)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "routecat.cli", "classify", "--model", str(run / "model.json"),
-         "--calibration", str(run / "calibration.json"), "--input", str(many)],
+        [sys.executable, "-m", "routecat.cli", *map(str, trained._replace(corpus=many).classify)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=ENV,
@@ -528,131 +332,97 @@ def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
-def test_cli_uses_the_shared_pipeline(tmp_path):
-    from routecat.centroid import dumps_model, vocabulary_digest
-    from routecat.corpus import load_corpus
-    from routecat.evaluation import comparison_csv, report_rows, summary_csv, train_and_calibrate
-    from routecat.router import dumps_calibration
-    from routecat.taxonomy import parse_taxonomy
-
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
+def test_cli_uses_the_shared_pipeline(trained, tmp_path):
     report = tmp_path / "report"
-    assert run_cli(
-        "evaluate",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--corpus", str(data / "corpus.tsv"),
-        "--val-fraction", "0.2",
-        "--test-fraction", "0.3",
-        "--seed", "5",
-        "--problem", "demo",
-        "--out-dir", str(report),
-    ) == 0
+    assert cli(*trained.evaluate, "--problem", "demo", "--out-dir", report)[0] == 0
 
-    taxonomy = parse_taxonomy((data / "taxonomy.tsv").read_text())
-    docs = load_corpus((data / "corpus.tsv").read_text(), taxonomy)
+    taxonomy = parse_taxonomy(trained.taxonomy.read_text())
+    docs = load_corpus(trained.corpus.read_text(), taxonomy)
     lib = train_and_calibrate(taxonomy, docs, 0.2, 0.3, 5)
     summary_rows, comparison_rows = report_rows("demo", lib.model, lib.calibration, lib.split)
-    assert (run / "model.json").read_bytes() == dumps_model(lib.model).encode()
-    assert (run / "calibration.json").read_bytes() == dumps_calibration(
+    assert trained.model.read_bytes() == dumps_model(lib.model).encode()
+    assert trained.calibration.read_bytes() == dumps_calibration(
         lib.calibration, vocabulary_digest(lib.model.vocabulary)
     ).encode()
     assert (report / "summary.csv").read_bytes() == summary_csv(summary_rows).encode()
     assert (report / "comparison.csv").read_bytes() == comparison_csv(comparison_rows).encode()
 
 
-def test_jobs_flag_is_a_usage_error(tmp_path):
-    data = generate(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        run_cli(
-            "train",
-            "--taxonomy", str(data / "taxonomy.tsv"),
-            "--corpus", str(data / "corpus.tsv"),
-            "--jobs", "2",
-            "--out-dir", str(tmp_path / "run"),
-        )
-    assert exc.value.code == 2
+def test_jobs_flag_is_a_usage_error(trained, tmp_path):
+    assert cli(*trained.train, "--jobs", "2", "--out-dir", tmp_path / "run")[0] == 2
 
 
 @pytest.mark.parametrize("bad", ["model", "calibration"])
-def test_malformed_artifact_is_a_one_line_error(tmp_path, bad):
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
+def test_malformed_artifact_is_a_one_line_error(trained, tmp_path, bad):
     artifact = tmp_path / f"bad-{bad}.json"
     version = {"model": 4, "calibration": 3}[bad]
     artifact.write_text(f'{{"format":"routecat-{bad}","format_version":{version}}}')
-    paths = {"model": run / "model.json", "calibration": run / "calibration.json", bad: artifact}
-    result = run_subprocess(
-        "classify", "--model", str(paths["model"]), "--calibration", str(paths["calibration"]),
-        "--input", str(data / "corpus.tsv"),
-    )
-    assert_one_line_error(result, "has no field")
+    status, out, err = cli(*trained._replace(**{bad: artifact}).classify)
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "has no field" in err
 
 
 @pytest.mark.parametrize("bad", ["model", "calibration"])
-def test_json_nested_too_deep_is_a_one_line_error_naming_the_file(tmp_path, bad):
-    inputs = command_inputs(tmp_path, "classify")
-    artifact = tmp_path / "run" / f"{bad}.json"
+def test_json_nested_too_deep_is_a_one_line_error_naming_the_file(trained, tmp_path, bad):
+    artifact = tmp_path / f"{bad}.json"
     artifact.write_text("[" * 200_000)  # json.loads raised RecursionError
-    result = run_subprocess("classify", *inputs)
-    assert_one_line_error(result, f"{artifact}: {bad} file is not valid JSON: ")
-    assert "Traceback" not in result.stderr
+    status, out, err = cli(*trained._replace(**{bad: artifact}).classify)
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{artifact}: {bad} file is not valid JSON: " in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="integers of any length parse")
-def test_json_number_of_too_many_digits_is_a_one_line_error_naming_the_file(tmp_path):
-    inputs = command_inputs(tmp_path, "classify")
-    calibration = tmp_path / "run" / "calibration.json"
-    payload = json.loads(calibration.read_text())
-    text = calibration.read_text().replace(f'"validation_size":{payload["validation_size"]}', '"validation_size":' + "9" * 5000)
-    calibration.write_text(text)
-    result = run_subprocess("classify", *inputs)
+def test_json_number_of_too_many_digits_is_a_one_line_error_naming_the_file(trained, tmp_path):
+    calibration = tmp_path / "calibration.json"
+    text = trained.calibration.read_text()
+    size = json.loads(text)["validation_size"]
+    calibration.write_text(text.replace(f'"validation_size":{size}', '"validation_size":' + "9" * 5000))
+    status, out, err = cli(*trained._replace(calibration=calibration).classify)
     # json.loads refuses the 5,000-digit integer with a ValueError, which was printed without the file's path
-    assert_one_line_error(result, f"{calibration}: calibration file is not valid JSON: ")
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{calibration}: calibration file is not valid JSON: " in err
 
 
-def test_classify_refuses_a_model_weight_above_one(tmp_path):
-    inputs = command_inputs(tmp_path, "classify")
-    model = tmp_path / "run" / "model.json"
-    payload = json.loads(model.read_text())
+def test_classify_refuses_a_model_weight_above_one(trained, tmp_path):
+    model = tmp_path / "model.json"
+    payload = json.loads(trained.model.read_text())
     indices = payload["centroids"]["c0"][0]
     n = len(base64.b64decode(indices)) // 4
     # identity and digests still pair the model with its calibration; classify overflowed in the exact sums
     payload["centroids"]["c0"] = [indices, base64.b64encode(struct.pack(f"<{n}d", *[1.7e308] * n)).decode("ascii")]
     model.write_text(json.dumps(payload))
-    result = run_subprocess("classify", *inputs)
-    assert_one_line_error(result, f"{model}: malformed model file: centroid of 'c0': weight 1.7e+308 of term ")
-    assert "Traceback" not in result.stderr
+    status, out, err = cli(*trained._replace(model=model).classify)
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{model}: malformed model file: centroid of 'c0': weight 1.7e+308 of term " in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])
-def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, command, seed):
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, command, seed):
     # seeds equal modulo 2**64 gave the same corpus and split; parsing stops before any file is read
     files = {
         "generate": [],
         "train": ["--taxonomy", "t.tsv", "--corpus", "c.tsv"],
         "evaluate": ["--model", "m.json", "--calibration", "c.json", "--corpus", "c.tsv"],
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, *files, "--seed", seed, "--out-dir", str(tmp_path / "out"))
-    assert exc.value.code == 2
-    assert f"seed must lie in 0..2**64-1: {seed}" in capsys.readouterr().err
+    status, _, err = cli(command, *files, "--seed", seed, "--out-dir", tmp_path / "out")
+    assert status == 2
+    assert f"seed must lie in 0..2**64-1: {seed}" in err
     assert not (tmp_path / "out").exists()
 
 
 def test_largest_seed_is_accepted(tmp_path):
-    data = generate(tmp_path, **{"--seed": str(2**64 - 1)})
-    train_into(tmp_path, data, "--seed", str(2**64 - 1))
+    seed = str(2**64 - 1)
+    train_corpus(generate_corpus(tmp_path / "data", "--seed", seed), tmp_path / "run", "--seed", seed)
 
 
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
 @pytest.mark.parametrize("field", ["doc_frequency", "n_docs"])
-def test_model_with_an_impossible_document_count_is_a_one_line_error(tmp_path, command, field):
-    inputs = command_inputs(tmp_path, command)
-    model = tmp_path / "run" / "model.json"
-    payload = json.loads(model.read_text())
+def test_model_with_an_impossible_document_count_is_a_one_line_error(trained, tmp_path, command, field):
+    model = tmp_path / "model.json"
+    payload = json.loads(trained.model.read_text())
     vocab = payload["vocabulary"]
     if field == "n_docs":
         vocab["n_docs"] = -1  # idf raised "math domain error", naming no file
@@ -662,19 +432,19 @@ def test_model_with_an_impossible_document_count_is_a_one_line_error(tmp_path, c
         rule = f"document frequency -1 of {vocab['terms'][0]!r} lies outside 1.."
     # the stored digests are left as they are: Vocabulary refuses the edit before the loader compares them
     model.write_text(json.dumps(payload))
-    result = run_subprocess(command, *inputs)
-    assert_one_line_error(result, f"{model}: malformed model file: {rule}")
-    assert "Traceback" not in result.stderr
-
-
-NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents misrouted
+    edited = trained._replace(model=model)
+    argv = edited.classify if command == "classify" else (*edited.evaluate, "--out-dir", tmp_path / "report")
+    status, out, err = cli(*argv)
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{model}: malformed model file: {rule}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
     "override, corpus, source, threshold, flags",
     [
         (None, NOISY, "eer", None, ()),
-        (None, {"--noise": "0.0"}, "eer-all-correct", "-inf", ()),
+        (None, ("--noise", "0.0"), "eer-all-correct", "-inf", ()),
         # a threshold set by hand is not train's to write, but a calibration file that holds one is read back
         (ACCEPT_ALL, NOISY, "accept-all", "-inf", ()),
         (float("inf"), NOISY, "manual", "inf", ()),
@@ -682,137 +452,105 @@ NOISY = {"--noise": "0.6", "--tokens-per-doc": "8"}  # some validation documents
         (None, NOISY, "eer", None, ("--threshold", "inf")),
     ],
 )
-def test_calibration_file_is_standard_json(tmp_path, capsys, override, corpus, source, threshold, flags):
-    data = generate(tmp_path, **corpus)
-    run = train_into(tmp_path, data)
+def test_calibration_file_is_standard_json(noisy, tmp_path, override, corpus, source, threshold, flags):
+    run = noisy if corpus == NOISY else train_corpus(generate_corpus(tmp_path / "data", *corpus), tmp_path / "run")
     if override is not None:
-        calibration, digest = loads_calibration((run / "calibration.json").read_text())
-        legacy = replace(calibration, threshold=override, source=source)
-        (run / "calibration.json").write_text(dumps_calibration(legacy, digest))
-    payload = json.loads((run / "calibration.json").read_text(), parse_constant=refuse_json_constant)
+        calibration, digest = loads_calibration(run.calibration.read_text())
+        run = run._replace(calibration=tmp_path / "calibration.json")
+        run.calibration.write_text(dumps_calibration(replace(calibration, threshold=override, source=source), digest))
+    payload = json.loads(run.calibration.read_text(), parse_constant=refuse_json_constant)
     assert payload["source"] == source
     if threshold is None:
         assert isinstance(payload["threshold"], float)
     else:
         assert payload["threshold"] == threshold
-    capsys.readouterr()
-    assert run_cli(
-        "classify",
-        "--model", str(run / "model.json"),
-        "--calibration", str(run / "calibration.json"),
-        "--input", str(data / "corpus.tsv"),
-        *flags,
-    ) == 0
-    verdicts = {line.split("\t")[3] for line in capsys.readouterr().out.splitlines()}
+    status, out, _ = cli(*run.classify, *flags)
+    assert status == 0
+    verdicts = {line.split("\t")[3] for line in out.splitlines()}
     expected = {"-inf": {"ACCEPT"}, "inf": {"REJECT"}, None: {"ACCEPT", "REJECT"}}[flags[-1] if flags else threshold]
     assert verdicts == expected
-
-
-def command_inputs(tmp_path, command):
-    """Valid input flags for ``command``; train writes to tmp_path/out, evaluate to tmp_path/report."""
-    data = generate(tmp_path)
-    run = train_into(tmp_path, data)
-    return {
-        "train": ["--taxonomy", str(data / "taxonomy.tsv"), "--corpus", str(data / "corpus.tsv"),
-                  "--out-dir", str(tmp_path / "out")],
-        "classify": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
-                     "--input", str(data / "corpus.tsv")],
-        "evaluate": ["--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
-                     "--corpus", str(data / "corpus.tsv"), "--val-fraction", "0.2", "--test-fraction", "0.3",
-                     "--seed", "5", "--out-dir", str(tmp_path / "report")],
-    }[command]
 
 
 @pytest.mark.parametrize(
     "command, first_written", [("generate", "taxonomy.tsv"), ("train", "model.json"), ("evaluate", "summary.csv")]
 )
-def test_unwritable_out_dir_is_a_one_line_error(tmp_path, command, first_written):
-    inputs = ["--depth", "1", "--branching", "2"] if command == "generate" else command_inputs(tmp_path, command)
+def test_unwritable_out_dir_is_a_one_line_error(trained, tmp_path, command, first_written):
+    inputs = {
+        "generate": ("generate", "--depth", "1", "--branching", "2"),
+        "train": (*trained.train, "--out-dir", tmp_path / "run"),
+        "evaluate": (*trained.evaluate, "--out-dir", tmp_path / "report"),
+    }[command]
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file, not a directory\n")
     out = blocker / "out"
     # the last --out-dir given wins
-    result = run_subprocess(command, *inputs, "--out-dir", str(out))
-    assert_one_line_error(result, f"cannot write {out / first_written}: ")
-    assert "Traceback" not in result.stderr
+    status, stdout, err = cli(*inputs, "--out-dir", out)
+    assert (status, stdout) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot write {out / first_written}: " in err
+    assert "Traceback" not in err
 
 
-def test_non_utf8_input_is_a_one_line_error_naming_the_file(tmp_path):
-    data = generate(tmp_path)
+def test_non_utf8_input_is_a_one_line_error_naming_the_file(trained, tmp_path):
     corpus = tmp_path / "latin1.tsv"
     corpus.write_bytes(b"d1\tA\tcaf\xe9\n")
-    result = run_subprocess(
-        "train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", str(corpus), "--out-dir", str(tmp_path / "run")
-    )
-    assert_one_line_error(result, f"cannot read corpus file {corpus}: 'utf-8' codec can't decode")
+    status, out, err = cli(*trained._replace(corpus=corpus).train, "--out-dir", tmp_path / "run")
+    assert (status, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot read corpus file {corpus}: 'utf-8' codec can't decode" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
-def test_nan_threshold_is_a_usage_error(tmp_path, command):
-    inputs = command_inputs(tmp_path, command)
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, *inputs, "--threshold", "nan")
-    assert exc.value.code == 2
+def test_nan_threshold_is_a_usage_error(trained, tmp_path, command):
+    argv = trained.classify if command == "classify" else (*trained.evaluate, "--out-dir", tmp_path / "report")
+    assert cli(*argv, "--threshold", "nan")[0] == 2
     assert not (tmp_path / "out").exists() and not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
-def test_accept_all_with_threshold_is_a_usage_error(tmp_path, capsys, command):
-    inputs = command_inputs(tmp_path, command)
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, *inputs, "--accept-all", "--threshold", "0.5")
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+def test_accept_all_with_threshold_is_a_usage_error(trained, tmp_path, command):
+    argv = trained.classify if command == "classify" else (*trained.evaluate, "--out-dir", tmp_path / "report")
+    status, _, err = cli(*argv, "--accept-all", "--threshold", "0.5")
+    assert status == 2
+    assert "not allowed with argument" in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "report").exists()
 
 
-def test_evaluate_threshold_is_the_calibration_with_that_threshold(tmp_path, capsys):
-    data = generate(tmp_path, **NOISY)
-    run = train_into(tmp_path, data)
-    model, calibration_file, corpus = run / "model.json", run / "calibration.json", data / "corpus.tsv"
-    capsys.readouterr()
-    assert run_cli("classify", "--model", str(model), "--calibration", str(calibration_file), "--input", str(corpus)) == 0
-    reliabilities = sorted({float(line.split("\t")[2]) for line in capsys.readouterr().out.splitlines()})
+def test_evaluate_threshold_is_the_calibration_with_that_threshold(noisy, tmp_path):
+    status, out, _ = cli(*noisy.classify)
+    assert status == 0
+    reliabilities = sorted({float(line.split("\t")[2]) for line in out.splitlines()})
     threshold = reliabilities[len(reliabilities) // 2]
-    calibration, digest = loads_calibration(calibration_file.read_text())
+    calibration, digest = loads_calibration(noisy.calibration.read_text())
     assert calibration.threshold != threshold
-    rewritten = tmp_path / "rewritten.json"
-    rewritten.write_text(dumps_calibration(replace(calibration, threshold=threshold), digest))
+    rewritten = noisy._replace(calibration=tmp_path / "rewritten.json")
+    rewritten.calibration.write_text(dumps_calibration(replace(calibration, threshold=threshold), digest))
 
-    def evaluate(out, calibration_path, *flags):
-        """stdout, summary.csv and comparison.csv of one evaluate run on the split train_into used."""
+    def evaluate(out, run, *flags):
+        """stdout, summary.csv and comparison.csv of one evaluate run on the split the model was trained on."""
         report = tmp_path / out
-        assert run_cli(
-            "evaluate", "--model", str(model), "--calibration", str(calibration_path), "--corpus", str(corpus),
-            "--val-fraction", "0.2", "--test-fraction", "0.3", "--seed", "5", *flags, "--out-dir", str(report),
-        ) == 0
-        return [capsys.readouterr().out] + [(report / name).read_text() for name in ("summary.csv", "comparison.csv")]
+        status, stdout, _ = cli(*run.evaluate, *flags, "--out-dir", report)
+        assert status == 0
+        return [stdout] + [(report / name).read_text() for name in ("summary.csv", "comparison.csv")]
 
     def rejected(outputs):
         return int(next(csv.DictReader(outputs[1].splitlines()))["rejected"])
 
-    by_flag = evaluate("flag", calibration_file, "--threshold", repr(threshold))
+    by_flag = evaluate("flag", noisy, "--threshold", repr(threshold))
     assert by_flag == evaluate("file", rewritten)
     # some test documents accepted and some rejected
     assert 0 < rejected(by_flag) < rejected(evaluate("inf", rewritten, "--threshold", "inf"))
 
 
-def test_accept_all_is_threshold_minus_inf(tmp_path, capsys):
-    inputs = command_inputs(tmp_path, "evaluate")
+def test_accept_all_is_threshold_minus_inf(trained, tmp_path):
     by_flag, by_value = tmp_path / "flag", tmp_path / "value"
-    assert run_cli("evaluate", *inputs, "--accept-all", "--out-dir", str(by_flag)) == 0
-    assert run_cli("evaluate", *inputs, "--threshold=-inf", "--out-dir", str(by_value)) == 0
+    assert cli(*trained.evaluate, "--accept-all", "--out-dir", by_flag)[0] == 0
+    assert cli(*trained.evaluate, "--threshold=-inf", "--out-dir", by_value)[0] == 0
     for name in ("summary.csv", "comparison.csv"):
         assert (by_flag / name).read_bytes() == (by_value / name).read_bytes()
 
 
 @pytest.mark.parametrize("flags", [("--threshold", "0.5"), ("--accept-all",)])
-def test_train_takes_no_threshold(tmp_path, capsys, flags):
-    inputs = command_inputs(tmp_path, "train")
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run_cli("train", *inputs, *flags)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+def test_train_takes_no_threshold(trained, tmp_path, flags):
+    status, _, err = cli(*trained.train, "--out-dir", tmp_path / "out", *flags)
+    assert status == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
     assert not (tmp_path / "out").exists()

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from routecat import centroid, evaluation, policies, synthetic
-from routecat.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "routecat").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
@@ -53,7 +52,7 @@ print(status, *sorted(sys.modules), file=sys.stderr)
 """
 
 
-def modules_loaded_by(*argv: str) -> set[str]:
+def modules_loaded_by(*argv: object) -> set[str]:
     """The modules a fresh interpreter holds after ``routecat argv``, which must succeed."""
     child = subprocess.run(
         [sys.executable, "-c", COMMAND_IN_FRESH_INTERPRETER, str(ROOT / "src"), *argv],
@@ -64,11 +63,9 @@ def modules_loaded_by(*argv: str) -> set[str]:
     return set(modules)
 
 
-GENERATE = ["generate", "--depth", "2", "--branching", "2", "--docs-per-leaf", "3", "--tokens-per-doc", "4"]
-
-
 def test_generate_loads_neither_the_model_nor_the_scoring_modules(tmp_path):
-    loaded = modules_loaded_by(*GENERATE, "--out-dir", str(tmp_path))
+    generate = ("generate", "--depth", "2", "--branching", "2", "--docs-per-leaf", "3", "--tokens-per-doc", "4")
+    loaded = modules_loaded_by(*generate, "--out-dir", tmp_path)
     unneeded = {f"routecat.{m}" for m in ("corpus", "centroid", "router", "evaluation", "policies", "taxonomy")}
     assert loaded & (unneeded | {"hashlib", "json", "base64"}) == set()
     assert "routecat.synthetic" in loaded
@@ -79,15 +76,8 @@ def test_generate_loads_neither_the_model_nor_the_scoring_modules(tmp_path):
     assert (loaded - set(bare)) & {"dataclasses", "inspect"} == set()
 
 
-def test_classify_loads_no_evaluation_code(tmp_path):
-    data, run = tmp_path / "data", tmp_path / "run"
-    assert main([*GENERATE, "--out-dir", str(data)]) == 0
-    train = ["train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", str(data / "corpus.tsv")]
-    assert main([*train, "--out-dir", str(run)]) == 0
-    loaded = modules_loaded_by(
-        "classify", "--model", str(run / "model.json"), "--calibration", str(run / "calibration.json"),
-        "--input", str(data / "corpus.tsv"),
-    )
+def test_classify_loads_no_evaluation_code(trained):
+    loaded = modules_loaded_by(*trained.classify)
     assert loaded & {"routecat.evaluation", "routecat.synthetic"} == set()
     assert "routecat.router" in loaded
 

@@ -429,6 +429,10 @@ def test_calibration_fields_are_validated(field, value, message):
         ({"eer_gap": 0}, "^eer_gap must be a finite float, not 0$"),
         ({"validation_size": 2.0}, "^validation_size must be an integer, not 2.0$"),
         ({"validation_size": True}, "^validation_size must be an integer, not True$"),
+        # "0.5" failed in the NaN check, naming no field, and 1 loaded back as the float 1.0
+        ({"threshold": "0.5"}, "^threshold must be a float, not str$"),
+        ({"threshold": 1}, "^threshold must be a float, not int$"),
+        ({"threshold": None}, "^threshold must be a float, not NoneType$"),
     ],
 )
 def test_calibration_refuses_what_build_calibration_never_makes(changes, message):
