@@ -20,8 +20,9 @@ This script needs neither pytest nor hypothesis, so every interpreter can
 run it, and it is the only code that runs and hashes the pinned commands:
 the tests import it and assert that :func:`entry_mismatches` of each entry
 and :func:`token_mismatches` are empty, so a check added here runs under
-pytest too.  It prints each mismatch and exits 1, or exits 0 when every
-pin holds.
+pytest too.  Its :func:`cli` is also the CLI tests' runner.  It prints
+each mismatch, a command that exits nonzero included, and exits 1, or
+exits 0 when every pin holds.
 
 Example:
     PYTHONPATH=src python scripts/check_pins.py
@@ -45,30 +46,44 @@ from routecat.cli import main
 PINS = Path(__file__).resolve().parent.parent / "tests" / "pins.json"
 
 
-def cli(*argv: str) -> bytes:
-    """Run one routecat command in this process and return its stdout as UTF-8; a nonzero exit status raises."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(list(argv))
-    if code != 0:
-        raise RuntimeError(f"routecat {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
-    return out.getvalue().encode()
+def cli(*argv: object) -> tuple[int, str, str]:
+    """``routecat argv`` in this process: its exit status, stdout and stderr.
+
+    argparse's exit is a status too, 2 for a usage error.  An exception that
+    escapes the command's error policy escapes this call.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main([str(arg) for arg in argv])
+        except SystemExit as exc:  # argparse's exit
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def output(*argv: object) -> bytes:
+    """The stdout of ``routecat argv`` as UTF-8; a nonzero status raises ``RuntimeError`` with stderr's last line."""
+    status, out, err = cli(*argv)
+    if status != 0:
+        last = err.strip().rpartition("\n")[2]
+        raise RuntimeError(f"routecat {' '.join(map(str, argv))} exited {status}: {last}")
+    return out.encode()
 
 
 def artifacts(entry: dict, work: Path) -> dict[str, bytes]:
     """The bytes of each file and output the entry's commands produce, keyed as in its ``sha256``."""
     data, run, report = work / "data", work / "run", work / "report"
-    cli("generate", *entry["generate"], "--out-dir", str(data))
+    output("generate", *entry["generate"], "--out-dir", data)
     files = [data / "taxonomy.tsv", data / "corpus.tsv"]
     outputs = {}
     if "train" in entry:
-        corpus = str(data / "corpus.tsv")
-        model, calibration = str(run / "model.json"), str(run / "calibration.json")
-        cli("train", "--taxonomy", str(data / "taxonomy.tsv"), "--corpus", corpus, *entry["split"], *entry["train"],
-            "--out-dir", str(run))
-        cli("evaluate", "--model", model, "--calibration", calibration, "--corpus", corpus, *entry["split"],
-            "--out-dir", str(report))
-        outputs["classify"] = cli("classify", "--model", model, "--calibration", calibration, "--input", corpus)
+        corpus = data / "corpus.tsv"
+        model, calibration = run / "model.json", run / "calibration.json"
+        output("train", "--taxonomy", data / "taxonomy.tsv", "--corpus", corpus, *entry["split"], *entry["train"],
+               "--out-dir", run)
+        output("evaluate", "--model", model, "--calibration", calibration, "--corpus", corpus, *entry["split"],
+               "--out-dir", report)
+        outputs["classify"] = output("classify", "--model", model, "--calibration", calibration, "--input", corpus)
         files += [run / "model.json", run / "calibration.json", report / "summary.csv", report / "comparison.csv"]
     return {**outputs, **{path.name: path.read_bytes() for path in files}}
 

@@ -112,6 +112,12 @@ CATALOGUE = (
            "a big-endian host stores its native bytes"),
     Mutant(CENTROID, "a = array(a.typecode, a)\n        a.byteswap()", "a.byteswap()",
            "a big-endian host swaps the caller's array in place"),
+    Mutant(CENTROID, "except (TypeError, ValueError, OverflowError, AttributeError)",
+           "except (ValueError, OverflowError, AttributeError)", "loads_artifact lets a TypeError escape"),
+    Mutant(CORPUS, "if n_docs < 1:", "if n_docs < 0:", "a vocabulary of 0 documents"),
+    Mutant(CORPUS, "if not 1 <= df <= n_docs:", "if not 0 <= df <= n_docs:", "a document frequency of 0"),
+    Mutant(ROUTER, ' or not math.isfinite(value):\n        raise ValueError(f"threshold',
+           ':\n        raise ValueError(f"threshold', "a calibration file's threshold may be an infinite number"),
 )
 
 

@@ -266,12 +266,12 @@ def _threshold_to_json(threshold: float) -> float | str:
 
 
 def _threshold_from_json(value: object) -> float:
-    """Inverse of :func:`_threshold_to_json`: "inf", "-inf" or a finite number."""
+    """Inverse of :func:`_threshold_to_json`: "inf", "-inf" or a finite JSON float, as it writes every threshold."""
     if value in ("inf", "-inf"):
         return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"threshold must be a finite number, 'inf' or '-inf', not {value!r}")
-    return float(value)
+    if type(value) is not float or not math.isfinite(value):
+        raise ValueError(f"threshold must be a finite float, 'inf' or '-inf', not {value!r}")
+    return value
 
 
 def dumps_calibration(calibration: Calibration, vocab_digest: str) -> str:

@@ -6,10 +6,8 @@ The reference the tests compare routecat against is ``reference.py`` beside this
 from __future__ import annotations
 
 import base64
-import contextlib
 import hashlib
 import importlib
-import io
 import random
 import struct
 import sys
@@ -21,7 +19,6 @@ from typing import Iterator, NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from routecat.cli import main
 from routecat.corpus import Document, SparseVector, Vocabulary, load_corpus
 from routecat.evaluation import TrainedRun, train_and_calibrate
 from routecat.synthetic import SyntheticSpec, generate_synthetic
@@ -146,18 +143,9 @@ def import_script(directory: Path, name: str) -> ModuleType:
         sys.path.remove(str(directory))
 
 
-def cli(*argv: object) -> tuple[int, str, str]:
-    """``routecat argv`` in this process: its exit status, stdout and stderr.  A usage error is status 2.
-
-    An exception that escapes the command's error policy escapes this call too, and fails the test.
-    """
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main([str(arg) for arg in argv])
-        except SystemExit as exc:  # argparse's exit
-            status = exc.code
-    return status, out.getvalue(), err.getvalue()
+# the pins' in-process runner of ``routecat argv``, which returns (status, stdout, stderr); an exception that escapes a
+# command's error policy escapes it too, and fails the test
+cli = import_script(SCRIPTS, "check_pins").cli
 
 
 # the split every CLI test trains on, and the flags of a corpus in which some validation documents are misrouted

@@ -99,12 +99,23 @@ def test_check_pins_names_an_artifact_the_commands_do_not_make(tmp_path):
     assert result.stdout.endswith(": 1 mismatch\n")
 
 
-def test_check_pins_reports_a_command_that_fails(tmp_path):
-    entry = {**PINS["ci_artifacts"]["binary-exclusive"], "train": ["--mode", "binary"]}  # binary needs a policy
-    result = check(tmp_path, {"ci_artifacts": {"binary-exclusive": entry}})
+@pytest.mark.parametrize(
+    "table, name, command, flags, message",
+    [
+        ("ci_artifacts", "binary-exclusive", "train", ["--mode", "binary"], "exited 1: error: binary mode requires a"),
+        # argparse's exit escaped the script, which printed nothing and exited 2
+        ("generated_bytes", "depth-4", "generate", [*PINS["generated_bytes"]["depth-4"]["generate"], "--no-such-flag"],
+         "exited 2: routecat: error: unrecognized arguments: --no-such-flag"),
+    ],
+    ids=["failing-command", "usage-error"],
+)
+def test_check_pins_reports_a_command_that_fails(tmp_path, table, name, command, flags, message):
+    entry = {**PINS[table][name], command: flags}
+    result = check(tmp_path, {table: {name: entry}})
     assert result.returncode == 1
-    assert "mismatch: ci_artifacts/binary-exclusive: routecat train" in result.stdout
-    assert "binary mode requires a training policy" in result.stdout
+    assert result.stdout.startswith(f"mismatch: {table}/{name}: routecat {command} ")
+    assert f" {message}" in result.stdout
+    assert result.stdout.endswith(": 1 mismatch\n")
 
 
 def test_check_pins_reports_the_first_ascii_string_a_tokenizer_splits_differently(tmp_path):

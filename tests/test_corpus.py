@@ -164,6 +164,9 @@ def test_build_vocabulary_empty():
         (("aa", "bb"), (1,), 1, "^2 terms but 1 document frequencies$"),
         (("aa",), (1, 1), 1, "^1 terms but 2 document frequencies$"),
         ((), (1,), 1, "^0 terms but 1 document frequencies$"),
+        # values JSON has typed are checked, not converted
+        (("aa",), (1,), "many", "^n_docs must be an integer, not 'many'$"),
+        (("aa",), ("1",), 1, "^document frequency of 'aa' must be an integer, not '1'$"),
     ],
 )
 def test_vocabulary_refuses_what_idf_fails_on(terms, doc_frequency, n_docs, message):
