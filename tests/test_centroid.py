@@ -527,37 +527,47 @@ def test_model_centroid_entries_are_validated(t0, t0_docs, field, entries, messa
         loads_model(json.dumps(payload))
 
 
+CENTROID_VECTOR_ROWS = [
+    # a repeated index: d = [[0, 1.0]] scored 0.25 by SparseVector.dot but 0.75 by InvertedIndex
+    (vec((0, 0.5), (0, 0.25), (1, 1.0)), "must increase"),
+    (vec((1, 0.5), (0, 0.25)), "must increase"),
+    (vec((2**32 - 1, 0.5)), "must increase"),  # -1 as a uint32
+    (vec((6, 0.5)), "must increase below 6, got 6 after -1"),
+    (vec((0, float("nan"))), "not finite"),
+    (vec((0, 0.5), (1, float("-inf"))), "not finite"),
+    (vec((0, 0.5), (1, -0.25)), "negative"),
+    # the bad entry after a good one: min and max skip a NaN or not depending on where it sits
+    (vec((0, 0.5), (1, float("nan"))), "not finite"),
+    (vec((0, 0.5), (1, float("inf"))), "not finite"),
+    (vec((0, 0.5), (6, 0.5)), "got 6 after 0"),
+    (vec((0, 0.5), (1, 0.5), (1, 0.5)), "must increase"),
+    # a trained weight lies in [0, 1]; 1.7e308 loaded, and classify overflowed in the exact sums
+    (vec((0, 0.5), (1, 1.0000000000000002)), "weight 1.0000000000000002 of term 1 is negative, above 1"),
+    (vec((0, 1.7e308)), "above 1"),
+    # built by hand, this centroid constructed, and decode ended in "OverflowError: intermediate overflow in fsum"
+    (vec((0, 1.7e308), (1, 1.7e308)), r"weight 1\.7e\+308 of term 0"),
+    # built by hand, decreasing indices constructed too
+    (vec((0, 0.5), (2, 0.5), (1, 0.5)), "got 1 after 2"),
+]
+
+
 @pytest.mark.parametrize("field", ["centroid_of", "negative_centroid_of"])
-@pytest.mark.parametrize(
-    "vector, message",
-    [
-        # a repeated index: d = [[0, 1.0]] scored 0.25 by SparseVector.dot but 0.75 by InvertedIndex
-        (vec((0, 0.5), (0, 0.25), (1, 1.0)), "must increase"),
-        (vec((1, 0.5), (0, 0.25)), "must increase"),
-        (vec((2**32 - 1, 0.5)), "must increase"),  # -1 as a uint32
-        (vec((6, 0.5)), "must increase below 6, got 6 after -1"),
-        (vec((0, float("nan"))), "not finite"),
-        (vec((0, 0.5), (1, float("-inf"))), "not finite"),
-        (vec((0, 0.5), (1, -0.25)), "negative"),
-        # the bad entry after a good one: min and max skip a NaN or not depending on where it sits
-        (vec((0, 0.5), (1, float("nan"))), "not finite"),
-        (vec((0, 0.5), (1, float("inf"))), "not finite"),
-        (vec((0, 0.5), (6, 0.5)), "got 6 after 0"),
-        (vec((0, 0.5), (1, 0.5), (1, 0.5)), "must increase"),
-        # a trained weight lies in [0, 1]; 1.7e308 loaded, and classify overflowed in the exact sums
-        (vec((0, 0.5), (1, 1.0000000000000002)), "weight 1.0000000000000002 of term 1 is negative, above 1"),
-        (vec((0, 1.7e308)), "above 1"),
-        # built by hand, this centroid constructed, and decode ended in "OverflowError: intermediate overflow in fsum"
-        (vec((0, 1.7e308), (1, 1.7e308)), r"weight 1\.7e\+308 of term 0"),
-        # built by hand, decreasing indices constructed too
-        (vec((0, 0.5), (2, 0.5), (1, 0.5)), "got 1 after 2"),
-    ],
-)
+@pytest.mark.parametrize("vector, message", CENTROID_VECTOR_ROWS)
 def test_model_centroid_entries_are_refused_when_built(t0, t0_docs, field, vector, message):
     model = _toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)
     assert len(model.vocabulary) == 6
     with pytest.raises(ValueError, match=f"^centroid of 'A1': .*{message}"):
         dataclasses.replace(model, **{field: getattr(model, field) | {"A1": vector}})
+
+
+# the constructor's rows, packed into a file: the loader hands each decoded centroid on, bits and all
+@pytest.mark.parametrize("field", ["centroids", "negative_centroids"])
+@pytest.mark.parametrize("vector, message", CENTROID_VECTOR_ROWS)
+def test_a_stored_centroid_the_constructor_refuses_is_malformed(t0, t0_docs, field, vector, message):
+    payload = json.loads(dumps_model(_toy_model(t0, t0_docs, mode=Mode.BINARY, policy=PolicyKind.SIBLINGS)))
+    payload[field]["A1"] = packed_centroid(*entries(vector))
+    with pytest.raises(ModelFormatError, match=f"^malformed model file: centroid of 'A1': .*{message}"):
+        loads_model(json.dumps(payload))
 
 
 @pytest.mark.parametrize("field", ["centroid_of", "negative_centroid_of"])

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -8,7 +9,7 @@ import reference
 from conftest import (
     LINE_SEPARATORS, SMALLEST_NORMAL, T0_TEXT, entries, sparse, sparse_vectors, vec,
 )
-from routecat.centroid import dumps_model, train
+from routecat.centroid import ModelFormatError, dumps_model, loads_model, train
 from routecat.corpus import (
     DENSE_MIN_FILL,
     CorpusError,
@@ -144,34 +145,43 @@ def test_build_vocabulary_empty():
         build_vocabulary([])
 
 
-@pytest.mark.parametrize(
-    "terms, doc_frequency, n_docs, message",
-    [
-        # each constructed, and vectorize then raised ZeroDivisionError and ValueError
-        (("aa",), (-1,), 1, "^document frequency -1 of 'aa' lies outside 1..1$"),
-        (("aa",), (1,), -1, "^n_docs must be at least 1, not -1$"),
-        # idf would be 0 or negative, or divide by zero
-        (("aa",), (0,), 1, "^document frequency 0 of 'aa' lies outside 1..1$"),
-        (("aa",), (3,), 2, "^document frequency 3 of 'aa' lies outside 1..2$"),
-        ((), (), 0, "^n_docs must be at least 1, not 0$"),
-        (("aa",), (1,), 1.0, "^n_docs must be an integer, not 1.0$"),
-        (("aa",), (1,), True, "^n_docs must be an integer, not True$"),
-        (("aa",), (1.0,), 1, "^document frequency of 'aa' must be an integer, not 1.0$"),
-        ((7,), (1,), 1, "^vocabulary term 7 is not a string or repeats$"),
-        # a term's index is its position: a repeated term would sit on two indices
-        (("aa", "bb", "aa"), (1, 1, 1), 1, "^vocabulary term 'aa' is not a string or repeats$"),
-        # a term without a frequency, and a frequency without a term
-        (("aa", "bb"), (1,), 1, "^2 terms but 1 document frequencies$"),
-        (("aa",), (1, 1), 1, "^1 terms but 2 document frequencies$"),
-        ((), (1,), 1, "^0 terms but 1 document frequencies$"),
-        # values JSON has typed are checked, not converted
-        (("aa",), (1,), "many", "^n_docs must be an integer, not 'many'$"),
-        (("aa",), ("1",), 1, "^document frequency of 'aa' must be an integer, not '1'$"),
-    ],
-)
+VOCABULARY_ROWS = [
+    # each constructed, and vectorize then raised ZeroDivisionError and ValueError
+    (("aa",), (-1,), 1, "^document frequency -1 of 'aa' lies outside 1..1$"),
+    (("aa",), (1,), -1, "^n_docs must be at least 1, not -1$"),
+    # idf would be 0 or negative, or divide by zero
+    (("aa",), (0,), 1, "^document frequency 0 of 'aa' lies outside 1..1$"),
+    (("aa",), (3,), 2, "^document frequency 3 of 'aa' lies outside 1..2$"),
+    ((), (), 0, "^n_docs must be at least 1, not 0$"),
+    (("aa",), (1,), 1.0, "^n_docs must be an integer, not 1.0$"),
+    (("aa",), (1,), True, "^n_docs must be an integer, not True$"),
+    (("aa",), (1.0,), 1, "^document frequency of 'aa' must be an integer, not 1.0$"),
+    ((7,), (1,), 1, "^vocabulary term 7 is not a string or repeats$"),
+    # a term's index is its position: a repeated term would sit on two indices
+    (("aa", "bb", "aa"), (1, 1, 1), 1, "^vocabulary term 'aa' is not a string or repeats$"),
+    # a term without a frequency, and a frequency without a term
+    (("aa", "bb"), (1,), 1, "^2 terms but 1 document frequencies$"),
+    (("aa",), (1, 1), 1, "^1 terms but 2 document frequencies$"),
+    ((), (1,), 1, "^0 terms but 1 document frequencies$"),
+    # values JSON has typed are checked, not converted
+    (("aa",), (1,), "many", "^n_docs must be an integer, not 'many'$"),
+    (("aa",), ("1",), 1, "^document frequency of 'aa' must be an integer, not '1'$"),
+]
+
+
+@pytest.mark.parametrize("terms, doc_frequency, n_docs, message", VOCABULARY_ROWS)
 def test_vocabulary_refuses_what_idf_fails_on(terms, doc_frequency, n_docs, message):
     with pytest.raises(ValueError, match=message):
         Vocabulary(terms=terms, doc_frequency=doc_frequency, n_docs=n_docs)
+
+
+# the constructor's rows, written into a model file: the loader hands the vocabulary on as JSON typed it
+@pytest.mark.parametrize("terms, doc_frequency, n_docs, message", VOCABULARY_ROWS)
+def test_a_stored_vocabulary_the_constructor_refuses_is_malformed(t0, t0_docs, terms, doc_frequency, n_docs, message):
+    payload = json.loads(dumps_model(train(t0_docs, t0, build_vocabulary(t0_docs))))
+    payload["vocabulary"] = {"n_docs": n_docs, "terms": terms, "doc_frequency": doc_frequency}
+    with pytest.raises(ModelFormatError, match=f"^malformed model file: {message[1:]}"):
+        loads_model(json.dumps(payload))
 
 
 def test_vocabulary_keeps_the_terms_it_checked():

@@ -392,39 +392,39 @@ def test_calibration_fields_are_validated(field, value, message):
         loads_calibration(json.dumps(payload))
 
 
-@pytest.mark.parametrize(
-    "changes, message",
-    [
-        # each constructed and dumped, and loads_calibration refused the file
-        ({"level_weights": (2.0,)}, r"^level weight 1 must lie in \[0, 1\], not 2.0$"),
-        ({"validation_size": 0}, "^validation_size must be at least 1, not 0$"),
-        ({"level_weights": (-0.5,)}, r"^level weight 1 must lie in \[0, 1\], not -0.5$"),
-        ({"level_weights": (math.nan,)}, "^level weight 1 must be a finite float, not nan$"),
-        ({"level_weights": (1,)}, "^level weight 1 must be a finite float, not 1$"),
-        # every taxonomy has depth 1, and reliability would weigh its steps by nothing
-        ({"level_weights": ()}, "^level_weights must hold a weight for depth 1 at least$"),
-        # the map shape format 2 wrote, which tuple() would read as the weights 1 and 2
-        ({"level_weights": {1: 0.9, 2: 0.6}}, "^level_weights must be a list of floats, not dict$"),
-        ({"eer_gap": 1.5}, r"^eer_gap must lie in \[0, 1\], not 1.5$"),
-        ({"eer_gap": 0}, "^eer_gap must be a finite float, not 0$"),
-        ({"validation_size": 2.0}, "^validation_size must be an integer, not 2.0$"),
-        ({"validation_size": True}, "^validation_size must be an integer, not True$"),
-        # "0.5" failed in the NaN check, naming no field, and 1 loaded back as the float 1.0
-        ({"threshold": "0.5"}, "^threshold must be a float, not str$"),
-        ({"threshold": 1}, "^threshold must be a float, not int$"),
-        ({"threshold": None}, "^threshold must be a float, not NoneType$"),
-        ({"level_weights": [1.0, -3.0]}, r"^level weight 2 must lie in \[0, 1\], not -3.0$"),
-        ({"eer_gap": -7.5}, r"^eer_gap must lie in \[0, 1\], not -7.5$"),
-        # values JSON has typed are checked, not converted
-        ({"level_weights": ["0.5"]}, "^level weight 1 must be a finite float, not '0.5'$"),
-        ({"level_weights": [True]}, "^level weight 1 must be a finite float, not True$"),
-        ({"level_weights": [None]}, "^level weight 1 must be a finite float, not None$"),
-        ({"level_weights": "0.5"}, "^level_weights must be a list of floats, not str$"),
-        ({"level_weights": 0.5}, "^level_weights must be a list of floats, not float$"),
-        ({"eer_gap": "0.25"}, "^eer_gap must be a finite float, not '0.25'$"),
-        ({"eer_gap": math.nan}, "^eer_gap must be a finite float, not nan$"),
-    ],
-)
+CALIBRATION_ROWS = [
+    # each constructed and dumped, and loads_calibration refused the file
+    ({"level_weights": (2.0,)}, r"^level weight 1 must lie in \[0, 1\], not 2.0$"),
+    ({"validation_size": 0}, "^validation_size must be at least 1, not 0$"),
+    ({"level_weights": (-0.5,)}, r"^level weight 1 must lie in \[0, 1\], not -0.5$"),
+    ({"level_weights": (math.nan,)}, "^level weight 1 must be a finite float, not nan$"),
+    ({"level_weights": (1,)}, "^level weight 1 must be a finite float, not 1$"),
+    # every taxonomy has depth 1, and reliability would weigh its steps by nothing
+    ({"level_weights": ()}, "^level_weights must hold a weight for depth 1 at least$"),
+    # the map shape format 2 wrote, which tuple() would read as the weights 1 and 2
+    ({"level_weights": {1: 0.9, 2: 0.6}}, "^level_weights must be a list of floats, not dict$"),
+    ({"eer_gap": 1.5}, r"^eer_gap must lie in \[0, 1\], not 1.5$"),
+    ({"eer_gap": 0}, "^eer_gap must be a finite float, not 0$"),
+    ({"validation_size": 2.0}, "^validation_size must be an integer, not 2.0$"),
+    ({"validation_size": True}, "^validation_size must be an integer, not True$"),
+    # "0.5" failed in the NaN check, naming no field, and 1 loaded back as the float 1.0
+    ({"threshold": "0.5"}, "^threshold must be a float, not str$"),
+    ({"threshold": 1}, "^threshold must be a float, not int$"),
+    ({"threshold": None}, "^threshold must be a float, not NoneType$"),
+    ({"level_weights": [1.0, -3.0]}, r"^level weight 2 must lie in \[0, 1\], not -3.0$"),
+    ({"eer_gap": -7.5}, r"^eer_gap must lie in \[0, 1\], not -7.5$"),
+    # values JSON has typed are checked, not converted
+    ({"level_weights": ["0.5"]}, "^level weight 1 must be a finite float, not '0.5'$"),
+    ({"level_weights": [True]}, "^level weight 1 must be a finite float, not True$"),
+    ({"level_weights": [None]}, "^level weight 1 must be a finite float, not None$"),
+    ({"level_weights": "0.5"}, "^level_weights must be a list of floats, not str$"),
+    ({"level_weights": 0.5}, "^level_weights must be a list of floats, not float$"),
+    ({"eer_gap": "0.25"}, "^eer_gap must be a finite float, not '0.25'$"),
+    ({"eer_gap": math.nan}, "^eer_gap must be a finite float, not nan$"),
+]
+
+
+@pytest.mark.parametrize("changes, message", CALIBRATION_ROWS)
 def test_calibration_refuses_what_build_calibration_never_makes(changes, message):
     fields = dict(level_weights=(1.0,), threshold=0.5, eer_gap=0.0, validation_size=3)
     with pytest.raises(ValueError, match=message):
@@ -439,6 +439,17 @@ def test_calibration_refuses_a_source_or_model_identity_that_is_not_a_string(fie
     # each constructed, and loads_calibration then refused its own dumped file as malformed
     with pytest.raises(TypeError, match=f"^{field} must be a string, not "):
         Calibration((1.0,), 0.5, 0.0, 3, **{field: value})
+
+
+# the constructor's rows a file can hold, which the loader hands on as JSON typed them; JSON spells no NaN, and the
+# threshold's spellings are the loader's own
+@pytest.mark.parametrize(
+    "changes, message", [(c, m) for c, m in CALIBRATION_ROWS if "threshold" not in c and "NaN" not in json.dumps(c)]
+)
+def test_a_calibration_file_holding_what_the_constructor_refuses_is_malformed(changes, message):
+    payload = json.loads(dumps_calibration(Calibration((1.0,), 0.5, 0.0, 3), "abc123")) | changes
+    with pytest.raises(CalibrationError, match=f"^malformed calibration file: {message[1:]}"):
+        loads_calibration(json.dumps(payload))
 
 
 strings_or_not = st.one_of(st.text(max_size=3), st.integers(), st.none(), st.binary(max_size=2))
